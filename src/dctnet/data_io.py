@@ -323,11 +323,15 @@ def checkpoint_load(path) -> tuple[DCTNetParams, ModelConfig, dict]:
         header = json.loads(raw[16:16 + blob_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}: {exc}")
-    cfg = ModelConfig.from_dict(header["config"])
+    try:
+        cfg = ModelConfig.from_dict(header["config"])
+        stored = {entry["name"]: tuple(entry["shape"])
+                  for entry in header["tensors"]}
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise CheckpointError(
+            f"malformed checkpoint header in {path}: {exc!r}") from exc
 
     expected = param_shapes(cfg)
-    stored = {entry["name"]: tuple(entry["shape"])
-              for entry in header["tensors"]}
     for name in expected:
         if name not in stored:
             raise CheckpointError(f"checkpoint missing parameter {name!r}")

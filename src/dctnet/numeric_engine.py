@@ -90,33 +90,6 @@ class Tensor:
         return matmul(self, other)
 
 
-@dataclass
-class ComplexTensor:
-    """Complex array split into real/imaginary parts of identical shape."""
-
-    real: np.ndarray
-    imag: np.ndarray
-
-    def __post_init__(self):
-        self.real = np.asarray(self.real, dtype=np.float64)
-        self.imag = np.asarray(self.imag, dtype=np.float64)
-        if self.real.shape != self.imag.shape:
-            raise ContractError(
-                f"real/imag shape mismatch: {self.real.shape} vs {self.imag.shape}"
-            )
-
-    @property
-    def shape(self) -> tuple:
-        return self.real.shape
-
-    def to_complex(self) -> np.ndarray:
-        return self.real + 1j * self.imag
-
-    @classmethod
-    def from_complex(cls, a: np.ndarray) -> "ComplexTensor":
-        return cls(a.real.copy(), a.imag.copy())
-
-
 class _Node:
     __slots__ = ("outputs", "backward_fn")
 
@@ -476,63 +449,26 @@ def dropout(x: Tensor, p: float, training: bool,
 # spectral primitives
 # ---------------------------------------------------------------------------
 
-def dft_forward(x: Tensor, axis: int = -1) -> ComplexTensor:
-    """Orthonormal DFT of a real tensor along ``axis`` (not differentiable)."""
-    x = _as_tensor(x)
-    return ComplexTensor.from_complex(fft.dft(x.data, axis=axis))
+def circular_autocorr(x: Tensor, axis: int = -1) -> Tensor:
+    """Circular autocorrelation along ``axis`` via Wiener-Khinchin.
 
-
-def dft_inverse(x: ComplexTensor, axis: int = -1) -> ComplexTensor:
-    """Orthonormal inverse DFT along ``axis`` (not differentiable)."""
-    return ComplexTensor.from_complex(fft.idft(x.to_complex(), axis=axis))
-
-
-def dft_pair(x: Tensor, axis: int = -1) -> tuple[Tensor, Tensor]:
-    """Differentiable orthonormal DFT: (real part, imaginary part).
-
-    The transform is linear, so the adjoint of the forward map is the real
-    part of the inverse transform applied to the upstream complex gradient.
+    out[m] = N^(-1/2) * sum_n x[n] * x[(n+m) mod N] = Re IDFT(|DFT x|^2)[m]
+    under the orthonormal transforms of ``fft``.  The power spectrum of a
+    real signal is symmetric, so the discarded imaginary part is round-off.
+    The adjoint is Re IDFT(2 * Re(DFT g) * DFT x), reusing the forward
+    spectrum.
     """
     x = _as_tensor(x)
     spec = fft.dft(x.data, axis=axis)
-    re = _wrap(np.ascontiguousarray(spec.real), False)
-    im = _wrap(np.ascontiguousarray(spec.imag), False)
+    out = _wrap(np.ascontiguousarray(
+        fft.idft(spec * spec.conj(), axis=axis).real), False)
 
     def bw():
-        if not x.requires_grad:
-            return
-        gr = re.grad if re.grad is not None else 0.0
-        gi = im.grad if im.grad is not None else 0.0
-        x.accumulate_grad(fft.idft(gr + 1j * gi, axis=axis).real)
+        if x.requires_grad:
+            g_spec = fft.dft(out.grad, axis=axis).real
+            x.accumulate_grad(fft.idft(2.0 * g_spec * spec, axis=axis).real)
 
-    _record((x,), (re, im), bw)
-    return re, im
-
-
-def idft_real(s: Tensor, axis: int = -1,
-              max_imag_residue: Optional[float] = None) -> Tensor:
-    """Real part of the inverse DFT of a real tensor, differentiably.
-
-    ``max_imag_residue`` asserts the discarded imaginary part is numerical
-    noise, which holds whenever ``s`` is the (symmetric) power spectrum of a
-    real signal.
-    """
-    s = _as_tensor(s)
-    full = fft.idft(s.data.astype(np.complex128), axis=axis)
-    if max_imag_residue is not None:
-        residue = float(np.abs(full.imag).max()) if full.size else 0.0
-        if residue > max_imag_residue:
-            raise ContractError(
-                f"inverse-transform imaginary residue {residue:.3e} exceeds "
-                f"{max_imag_residue:.3e}; input spectrum is not symmetric"
-            )
-    out = _wrap(np.ascontiguousarray(full.real), False)
-
-    def bw():
-        if s.requires_grad:
-            s.accumulate_grad(fft.dft(out.grad.astype(np.complex128), axis=axis).real)
-
-    _record((s,), (out,), bw)
+    _record((x,), (out,), bw)
     return out
 
 

@@ -1,8 +1,10 @@
 """Frequency-domain stationarity correction.
 
-The clamped autocorrelation of a feature map (inverse transform of its
-power spectrum, taken along the patch axis) summarises its spectral energy
-distribution.  A scalar factor per reduction group,
+The clamped circular autocorrelation of a feature map along the patch axis
+summarises its spectral energy distribution.  By Wiener-Khinchin it is the
+inverse transform of the power spectrum; the single engine primitive
+``numeric_engine.circular_autocorr`` computes it in one differentiable step.
+A scalar factor per reduction group,
 
     alpha = sqrt( sum(S_pred * S_input) / (sum(S_input^2) + eps) ),
 
@@ -21,7 +23,6 @@ from .numeric_engine import Tensor
 from .errors import ConfigError
 
 _PATCH_AXIS = 2          # the N axis of [B, C, N, D]
-_IMAG_RESIDUE = 1e-9
 
 REDUCTION_SCOPES = ("per_batch_channel", "global_scalar")
 
@@ -57,47 +58,35 @@ class SpectralDiagnostics:
 
 
 def power_autocorrelation(x: Tensor) -> Tensor:
-    """Clamped autocorrelation along the patch axis of [B, C, N, D].
+    """Clamped circular autocorrelation along the patch axis of [B, C, N, D].
 
-    F = DFT(x); S = F * conj(F) (real, nonnegative); result is the real
-    part of IDFT(S) with negatives clipped to zero.  S is the symmetric
-    spectrum of a real signal, so the discarded imaginary part is checked
-    to be round-off only.
+    Re IDFT(|DFT x|^2) with negatives clipped to zero.
     """
-    re, im = engine.dft_pair(x, axis=_PATCH_AXIS)
-    power = engine.add(engine.mul(re, re), engine.mul(im, im))
-    auto = engine.idft_real(power, axis=_PATCH_AXIS,
-                            max_imag_residue=_IMAG_RESIDUE)
-    return engine.relu(auto)
+    return engine.relu(engine.circular_autocorr(x, axis=_PATCH_AXIS))
 
 
-def _reduction_axes(scope: str) -> Optional[tuple]:
-    if scope == "per_batch_channel":
-        return (_PATCH_AXIS, 3)
-    return None
-
-
-def _factor_from_autocorrs(s_pred: Tensor, s_input: Tensor,
-                           cfg: CorrectionConfig) -> Tensor:
-    axes = _reduction_axes(cfg.reduction_scope)
-    keep = axes is not None
-    num = engine.reduce_sum(engine.mul(s_pred, s_input), axis=axes, keepdims=keep)
-    den = engine.add(
-        engine.reduce_sum(engine.mul(s_input, s_input), axis=axes, keepdims=keep),
-        cfg.eps)
-    return engine.sqrt(engine.div(num, den))
-
-
-def correction_factor(h_global: Tensor, x_patch: Tensor,
-                      cfg: CorrectionConfig) -> Tensor:
-    """alpha per reduction group: [B, C, 1, 1] per channel, or a scalar."""
+def _diagnose(h_global: Tensor, x_patch: Tensor,
+              cfg: CorrectionConfig) -> SpectralDiagnostics:
     if h_global.shape != x_patch.shape:
         raise ConfigError(
             f"feature shapes differ: {h_global.shape} vs {x_patch.shape}"
         )
     s_pred = power_autocorrelation(h_global)
     s_input = power_autocorrelation(x_patch)
-    return _factor_from_autocorrs(s_pred, s_input, cfg)
+    axes = (_PATCH_AXIS, 3) if cfg.reduction_scope == "per_batch_channel" else None
+    keep = axes is not None
+    num = engine.reduce_sum(engine.mul(s_pred, s_input), axis=axes, keepdims=keep)
+    den = engine.add(
+        engine.reduce_sum(engine.mul(s_input, s_input), axis=axes, keepdims=keep),
+        cfg.eps)
+    return SpectralDiagnostics(alpha=engine.sqrt(engine.div(num, den)),
+                               pred_autocorr=s_pred, input_autocorr=s_input)
+
+
+def correction_factor(h_global: Tensor, x_patch: Tensor,
+                      cfg: CorrectionConfig) -> Tensor:
+    """alpha per reduction group: [B, C, 1, 1] per channel, or a scalar."""
+    return _diagnose(h_global, x_patch, cfg).alpha
 
 
 def apply_correction(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig,
@@ -105,13 +94,5 @@ def apply_correction(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig,
     """Scale prediction features by alpha; identity with alpha=1 when bypassed."""
     if not enabled:
         return h_global, SpectralDiagnostics(alpha=Tensor(1.0))
-    if h_global.shape != x_patch.shape:
-        raise ConfigError(
-            f"feature shapes differ: {h_global.shape} vs {x_patch.shape}"
-        )
-    s_pred = power_autocorrelation(h_global)
-    s_input = power_autocorrelation(x_patch)
-    alpha = _factor_from_autocorrs(s_pred, s_input, cfg)
-    corrected = engine.mul(h_global, alpha)
-    return corrected, SpectralDiagnostics(
-        alpha=alpha, pred_autocorr=s_pred, input_autocorr=s_input)
+    diag = _diagnose(h_global, x_patch, cfg)
+    return engine.mul(h_global, diag.alpha), diag

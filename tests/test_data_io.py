@@ -257,6 +257,40 @@ def micro_config(**overrides):
     return ModelConfig(**base)
 
 
+def rewrite_header(path, edit):
+    """Replace a saved checkpoint's JSON header with ``edit(header)``."""
+    raw = path.read_bytes()
+    n = struct.unpack("<Q", raw[8:16])[0]
+    header = edit(json.loads(raw[16:16 + n]))
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                     + raw[16 + n:])
+
+
+def _drop(key):
+    def edit(header):
+        del header[key]
+        return header
+    return edit
+
+
+def _set_config(key, value):
+    def edit(header):
+        header["config"][key] = value
+        return header
+    return edit
+
+
+def _unknown_correction_field(header):
+    header["config"]["correction"]["gamma"] = 1.0
+    return header
+
+
+def _bad_tensor_entry(header):
+    header["tensors"][0] = 5
+    return header
+
+
 class TestCheckpoint:
     def test_round_trip_lossless(self, tmp_path):
         cfg = micro_config()
@@ -333,17 +367,14 @@ class TestCheckpoint:
         cfg = micro_config()
         p = tmp_path / "x.dct"
         checkpoint_save(init_params(cfg), cfg, p)
-        raw = p.read_bytes()
-        magic, version, hlen = raw[:4], raw[4:8], raw[8:16]
-        n = struct.unpack("<Q", hlen)[0]
-        header = json.loads(raw[16:16 + n])
-        for row in header["tensors"]:
-            if row["name"] == "revin.gamma":
-                row["shape"] = [5]
-        blob = json.dumps(header, sort_keys=True,
-                          separators=(",", ":")).encode()
-        p.write_bytes(magic + version + struct.pack("<Q", len(blob)) + blob
-                      + raw[16 + n:])
+
+        def edit(header):
+            for row in header["tensors"]:
+                if row["name"] == "revin.gamma":
+                    row["shape"] = [5]
+            return header
+
+        rewrite_header(p, edit)
         with pytest.raises(CheckpointError) as err:
             checkpoint_load(p)
         assert "revin.gamma" in str(err.value)
@@ -353,16 +384,29 @@ class TestCheckpoint:
         cfg = micro_config()
         p = tmp_path / "x.dct"
         checkpoint_save(init_params(cfg), cfg, p)
-        raw = p.read_bytes()
-        n = struct.unpack("<Q", raw[8:16])[0]
-        header = json.loads(raw[16:16 + n])
-        header["tensors"] = [row for row in header["tensors"]
-                             if row["name"] != "head.bias"]
-        blob = json.dumps(header, sort_keys=True,
-                          separators=(",", ":")).encode()
-        p.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
-                      + raw[16 + n:])
+
+        def edit(header):
+            header["tensors"] = [row for row in header["tensors"]
+                                 if row["name"] != "head.bias"]
+            return header
+
+        rewrite_header(p, edit)
         with pytest.raises(CheckpointError, match="head.bias"):
+            checkpoint_load(p)
+
+    @pytest.mark.parametrize("edit", [
+        _drop("config"), _drop("tensors"), _unknown_correction_field,
+        _set_config("dropout", "0.1"), _set_config("channels", -1),
+        _bad_tensor_entry, lambda header: [header],
+    ], ids=["no_config", "no_tensors", "unknown_correction_field",
+            "string_dropout", "negative_channels", "bad_tensor_entry",
+            "header_not_object"])
+    def test_malformed_header_is_checkpoint_error(self, tmp_path, edit):
+        cfg = micro_config()
+        p = tmp_path / "x.dct"
+        checkpoint_save(init_params(cfg), cfg, p)
+        rewrite_header(p, edit)
+        with pytest.raises(CheckpointError, match="malformed checkpoint header"):
             checkpoint_load(p)
 
     def test_corrupt_header_json(self, tmp_path):

@@ -7,7 +7,7 @@ from dctnet import numeric_engine as engine
 from dctnet.numeric_engine import AttentionParams, Tape, Tensor, backward
 from dctnet.errors import ConfigError, ContractError
 
-from helpers import check_gradients, naive_dft
+from helpers import check_gradients
 
 
 class TestTensorBasics:
@@ -282,81 +282,72 @@ class TestPrimitiveGradients:
                 engine.reduce_mean(t, axis=1), Tensor(c))), x0)
 
 
-class TestSpectralPrimitives:
-    def test_dft_pair_matches_definition(self):
-        rng = np.random.default_rng(20)
-        x = rng.standard_normal((2, 8))
-        re, im = engine.dft_pair(Tensor(x))
-        expected = naive_dft(x.astype(complex))
-        np.testing.assert_allclose(re.data, expected.real, atol=1e-10)
-        np.testing.assert_allclose(im.data, expected.imag, atol=1e-10)
+def oracle_circular_autocorr(x: np.ndarray, axis: int) -> np.ndarray:
+    """N^(-1/2) * sum_n x[n] * x[(n+m) mod N] by direct summation, no FFT."""
+    x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, -1)
+    n = x.shape[-1]
+    out = np.zeros_like(x)
+    for m in range(n):
+        for k in range(n):
+            out[..., m] += x[..., k] * x[..., (k + m) % n]
+    return np.moveaxis(out / np.sqrt(n), -1, axis)
 
-    @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_dft_pair_gradient(self, n):
+
+class TestSpectralPrimitives:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 11, 16])
+    def test_circular_autocorr_matches_time_domain_sum(self, n):
+        rng = np.random.default_rng(20 + n)
+        x = rng.standard_normal((2, n))
+        out = engine.circular_autocorr(Tensor(x))
+        np.testing.assert_allclose(out.data, oracle_circular_autocorr(x, -1),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_circular_autocorr_middle_axis_value(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((2, 3, 7, 4))
+        out = engine.circular_autocorr(Tensor(x), axis=2)
+        assert out.shape == x.shape
+        np.testing.assert_allclose(out.data, oracle_circular_autocorr(x, 2),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_circular_autocorr_unit_impulse(self):
+        out = engine.circular_autocorr(Tensor([0.0, 2.0, 0.0, 0.0]))
+        np.testing.assert_allclose(out.data, [2.0, 0.0, 0.0, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    def test_circular_autocorr_gradient_last_axis(self, n):
         rng = np.random.default_rng(30 + n)
         x0 = rng.standard_normal((2, n))
-        cr = rng.standard_normal((2, n))
-        ci = rng.standard_normal((2, n))
+        c = rng.standard_normal((2, n))
+        check_gradients(lambda t: engine.reduce_sum(engine.mul(
+            engine.circular_autocorr(t), Tensor(c))), x0)
 
-        def loss(t):
-            re, im = engine.dft_pair(t)
-            return engine.add(engine.reduce_sum(engine.mul(re, Tensor(cr))),
-                              engine.reduce_sum(engine.mul(im, Tensor(ci))))
+    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    def test_circular_autocorr_gradient_middle_axis(self, n):
+        rng = np.random.default_rng(40 + n)
+        x0 = rng.standard_normal((2, n, 3))
+        c = rng.standard_normal((2, n, 3))
+        check_gradients(lambda t: engine.reduce_sum(engine.mul(
+            engine.circular_autocorr(t, axis=1), Tensor(c))), x0)
 
-        check_gradients(loss, x0)
-
-    def test_dft_pair_gradient_middle_axis(self):
-        rng = np.random.default_rng(41)
-        x0 = rng.standard_normal((2, 4, 3))
-        cr = rng.standard_normal((2, 4, 3))
-
-        def loss(t):
-            re, _ = engine.dft_pair(t, axis=1)
-            return engine.reduce_sum(engine.mul(re, Tensor(cr)))
-
-        check_gradients(loss, x0)
-
-    def test_dft_pair_only_real_branch_used(self):
+    def test_circular_autocorr_records_one_node(self):
         x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]), requires_grad=True)
         with Tape() as tape:
-            re, _ = engine.dft_pair(x)
-            loss = engine.reduce_sum(engine.mul(re, re))
-            backward(loss, tape)
-        assert x.grad is not None
-        assert np.all(np.isfinite(x.grad))
-
-    def test_idft_real_round_trip_value(self):
-        rng = np.random.default_rng(50)
-        x = rng.standard_normal(8)
-        spec = naive_dft(x.astype(complex))
-        power = (spec * spec.conj()).real
-        out = engine.idft_real(Tensor(power), max_imag_residue=1e-9)
-        expected = naive_dft(power.astype(complex), +1).real
-        np.testing.assert_allclose(out.data, expected, atol=1e-10)
-
-    def test_idft_real_gradient(self):
-        rng = np.random.default_rng(51)
-        s0 = rng.standard_normal((3, 4))
-        c = rng.standard_normal((3, 4))
-
-        def loss(t):
-            return engine.reduce_sum(engine.mul(engine.idft_real(t), Tensor(c)))
-
-        check_gradients(loss, s0)
-
-    def test_idft_real_residue_guard(self):
-        # an asymmetric spectrum has a genuinely complex inverse
-        s = Tensor(np.array([0.0, 1.0, 0.0, 0.0]))
-        with pytest.raises(ContractError, match="residue"):
-            engine.idft_real(s, max_imag_residue=1e-9)
+            out = engine.circular_autocorr(x)
+            assert len(tape) == 1
+            backward(engine.reduce_sum(out), tape)
+        assert x.grad is not None and np.all(np.isfinite(x.grad))
 
     def test_nontaped_transforms(self):
         rng = np.random.default_rng(52)
-        x = rng.standard_normal(8)
-        spec = engine.dft_forward(Tensor(x))
-        back = engine.dft_inverse(spec)
-        np.testing.assert_allclose(back.real, x, atol=1e-10)
-        np.testing.assert_allclose(back.imag, 0.0, atol=1e-10)
+        x = rng.standard_normal((3, 8))
+        leaf = Tensor(x, requires_grad=True)
+        out = engine.circular_autocorr(leaf)
+        assert not out.requires_grad
+        with Tape() as tape:
+            taped = engine.circular_autocorr(leaf)
+        assert len(tape) == 1
+        np.testing.assert_array_equal(out.data, taped.data)
 
 
 class TestDropout:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dctnet import numeric_engine as engine
 from dctnet.numeric_engine import Tape, Tensor, backward
@@ -11,6 +12,10 @@ from dctnet.spectral_correction import (CorrectionConfig, apply_correction,
                                         power_autocorrelation)
 
 from helpers import check_gradients, naive_dft
+
+# far below every energy sum the scale tests reach, so eps does not bend
+# the exact scale laws of alpha
+_TINY_EPS = 1e-300
 
 
 def as_patch_tensor(values):
@@ -135,6 +140,17 @@ class TestCorrectionFactor:
             x = Tensor(rng.standard_normal((1, 2, 4, 3)) * rng.uniform(0, 10))
             assert np.all(correction_factor(h, x, cfg).data >= 0.0)
 
+    @pytest.mark.parametrize("scope", ["per_batch_channel", "global_scalar"])
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e3, 1e6])
+    def test_joint_scale_invariance(self, s, scope):
+        rng = np.random.default_rng(18)
+        h = rng.standard_normal((4, 3, 11, 5))
+        x = rng.standard_normal((4, 3, 11, 5))
+        cfg = CorrectionConfig(eps=_TINY_EPS, reduction_scope=scope)
+        base = correction_factor(Tensor(h), Tensor(x), cfg).data
+        scaled = correction_factor(Tensor(s * h), Tensor(s * x), cfg).data
+        np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=0.0)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             CorrectionConfig(eps=0.0)
@@ -213,3 +229,27 @@ class TestApplyCorrection:
 
         check_gradients(loss_x, rng.standard_normal((1, 1, 4, 2)),
                         rtol=1e-3, atol=1e-6)
+
+
+class TestAlphaScaleLaws:
+    """Property checks over random shapes [B, C, N, D] and magnitudes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.tuples(st.integers(1, 3), st.integers(1, 3),
+                           st.integers(1, 16), st.integers(1, 4)),
+           h_exp=st.floats(-3.0, 6.0), x_exp=st.floats(-3.0, 6.0),
+           s_exp=st.floats(-3.0, 6.0), c_exp=st.floats(-3.0, 6.0),
+           scope=st.sampled_from(["per_batch_channel", "global_scalar"]))
+    def test_scale_invariant_and_homogeneous_in_h(self, seed, shape, h_exp,
+                                                   x_exp, s_exp, c_exp, scope):
+        rng = np.random.default_rng(seed)
+        h = 10.0 ** h_exp * rng.standard_normal(shape)
+        x = 10.0 ** x_exp * rng.standard_normal(shape)
+        s, c = 10.0 ** s_exp, 10.0 ** c_exp
+        cfg = CorrectionConfig(eps=_TINY_EPS, reduction_scope=scope)
+        base = correction_factor(Tensor(h), Tensor(x), cfg).data
+        joint = correction_factor(Tensor(s * h), Tensor(s * x), cfg).data
+        in_h = correction_factor(Tensor(c * h), Tensor(x), cfg).data
+        np.testing.assert_allclose(joint, base, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(in_h, c * base, rtol=1e-10, atol=0.0)
