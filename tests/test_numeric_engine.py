@@ -310,10 +310,6 @@ class TestSpectralPrimitives:
         np.testing.assert_allclose(out.data, oracle_circular_autocorr(x, 2),
                                    rtol=1e-12, atol=1e-12)
 
-    def test_circular_autocorr_unit_impulse(self):
-        out = engine.circular_autocorr(Tensor([0.0, 2.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [2.0, 0.0, 0.0, 0.0], atol=1e-15)
-
     @pytest.mark.parametrize("n", [1, 2, 5, 11])
     def test_circular_autocorr_gradient_last_axis(self, n):
         rng = np.random.default_rng(30 + n)
