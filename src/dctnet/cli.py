@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,9 +27,9 @@ from typing import Optional
 import numpy as np
 
 from .data_io import (SPLIT_PRESETS, SYNTH_KINDS, NormStats, SynthParams,
-                      checkpoint_load, checkpoint_save, compute_stats,
-                      load_csv, make_windows, save_csv, split_chronological,
-                      synth_series)
+                      atomic_write, checkpoint_load, checkpoint_save,
+                      compute_stats, load_csv, make_windows, save_csv,
+                      split_chronological, synth_series)
 from .errors import (CheckpointError, ConfigError, DataError, DCTNetError,
                      TrainingError)
 from .model import ABLATION_STAGES, ModelConfig, ablation_variant, forward, \
@@ -44,7 +45,8 @@ _JSON_KW = dict(sort_keys=True, indent=2)
 def _emit_json(payload: dict, out_path: Optional[Path] = None) -> None:
     text = json.dumps(payload, **_JSON_KW) + "\n"
     if out_path is not None:
-        out_path.write_text(text, encoding="utf-8")
+        with atomic_write(out_path, encoding="utf-8") as fh:
+            fh.write(text)
     sys.stdout.write(text)
 
 
@@ -232,13 +234,28 @@ def _load_eval_inputs(args):
             f"data has {table.channels} channels, checkpoint expects "
             f"{cfg.channels}"
         )
+    return params, cfg, metadata, table, _norm_stats(metadata, cfg.channels)
+
+
+def _norm_stats(metadata: dict, channels: int) -> NormStats:
+    """The train-split statistics a checkpoint carries, checked per channel."""
     if "norm_mean" not in metadata or "norm_std" not in metadata:
         raise CheckpointError(
             "checkpoint metadata lacks normalization statistics"
         )
-    stats = NormStats(mean=np.asarray(metadata["norm_mean"]),
-                      std=np.asarray(metadata["norm_std"]))
-    return params, cfg, metadata, table, stats
+    values = {}
+    for key in ("norm_mean", "norm_std"):
+        v = metadata[key]
+        if not (isinstance(v, list) and len(v) == channels and all(
+                type(x) in (int, float) and math.isfinite(x) for x in v)):
+            raise CheckpointError(
+                f"checkpoint metadata {key} must be a list of {channels} "
+                f"finite numbers"
+            )
+        values[key] = np.asarray(v, dtype=np.float64)
+    if np.any(values["norm_std"] <= 0.0):
+        raise CheckpointError("checkpoint metadata norm_std must be > 0")
+    return NormStats(mean=values["norm_mean"], std=values["norm_std"])
 
 
 def cmd_eval(args) -> int:
@@ -305,7 +322,7 @@ def cmd_forecast(args) -> int:
     logger.info("forecast from row %d over %d steps; mean alpha %.4f",
                 origin, cfg.pred_len, float(np.mean(alpha)))
     if args.out is not None:
-        with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
+        with atomic_write(args.out, newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(lines)
     else:
         csv.writer(sys.stdout).writerows(lines)

@@ -5,17 +5,21 @@ timestamp column; numeric columns become channels.  Splits are
 chronological, standardisation statistics come from the train split only,
 and sliding windows pair an L-step history with the T steps after it.
 Checkpoints are a single self-describing binary file: magic, version,
-JSON header, then named float64 tensors.
+JSON header, then named float64 tensors.  Files are written through
+``atomic_write``, so a failed write leaves the previous file in place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import IO, Iterator, Optional
 
 import numpy as np
 
@@ -28,6 +32,25 @@ SYNTH_KINDS = ("sine", "sine_trend", "level_shift", "freq_shift")
 
 _MAGIC = b"DCTN"
 _VERSION = 1
+
+
+@contextlib.contextmanager
+def atomic_write(path, binary: bool = False, **open_kwargs) -> Iterator[IO]:
+    """Open a temp file beside ``path``; replace ``path`` with it on success.
+
+    Readers see either the old file or the complete new one.  If the body
+    raises, the temporary file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb" if binary else "x", **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass
@@ -152,8 +175,7 @@ def load_csv(path, has_header: Optional[bool] = None,
 
 def save_csv(table: SeriesTable, path) -> None:
     """Write a table with header; float cells use repr for exact round-trips."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if table.timestamps is not None:
             writer.writerow(["date"] + table.channel_names)
@@ -295,8 +317,7 @@ def checkpoint_save(params: DCTNetParams, cfg: ModelConfig, path,
                     for k, t in registry.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path = Path(path)
-    with path.open("wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQ", _VERSION, len(blob)))
         fh.write(blob)
@@ -327,6 +348,10 @@ def checkpoint_load(path) -> tuple[DCTNetParams, ModelConfig, dict]:
         cfg = ModelConfig.from_dict(header["config"])
         stored = {entry["name"]: tuple(entry["shape"])
                   for entry in header["tensors"]}
+        metadata = header.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise TypeError(f"metadata must be an object, got "
+                            f"{type(metadata).__name__}")
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(
             f"malformed checkpoint header in {path}: {exc!r}") from exc
@@ -362,4 +387,4 @@ def checkpoint_load(path) -> tuple[DCTNetParams, ModelConfig, dict]:
         raise CheckpointError(
             f"checkpoint has {len(raw) - offset} trailing bytes"
         )
-    return params, cfg, header.get("metadata", {})
+    return params, cfg, metadata

@@ -48,9 +48,16 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` into ``grad``, copying on the first write.
+
+        VJPs may hand over an upstream grad itself or a view of it, and one
+        upstream grad can reach several inputs, so the first write must own
+        its buffer; later writes add in place.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -294,7 +301,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             for ax in sorted(ax % a.data.ndim for ax in axes):
                 g = np.expand_dims(g, ax)
-        a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
+        a.accumulate_grad(np.broadcast_to(g, a.data.shape))
 
     _record((a,), (out,), bw)
     return out
@@ -355,8 +362,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a.accumulate_grad(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b.accumulate_grad(_unbroadcast(gb, b.data.shape))
+            if b.data.ndim == 2:
+                # shared weight: one GEMM over the collapsed leading axes
+                k, m = b.data.shape
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                                  b.data.shape)
+            b.accumulate_grad(gb)
 
     _record((a, b), (out,), bw)
     return out

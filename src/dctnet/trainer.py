@@ -200,12 +200,21 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
     mini-batch on clipped gradients, then score the validation split in
     eval mode.  The best validation MSE's parameters are kept; training
     stops early after ``patience`` consecutive epochs without improvement.
+    A non-finite forecast, loss or pre-clip gradient norm raises
+    ``TrainingError`` naming the epoch and step, before Adam touches the
+    parameters.
     """
     settings = settings or TrainSettings()
     if len(train) == 0:
         raise DataError("train dataset has no windows")
     if len(val) == 0:
         raise DataError("val dataset has no windows")
+    want = ((cfg.seq_len, cfg.channels), (cfg.pred_len, cfg.channels))
+    for ds in (train, val):
+        got = (ds.inputs.shape[1:], ds.targets.shape[1:])
+        if got != want:
+            raise DataError(f"{ds.split} windows are {got[0]} -> {got[1]}, "
+                            f"config needs {want[0]} -> {want[1]}")
     seed = settings.seed if settings.seed is not None else cfg.seed
     registry = params.named_parameters()
     opt = OptimizerState.for_params(registry, settings.lr)
@@ -230,19 +239,24 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
             yb = train.targets[idx]
             for t in registry.values():
                 t.zero_grad()
+            where = f"epoch {epoch}, step {step}"
             with Tape() as tape:
-                fc = forward(Tensor(xb), params, cfg, training=True,
-                             rng=make_rng(seed, "dropout", epoch, step))
+                try:
+                    fc = forward(Tensor(xb), params, cfg, training=True,
+                                 rng=make_rng(seed, "dropout", epoch, step))
+                except ContractError as exc:
+                    # shapes were checked above, so the forecast is non-finite
+                    raise TrainingError(f"{where}: {exc}") from exc
                 loss = mse_loss(fc.values, yb)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, step {step}"
-                )
+                raise TrainingError(f"{where}: non-finite loss")
             backward(loss, tape)
             grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
                      for k, t in registry.items()}
-            clip_global_norm(grads, settings.clip_norm)
+            norm = clip_global_norm(grads, settings.clip_norm)
+            if not np.isfinite(norm):
+                raise TrainingError(f"{where}: non-finite gradient norm")
             adam_step(registry, grads, opt)
             loss_sum += loss_val * len(idx)
             seen += len(idx)

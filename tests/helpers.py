@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import cmath
+import json
+import struct
 
 import numpy as np
 
@@ -86,3 +88,13 @@ def check_gradients(build_loss, x0: np.ndarray, rtol: float = 1e-5,
 
     expected = numeric_grad(f, x0.copy(), h=h)
     np.testing.assert_allclose(leaf.grad, expected, rtol=rtol, atol=atol)
+
+
+def rewrite_header(path, edit):
+    """Replace a saved checkpoint's JSON header with ``edit(header)``."""
+    raw = path.read_bytes()
+    n = struct.unpack("<Q", raw[8:16])[0]
+    header = edit(json.loads(raw[16:16 + n]))
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                     + raw[16 + n:])

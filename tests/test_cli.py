@@ -10,6 +10,8 @@ import pytest
 
 from dctnet.cli import main
 
+from helpers import rewrite_header
+
 CFG_JSON = {
     "model": {"latent_dim": 16, "heads": 2, "patch_len": 8, "stride": 4},
     "train": {"epochs": 3},
@@ -108,6 +110,17 @@ class TestTrain:
         assert (trained["out"] / "train_report.json").read_bytes() == \
             (first / "train_report.json").read_bytes()
 
+    def test_divergence_exit_1_names_step(self, workdir, capsys):
+        with np.errstate(all="ignore"):
+            code, stdout = run(["train", "--data", str(workdir / "data.csv"),
+                                "--out", str(workdir / "diverged"),
+                                "--lr", "1e300", "--quiet"] + TRAIN_FLAGS)
+        assert code == 1
+        assert stdout == ""
+        err = capsys.readouterr().err
+        assert "training failed: epoch 0, step 1:" in err
+        assert not (workdir / "diverged" / "checkpoint.dct").exists()
+
     def test_missing_data_file_exit_2(self, workdir, capsys):
         code, _ = run(["train", "--data", str(workdir / "nope.csv"),
                        "--out", str(workdir / "xx")])
@@ -135,6 +148,52 @@ class TestTrain:
                                    "--seed", "5"])
         assert code == 0
         assert json.loads(stdout)["seed"] == 5
+
+
+def _with_metadata(**fields):
+    def edit(header):
+        header["metadata"].update(fields)
+        return header
+    return edit
+
+
+def _metadata_is(value):
+    def edit(header):
+        header["metadata"] = value
+        return header
+    return edit
+
+
+BAD_METADATA = {
+    "metadata_number": _metadata_is(7),
+    "metadata_list": _metadata_is(["norm_mean", "norm_std"]),
+    "mean_string": _with_metadata(norm_mean="0.0,0.0"),
+    "mean_wrong_length": _with_metadata(norm_mean=[0.0, 0.0, 0.0]),
+    "mean_nested": _with_metadata(norm_mean=[[0.0, 0.0]]),
+    "mean_bool": _with_metadata(norm_mean=[True, 0.0]),
+    "std_nan": _with_metadata(norm_std=[float("nan"), 1.0]),
+    "std_infinite": _with_metadata(norm_std=[float("inf"), 1.0]),
+    "std_zero": _with_metadata(norm_std=[0.0, 1.0]),
+    "std_negative": _with_metadata(norm_std=[1.0, -2.0]),
+    "std_missing": lambda h: {**h, "metadata": {
+        k: v for k, v in h["metadata"].items() if k != "norm_std"}},
+}
+
+
+class TestBadCheckpointMetadata:
+    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    @pytest.mark.parametrize("edit", list(BAD_METADATA.values()),
+                             ids=list(BAD_METADATA))
+    def test_exit_2(self, trained, tmp_path, capsys, command, edit):
+        ckpt = tmp_path / "checkpoint.dct"
+        shutil.copy(trained["out"] / "checkpoint.dct", ckpt)
+        rewrite_header(ckpt, edit)
+        code, stdout = run([command, "--checkpoint", str(ckpt),
+                            "--data", str(trained["root"] / "data.csv")])
+        assert code == 2
+        assert stdout == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "metadata" in err
 
 
 class TestEval:

@@ -1,20 +1,22 @@
 """CSV loading, chronological splits, windowing, synthetic generators,
 and the binary checkpoint format."""
 
-import json
 import struct
 
 import numpy as np
 import pytest
 
 from dctnet.data_io import (SPLIT_PRESETS, SYNTH_KINDS, NormStats,
-                            SeriesTable, SynthParams, checkpoint_load,
+                            SeriesTable, SynthParams, atomic_write,
+                            checkpoint_load,
                             checkpoint_save, compute_stats, load_csv,
                             make_windows, save_csv, split_chronological,
                             synth_series)
 from dctnet.errors import CheckpointError, ConfigError, DataError
 from dctnet.fft import dft
 from dctnet.model import ModelConfig, forward, init_params
+
+from helpers import rewrite_header
 
 
 class TestLoadCsv:
@@ -257,16 +259,6 @@ def micro_config(**overrides):
     return ModelConfig(**base)
 
 
-def rewrite_header(path, edit):
-    """Replace a saved checkpoint's JSON header with ``edit(header)``."""
-    raw = path.read_bytes()
-    n = struct.unpack("<Q", raw[8:16])[0]
-    header = edit(json.loads(raw[16:16 + n]))
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
-                     + raw[16 + n:])
-
-
 def _drop(key):
     def edit(header):
         del header[key]
@@ -289,6 +281,13 @@ def _unknown_correction_field(header):
 def _bad_tensor_entry(header):
     header["tensors"][0] = 5
     return header
+
+
+def _set_metadata(value):
+    def edit(header):
+        header["metadata"] = value
+        return header
+    return edit
 
 
 class TestCheckpoint:
@@ -325,6 +324,21 @@ class TestCheckpoint:
         checkpoint_save(params, cfg, p1, metadata={"k": 1})
         checkpoint_save(params, cfg, p2, metadata={"k": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        cfg = micro_config()
+        params = init_params(cfg)
+        path = tmp_path / "m.dct"
+        checkpoint_save(params, cfg, path)
+        old = path.read_bytes()
+        # the last tensor cannot be converted, so the header and every
+        # earlier tensor are already written when the save fails
+        bias = params.head_bias
+        bias.data = np.full(bias.data.shape, "x", dtype=object)
+        with pytest.raises(ValueError):
+            checkpoint_save(params, cfg, path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="missing.dct"):
@@ -397,10 +411,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit", [
         _drop("config"), _drop("tensors"), _unknown_correction_field,
         _set_config("dropout", "0.1"), _set_config("channels", -1),
-        _bad_tensor_entry, lambda header: [header],
+        _bad_tensor_entry, lambda header: [header], _set_metadata([1.0]),
     ], ids=["no_config", "no_tensors", "unknown_correction_field",
             "string_dropout", "negative_channels", "bad_tensor_entry",
-            "header_not_object"])
+            "header_not_object", "metadata_not_object"])
     def test_malformed_header_is_checkpoint_error(self, tmp_path, edit):
         cfg = micro_config()
         p = tmp_path / "x.dct"
@@ -418,3 +432,24 @@ class TestCheckpoint:
         p.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="header"):
             checkpoint_load(p)
+
+
+class TestAtomicWrite:
+    def test_replaces_on_success(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("old")
+        with atomic_write(path, encoding="utf-8") as fh:
+            fh.write("new")
+        assert path.read_text() == "new"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failure_halfway_keeps_old_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path, encoding="utf-8") as fh:
+                fh.write("partial")
+                fh.flush()
+                raise RuntimeError("disk full")
+        assert path.read_text() == "old"
+        assert list(tmp_path.iterdir()) == [path]

@@ -190,6 +190,59 @@ class TestBackwardSemantics:
         np.testing.assert_allclose(x.grad, np.ones((4, 3)))
 
 
+    def test_fanout_inputs_own_their_grads(self):
+        # add hands the same upstream grad to both inputs; a accumulates
+        # again afterwards through the mul recorded before the add
+        c = np.arange(6.0).reshape(2, 3)
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            early = engine.mul(a, 3.0)
+            s = engine.add(a, b)
+            loss = engine.add(engine.reduce_sum(engine.mul(s, Tensor(c))),
+                              engine.reduce_sum(early))
+            backward(loss, tape)
+        np.testing.assert_array_equal(b.grad, c)
+        np.testing.assert_array_equal(a.grad, c + 3.0)
+
+    def test_leaf_first_grad_through_views(self):
+        # x's first grad is a view of y's (swapaxes) and of z's (reshape)
+        c = np.arange(24.0).reshape(4, 3, 2)
+        d = np.arange(24.0).reshape(24) * 0.5
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        with Tape() as tape:
+            early = engine.mul(x, 2.0)
+            y = engine.swapaxes(x, 0, 2)
+            z = engine.reshape(x, (24,))
+            loss = engine.add(
+                engine.add(engine.reduce_sum(engine.mul(y, Tensor(c))),
+                           engine.reduce_sum(engine.mul(z, Tensor(d)))),
+                engine.reduce_sum(early))
+            backward(loss, tape)
+        np.testing.assert_array_equal(y.grad, c)
+        np.testing.assert_array_equal(z.grad, d)
+        np.testing.assert_array_equal(
+            x.grad, np.swapaxes(c, 0, 2) + d.reshape(2, 3, 4) + 2.0)
+
+    def test_upstream_grads_unchanged(self):
+        rng = np.random.default_rng(12)
+        c = rng.standard_normal((4, 3))
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        with Tape() as tape:
+            early = engine.mul(x, w)
+            s = engine.sub(x, w)
+            r = engine.swapaxes(s, 0, 1)
+            loss = engine.add(engine.reduce_sum(engine.mul(r, Tensor(c))),
+                              engine.reduce_sum(early))
+            backward(loss, tape)
+        np.testing.assert_array_equal(r.grad, c)
+        np.testing.assert_array_equal(s.grad, c.T)
+        np.testing.assert_array_equal(early.grad, np.ones((3, 4)))
+        np.testing.assert_allclose(x.grad, c.T + w.data, rtol=1e-15)
+        np.testing.assert_allclose(w.grad, -c.T + x.data, rtol=1e-15)
+
+
 class TestPrimitiveGradients:
     """Finite-difference checks on every differentiable primitive."""
 
@@ -260,6 +313,31 @@ class TestPrimitiveGradients:
         check_gradients(lambda t: engine.reduce_sum(engine.matmul(t, w)), x0)
         x = Tensor(x0)
         check_gradients(lambda t: engine.reduce_sum(engine.matmul(x, t)), w0)
+
+    def test_matmul_noncontiguous_rank4_shared_weight(self):
+        # channel attention multiplies a swapaxes view [B, N, C, D] by [D, D]
+        rng = np.random.default_rng(13)
+        x0 = rng.standard_normal((2, 3, 4, 5))
+        w0 = rng.standard_normal((5, 6))
+        c = rng.standard_normal((2, 4, 3, 6))
+        w = Tensor(w0, requires_grad=True)
+        check_gradients(
+            lambda t: engine.reduce_sum(engine.mul(
+                engine.matmul(engine.swapaxes(t, 1, 2), w), Tensor(c))), x0)
+        x = Tensor(x0, requires_grad=True)
+        check_gradients(
+            lambda t: engine.reduce_sum(engine.mul(
+                engine.matmul(engine.swapaxes(x, 1, 2), t), Tensor(c))), w0)
+
+    @pytest.mark.parametrize("b_shape", [(3, 5, 2), (1, 5, 2)])
+    def test_matmul_batched_weight_unbroadcast(self, b_shape):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+        c = rng.standard_normal((2, 3, 4, 2))
+        check_gradients(
+            lambda t: engine.reduce_sum(engine.mul(engine.matmul(x, t),
+                                                   Tensor(c))),
+            rng.standard_normal(b_shape))
 
     def test_reshape_swapaxes(self):
         rng = np.random.default_rng(9)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dctnet import trainer
 from dctnet.numeric_engine import Tape, Tensor, backward
 from dctnet.data_io import (NormStats, WindowedDataset, compute_stats,
                             make_windows, synth_series)
@@ -187,6 +188,52 @@ class TestFit:
         with np.errstate(over="ignore"):
             with pytest.raises(TrainingError, match="epoch 0, step 0"):
                 fit(params, cfg, train, train, settings, log=lambda m: None)
+
+    def test_nonfinite_forecast_reported_with_position(self):
+        cfg = micro_config()
+        train = tiny_dataset(4, cfg=cfg)
+        params = init_params(cfg)
+        params.head_weight.data = np.full_like(params.head_weight.data,
+                                               1e308)
+        settings = TrainSettings(lr=1e-4, epochs=2, batch_size=2,
+                                 patience=5, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError,
+                               match="epoch 0, step 0: forecast contains"):
+                fit(params, cfg, train, train, settings, log=lambda m: None)
+
+    def test_nonfinite_gradient_norm_stops_before_adam(self, monkeypatch):
+        cfg = micro_config()
+        train = tiny_dataset(4, cfg=cfg)
+        params = init_params(cfg)
+        real_adam = trainer.adam_step
+        stepped = {}
+
+        def poisoned_backward(loss, tape):
+            backward(loss, tape)
+            if stepped:                      # every step after the first
+                params.head_bias.grad[0] = np.nan
+
+        def adam_step(registry, grads, state):
+            real_adam(registry, grads, state)
+            stepped.update({k: t.data.copy() for k, t in registry.items()})
+
+        monkeypatch.setattr(trainer, "backward", poisoned_backward)
+        monkeypatch.setattr(trainer, "adam_step", adam_step)
+        settings = TrainSettings(lr=1e-4, epochs=2, batch_size=2,
+                                 patience=5, seed=0)
+        with pytest.raises(TrainingError,
+                           match="epoch 0, step 1: non-finite gradient norm"):
+            fit(params, cfg, train, train, settings, log=lambda m: None)
+        for k, t in params.named_parameters().items():
+            np.testing.assert_array_equal(t.data, stepped[k])
+
+    def test_mismatched_windows_are_data_error(self):
+        cfg = micro_config()
+        wide = tiny_dataset(4, cfg=micro_config(channels=2))
+        with pytest.raises(DataError, match="train windows"):
+            fit(init_params(cfg), cfg, wide, wide, TrainSettings(epochs=1),
+                log=lambda m: None)
 
     def test_best_epoch_weights_restored(self):
         cfg = micro_config()
