@@ -127,8 +127,11 @@ def load_csv(path, has_header: Optional[bool] = None,
     path = Path(path)
     if not path.exists():
         raise DataError(f"data file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot parse {path} as UTF-8 CSV: {exc}") from exc
     if not rows:
         raise DataError(f"empty data file: {path}")
     width = len(rows[0])
@@ -380,8 +383,11 @@ def checkpoint_load(path) -> tuple[DCTNetParams, ModelConfig, dict]:
             raise CheckpointError(
                 f"truncated checkpoint: parameter {name!r} is incomplete"
             )
-        registry[name].data = np.frombuffer(
-            chunk, dtype="<f8").reshape(shape).copy()
+        values = np.frombuffer(chunk, dtype="<f8").reshape(shape)
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError(
+                f"checkpoint parameter {name!r} holds NaN/Inf values")
+        registry[name].data = values.copy()
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(

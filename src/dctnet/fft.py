@@ -35,6 +35,20 @@ def _dft_matrix(n: int, sign: int) -> np.ndarray:
     return np.exp(sign * 2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
 
 
+@lru_cache(maxsize=64)
+def real_dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the forward orthonormal DFT matrix.
+
+    Both are symmetric, so a transform along any axis is a real
+    left-multiplication by either part.  The cached arrays are read-only.
+    """
+    m = _dft_matrix(n, -1)
+    parts = np.ascontiguousarray(m.real), np.ascontiguousarray(m.imag)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
 def _radix2(x: np.ndarray, sign: int) -> np.ndarray:
     """Vectorised iterative Cooley-Tukey over the last axis (power-of-two)."""
     n = x.shape[-1]

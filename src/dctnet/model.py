@@ -71,6 +71,10 @@ class ModelConfig:
                 f"latent_dim {self.latent_dim} not divisible by "
                 f"{self.heads} heads"
             )
+        if not isinstance(self.correction, CorrectionConfig):
+            raise ConfigError(
+                f"correction must be a CorrectionConfig, got {self.correction!r}"
+            )
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.revin_eps <= 0:

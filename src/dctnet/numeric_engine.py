@@ -426,14 +426,39 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-last-axis standardisation (biased variance) with affine gain/bias."""
+    """Per-last-axis standardisation (biased variance) with affine gain/bias.
+
+    One tape node.  With xhat = (x - mean) * rstd and gy = g * gain, the
+    adjoint is rstd * (gy - mean(gy) - xhat * mean(gy * xhat)) for x,
+    sum(g * xhat) for gain and sum(g) for bias.  ``gain`` and ``bias`` must
+    broadcast to the shape of ``x``.
+    """
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
-    mu = reduce_mean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = reduce_mean(mul(xc, xc), axis=-1, keepdims=True)
-    std = sqrt(add(var, eps))
-    return add(mul(div(xc, std), gain), bias)
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=-1, keepdims=True) + eps)
+    xhat *= rstd
+    y = xhat * gain.data
+    y += bias.data
+    out = _wrap(y, False)
+
+    def bw():
+        g = out.grad
+        if x.requires_grad:
+            gy = g * gain.data
+            proj = np.mean(gy * xhat, axis=-1, keepdims=True)
+            gy -= gy.mean(axis=-1, keepdims=True)
+            gy -= xhat * proj
+            gy *= rstd
+            x.accumulate_grad(gy)
+        if gain.requires_grad:
+            gain.accumulate_grad(_unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
+
+    _record((x, gain, bias), (out,), bw)
+    return out
 
 
 def dropout(x: Tensor, p: float, training: bool,
@@ -466,20 +491,37 @@ def circular_autocorr(x: Tensor, axis: int = -1) -> Tensor:
     """Circular autocorrelation along ``axis`` via Wiener-Khinchin.
 
     out[m] = N^(-1/2) * sum_n x[n] * x[(n+m) mod N] = Re IDFT(|DFT x|^2)[m]
-    under the orthonormal transforms of ``fft``.  The power spectrum of a
-    real signal is symmetric, so the discarded imaginary part is round-off.
-    The adjoint is Re IDFT(2 * Re(DFT g) * DFT x), reusing the forward
-    spectrum.
+    under the orthonormal transforms of ``fft``.  With the symmetric DFT
+    matrix written Mr + i*Mi, that is Mr((Mr x)^2 + (Mi x)^2), so both
+    directions are real matrix products; the adjoint is
+    Mr(gp * Mr x) + Mi(gp * Mi x) with gp = 2 * Mr g.
     """
     x = _as_tensor(x)
-    spec = fft.dft(x.data, axis=axis)
-    out = _wrap(np.ascontiguousarray(
-        fft.idft(spec * spec.conj(), axis=axis).real), False)
+    mr, mi = fft.real_dft_matrices(x.data.shape[axis])
+    axis %= x.data.ndim
+    last = axis == x.data.ndim - 1
+
+    def to_rows(a):
+        # view with ``axis`` at -2, so left-multiplication transforms it
+        return a[..., None] if last else np.moveaxis(a, axis, -2)
+
+    def from_rows(a):
+        return a[..., 0] if last else np.moveaxis(a, -2, axis)
+
+    xv = to_rows(x.data)
+    re = mr @ xv
+    im = mi @ xv
+    power = re * re
+    power += im * im
+    out = _wrap(np.ascontiguousarray(from_rows(mr @ power)), False)
 
     def bw():
         if x.requires_grad:
-            g_spec = fft.dft(out.grad, axis=axis).real
-            x.accumulate_grad(fft.idft(2.0 * g_spec * spec, axis=axis).real)
+            gp = mr @ to_rows(out.grad)
+            gp *= 2.0
+            gx = mr @ (gp * re)
+            gx += mi @ (gp * im)
+            x.accumulate_grad(from_rows(gx))
 
     _record((x,), (out,), bw)
     return out

@@ -76,18 +76,32 @@ def check_gradients(build_loss, x0: np.ndarray, rtol: float = 1e-5,
 
     ``build_loss`` maps a Tensor to a scalar Tensor and must be deterministic.
     """
-    leaf = engine.Tensor(x0.copy(), requires_grad=True)
+    check_gradients_jointly(build_loss, [x0], rtol=rtol, atol=atol, h=h)
+
+
+def check_gradients_jointly(build_loss, arrays, rtol: float = 1e-5,
+                            atol: float = 1e-7, h: float = 1e-6) -> None:
+    """``check_gradients`` for a loss of several leaves, all taped at once.
+
+    ``build_loss`` takes one Tensor per array; each leaf's reverse-mode
+    gradient is compared with finite differences in that leaf alone.
+    """
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    leaves = [engine.Tensor(a.copy(), requires_grad=True) for a in arrays]
     with engine.Tape() as tape:
-        loss = build_loss(leaf)
+        loss = build_loss(*leaves)
         engine.backward(loss, tape)
-    assert leaf.grad is not None, "no gradient reached the leaf"
+    for i, (leaf, a) in enumerate(zip(leaves, arrays)):
+        assert leaf.grad is not None, f"no gradient reached leaf {i}"
 
-    def f(arr):
-        t = engine.Tensor(arr, requires_grad=False)
-        return float(build_loss(t).data)
+        def f(arr, i=i):
+            args = [engine.Tensor(arr if j == i else b)
+                    for j, b in enumerate(arrays)]
+            return float(build_loss(*args).data)
 
-    expected = numeric_grad(f, x0.copy(), h=h)
-    np.testing.assert_allclose(leaf.grad, expected, rtol=rtol, atol=atol)
+        expected = numeric_grad(f, a.copy(), h=h)
+        np.testing.assert_allclose(leaf.grad, expected, rtol=rtol, atol=atol,
+                                   err_msg=f"leaf {i}")
 
 
 def rewrite_header(path, edit):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -219,6 +220,20 @@ class TestEval:
                             "--split", "val"])
         assert code == 0
         assert json.loads(stdout)["split"] == "val"
+
+    def test_nonfinite_checkpoint_tensor_exit_2(self, trained, tmp_path,
+                                                capsys):
+        ckpt = tmp_path / "checkpoint.dct"
+        raw = bytearray((trained["out"] / "checkpoint.dct").read_bytes())
+        start = 16 + struct.unpack("<Q", raw[8:16])[0]
+        raw[start:start + 8] = struct.pack("<d", np.nan)
+        ckpt.write_bytes(bytes(raw))
+        code, stdout = run(["eval", "--checkpoint", str(ckpt),
+                            "--data", str(trained["root"] / "data.csv")])
+        assert code == 2
+        assert stdout == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "NaN/Inf" in err
 
     def test_channel_mismatch_names_both_counts(self, trained, workdir,
                                                 capsys):

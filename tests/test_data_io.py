@@ -1,10 +1,12 @@
 """CSV loading, chronological splits, windowing, synthetic generators,
 and the binary checkpoint format."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dctnet.data_io import (SPLIT_PRESETS, SYNTH_KINDS, NormStats,
                             SeriesTable, SynthParams, atomic_write,
@@ -73,6 +75,16 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(p)
 
+    @pytest.mark.parametrize("body", [
+        b"d\xe9,b\n1,2\n3,4\n",
+        b'a,b\n"' + b"1" * 131073 + b'",2\n',
+    ], ids=["latin1_header", "field_over_csv_limit"])
+    def test_unreadable_bytes_name_the_file(self, tmp_path, body):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(body)
+        with pytest.raises(DataError, match="bad.csv"):
+            load_csv(p)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="h.csv"):
             load_csv(tmp_path / "h.csv")
@@ -84,6 +96,27 @@ class TestLoadCsv:
         again = load_csv(p)
         np.testing.assert_array_equal(again.values, table.values)
         assert again.channel_names == table.channel_names
+
+
+_CSV_TEXT = st.text(alphabet='0123456789.,-+e\n\r" ;aE\xe9\x00', max_size=300)
+
+
+class TestLoadCsvFuzz:
+    @settings(max_examples=200)
+    @given(body=st.one_of(
+        st.binary(max_size=300),
+        st.tuples(_CSV_TEXT, st.sampled_from(["utf-8", "latin-1"])).map(
+            lambda te: te[0].encode(te[1]))))
+    def test_arbitrary_bytes_raise_only_data_error(self, tmp_path_factory,
+                                                   body):
+        p = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        p.write_bytes(body)
+        try:
+            table = load_csv(p)
+        except DataError:
+            return
+        assert table.rows >= 1 and table.channels >= 1
+        assert np.all(np.isfinite(table.values))
 
 
 class TestSplits:
@@ -412,9 +445,11 @@ class TestCheckpoint:
         _drop("config"), _drop("tensors"), _unknown_correction_field,
         _set_config("dropout", "0.1"), _set_config("channels", -1),
         _bad_tensor_entry, lambda header: [header], _set_metadata([1.0]),
+        _set_config("correction", "x"),
     ], ids=["no_config", "no_tensors", "unknown_correction_field",
             "string_dropout", "negative_channels", "bad_tensor_entry",
-            "header_not_object", "metadata_not_object"])
+            "header_not_object", "metadata_not_object",
+            "correction_not_object"])
     def test_malformed_header_is_checkpoint_error(self, tmp_path, edit):
         cfg = micro_config()
         p = tmp_path / "x.dct"
@@ -432,6 +467,57 @@ class TestCheckpoint:
         p.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="header"):
             checkpoint_load(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_tensor_named(self, tmp_path, bad):
+        cfg = micro_config()
+        p = tmp_path / "x.dct"
+        checkpoint_save(init_params(cfg), cfg, p)
+        raw = bytearray(p.read_bytes())
+        n = struct.unpack("<Q", raw[8:16])[0]
+        first = json.loads(raw[16:16 + n])["tensors"][0]["name"]
+        raw[16 + n:16 + n + 8] = struct.pack("<d", bad)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"'{first}'.*NaN/Inf"):
+            checkpoint_load(p)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """Bytes of a small saved checkpoint and the end of its JSON header."""
+    cfg = micro_config(channels=1, latent_dim=2, heads=1)
+    p = tmp_path_factory.mktemp("ckpt") / "m.dct"
+    checkpoint_save(init_params(cfg), cfg, p, metadata={"norm_std": [1.0]})
+    raw = p.read_bytes()
+    return raw, 16 + struct.unpack("<Q", raw[8:16])[0]
+
+
+class TestCheckpointFuzz:
+    def test_every_truncation_is_checkpoint_error(self, tiny_checkpoint,
+                                                  tmp_path):
+        raw, _ = tiny_checkpoint
+        p = tmp_path / "t.dct"
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError):
+                checkpoint_load(p)
+
+    @settings(max_examples=300)
+    @given(edits=st.lists(st.tuples(st.integers(min_value=0),
+                                    st.integers(0, 255)),
+                          min_size=1, max_size=4))
+    def test_mutated_header_raises_only_checkpoint_error(
+            self, tiny_checkpoint, tmp_path_factory, edits):
+        raw, header_end = tiny_checkpoint
+        mutated = bytearray(raw)
+        for offset, value in edits:
+            mutated[offset % header_end] = value
+        p = tmp_path_factory.getbasetemp() / "mutated.dct"
+        p.write_bytes(bytes(mutated))
+        try:
+            checkpoint_load(p)
+        except CheckpointError:
+            pass
 
 
 class TestAtomicWrite:

@@ -7,7 +7,7 @@ from dctnet import numeric_engine as engine
 from dctnet.numeric_engine import AttentionParams, Tape, Tensor, backward
 from dctnet.errors import ConfigError, ContractError
 
-from helpers import check_gradients
+from helpers import check_gradients, check_gradients_jointly
 
 
 class TestTensorBasics:
@@ -227,18 +227,30 @@ class TestBackwardSemantics:
     def test_upstream_grads_unchanged(self):
         rng = np.random.default_rng(12)
         c = rng.standard_normal((4, 3))
+        c2 = rng.standard_normal((3, 4))
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        # full-shape bias: layer_norm's first write to it is its upstream grad
+        gain = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        bias = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        v = Tensor(rng.standard_normal((3, 4)))
         with Tape() as tape:
             early = engine.mul(x, w)
+            early_bias = engine.mul(bias, 2.0)
             s = engine.sub(x, w)
             r = engine.swapaxes(s, 0, 1)
+            n = engine.layer_norm(v, gain, bias)
             loss = engine.add(engine.reduce_sum(engine.mul(r, Tensor(c))),
                               engine.reduce_sum(early))
+            loss = engine.add(loss, engine.add(
+                engine.reduce_sum(engine.mul(n, Tensor(c2))),
+                engine.reduce_sum(early_bias)))
             backward(loss, tape)
         np.testing.assert_array_equal(r.grad, c)
         np.testing.assert_array_equal(s.grad, c.T)
         np.testing.assert_array_equal(early.grad, np.ones((3, 4)))
+        np.testing.assert_array_equal(n.grad, c2)
+        np.testing.assert_array_equal(bias.grad, c2 + 2.0)
         np.testing.assert_allclose(x.grad, c.T + w.data, rtol=1e-15)
         np.testing.assert_allclose(w.grad, -c.T + x.data, rtol=1e-15)
 
@@ -295,6 +307,23 @@ class TestPrimitiveGradients:
             lambda t: engine.reduce_sum(
                 engine.mul(engine.layer_norm(x, t, Tensor(np.zeros(6))), Tensor(c))),
             g0)
+
+    def test_layer_norm_rank4_broadcast_affine(self):
+        rng = np.random.default_rng(16)
+        c = rng.standard_normal((2, 3, 4, 5))
+        check_gradients_jointly(
+            lambda x, g, b: engine.reduce_sum(engine.mul(
+                engine.layer_norm(x, g, b), Tensor(c))),
+            [rng.standard_normal((2, 3, 4, 5)) * 3 + 1,
+             rng.standard_normal((3, 1, 5)), rng.standard_normal((5,))],
+            rtol=1e-4, atol=1e-6)
+
+    def test_layer_norm_records_one_node(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        with Tape() as tape:
+            engine.layer_norm(x, Tensor(np.ones(3), requires_grad=True),
+                              Tensor(np.zeros(3), requires_grad=True))
+        assert len(tape) == 1
 
     def test_matmul(self):
         rng = np.random.default_rng(7)
@@ -388,7 +417,7 @@ class TestSpectralPrimitives:
         np.testing.assert_allclose(out.data, oracle_circular_autocorr(x, 2),
                                    rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 8, 11, 16])
     def test_circular_autocorr_gradient_last_axis(self, n):
         rng = np.random.default_rng(30 + n)
         x0 = rng.standard_normal((2, n))
@@ -396,7 +425,7 @@ class TestSpectralPrimitives:
         check_gradients(lambda t: engine.reduce_sum(engine.mul(
             engine.circular_autocorr(t), Tensor(c))), x0)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 8, 11, 16])
     def test_circular_autocorr_gradient_middle_axis(self, n):
         rng = np.random.default_rng(40 + n)
         x0 = rng.standard_normal((2, n, 3))
