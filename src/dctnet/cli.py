@@ -31,7 +31,7 @@ from .data_io import (SPLIT_PRESETS, SYNTH_KINDS, NormStats, SynthParams,
                       compute_stats, load_csv, make_windows, save_csv,
                       split_chronological, synth_series)
 from .errors import (CheckpointError, ConfigError, DataError, DCTNetError,
-                     TrainingError)
+                     TrainingError, finite_number, whole_number)
 from .model import ABLATION_STAGES, ModelConfig, ablation_variant, forward, \
     init_params
 from .numeric_engine import Tensor
@@ -93,7 +93,7 @@ def _resolve_seed(args, file_cfg: dict) -> int:
             return int(env)
         except ValueError:
             raise ConfigError(f"DCTNET_SEED must be an integer, got {env!r}")
-    return int(file_cfg.get("seed", 0))
+    return whole_number("seed", file_cfg.get("seed", 0))
 
 
 def _resolve_ratios(args, file_cfg: dict) -> tuple[float, float, float]:
@@ -104,7 +104,7 @@ def _resolve_ratios(args, file_cfg: dict) -> tuple[float, float, float]:
         r = data_section["ratios"]
         if not (isinstance(r, (list, tuple)) and len(r) == 3):
             raise ConfigError(f"data.ratios must be three numbers, got {r!r}")
-        return tuple(float(v) for v in r)
+        return tuple(finite_number("data.ratios", v) for v in r)
     if "preset" in data_section:
         preset = data_section["preset"]
         if preset not in SPLIT_PRESETS:
@@ -149,7 +149,8 @@ def _resolve_train_settings(args, file_cfg: dict) -> TrainSettings:
 def _resolve_window_stride(args, file_cfg: dict) -> int:
     if getattr(args, "window_stride", None) is not None:
         return args.window_stride
-    return int(file_cfg.get("data", {}).get("window_stride", 1))
+    return whole_number("data.window_stride",
+                        file_cfg.get("data", {}).get("window_stride", 1))
 
 
 def _data_path(args, file_cfg: dict) -> Path:

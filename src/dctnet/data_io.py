@@ -23,7 +23,8 @@ from typing import IO, Iterator, Optional
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, DataError
+from .errors import CheckpointError, ConfigError, DataError, finite_number, \
+    whole_number
 from .model import DCTNetParams, ModelConfig, init_params, param_shapes
 from .rng import make_rng
 
@@ -198,7 +199,8 @@ def split_chronological(table: SeriesTable, ratios: tuple[float, float, float],
     The remainder lands in test.  ``min_rows`` (typically L+T) makes a
     too-short split a hard error naming the offending split.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or \
+            any(finite_number("ratios", r) <= 0 for r in ratios):
         raise ConfigError(f"ratios must be three positive numbers, got {ratios}")
     total = sum(ratios)
     n = table.rows
@@ -262,6 +264,18 @@ class SynthParams:
     magnitude: float = 1.0
     period2: float = 12.0
 
+    def __post_init__(self):
+        for name in ("period", "period2"):
+            value = getattr(self, name)
+            if finite_number(name, value) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        for name in ("amplitude", "slope", "magnitude"):
+            finite_number(name, getattr(self, name))
+        if finite_number("noise", self.noise) < 0:
+            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if self.shift_row is not None:
+            whole_number("shift_row", self.shift_row)
+
 
 def synth_series(kind: str, rows: int, channels: int, seed: int,
                  params: Optional[SynthParams] = None) -> SeriesTable:
@@ -297,6 +311,8 @@ def synth_series(kind: str, rows: int, channels: int, seed: int,
     if p.noise > 0:
         base = base + p.noise * make_rng(seed, "synth", kind).standard_normal(
             (rows, channels))
+    if not np.all(np.isfinite(base)):
+        raise ConfigError("synth parameters overflow float64")
     names = [f"ch{j}" for j in range(channels)]
     return SeriesTable(values=base, channel_names=names)
 

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all dctnet modules."""
+"""Exception hierarchy shared by all dctnet modules, and the value checks
+that turn a wrongly typed or non-finite setting into a ``ConfigError``."""
+
+import math
+import numbers
 
 
 class DCTNetError(Exception):
@@ -27,3 +31,18 @@ class TrainingError(DCTNetError):
 
 class SingularityError(DCTNetError):
     """A non-invertible affine map was asked to invert itself."""
+
+
+def finite_number(name: str, value) -> float:
+    """``value`` as a float; ``ConfigError`` unless a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def whole_number(name: str, value) -> int:
+    """``value`` as an int; ``ConfigError`` unless an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)

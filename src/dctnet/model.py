@@ -20,7 +20,8 @@ from . import numeric_engine as engine
 from .numeric_engine import AttentionParams, Tensor
 from .dual_branch import (FUSION_MODES, ChannelBranchParams,
                           TemporalBranchParams, fuse_branches)
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, finite_number, \
+    whole_number
 from .global_fusion import GlobalFusionParams, global_patch_attention
 from .patch_embed import PatchConfig, PatchEmbedParams, compute_num_patches, \
     embed_patches, segment_patches
@@ -75,15 +76,16 @@ class ModelConfig:
             raise ConfigError(
                 f"correction must be a CorrectionConfig, got {self.correction!r}"
             )
-        if not 0.0 <= self.dropout < 1.0:
+        if not 0.0 <= finite_number("dropout", self.dropout) < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.revin_eps <= 0:
+        if finite_number("revin_eps", self.revin_eps) <= 0:
             raise ConfigError(f"revin_eps must be > 0, got {self.revin_eps}")
         if self.fusion_mode not in FUSION_MODES:
             raise ConfigError(
                 f"fusion_mode must be one of {FUSION_MODES}, "
                 f"got {self.fusion_mode!r}"
             )
+        whole_number("seed", self.seed)
 
     @property
     def patch_config(self) -> PatchConfig:

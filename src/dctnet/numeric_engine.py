@@ -97,19 +97,11 @@ class Tensor:
         return matmul(self, other)
 
 
-class _Node:
-    __slots__ = ("outputs", "backward_fn")
-
-    def __init__(self, outputs: Sequence[Tensor], backward_fn: Callable[[], None]):
-        self.outputs = tuple(outputs)
-        self.backward_fn = backward_fn
-
-
 class Tape:
     """Ordered record of primitive applications; replayed backward for adjoints."""
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple[Tensor, Callable[[], None]]] = []
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -143,15 +135,12 @@ def _as_tensor(x) -> Tensor:
     return _wrap(np.asarray(x, dtype=np.float64), False)
 
 
-def _record(inputs: Sequence[Tensor], outputs: Sequence[Tensor], backward_fn) -> bool:
+def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn) -> None:
     """Append a node when a tape is active and some input requires grad."""
     tape = active_tape()
-    if tape is None or not any(t.requires_grad for t in inputs):
-        return False
-    for out in outputs:
+    if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-    tape._nodes.append(_Node(outputs, backward_fn))
-    return True
+        tape._nodes.append((out, backward_fn))
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -162,13 +151,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.data.shape != ():
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    for node in tape._nodes:
-        for out in node.outputs:
-            out.grad = None
+    for out, _ in tape._nodes:
+        out.grad = None
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(tape._nodes):
-        if any(out.grad is not None for out in node.outputs):
-            node.backward_fn()
+    for out, backward_fn in reversed(tape._nodes):
+        if out.grad is not None:
+            backward_fn()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -196,7 +184,7 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g, b.data.shape))
 
-    _record((a, b), (out,), bw)
+    _record((a, b), out, bw)
     return out
 
 
@@ -211,7 +199,7 @@ def sub(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(-g, b.data.shape))
 
-    _record((a, b), (out,), bw)
+    _record((a, b), out, bw)
     return out
 
 
@@ -226,7 +214,7 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
 
-    _record((a, b), (out,), bw)
+    _record((a, b), out, bw)
     return out
 
 
@@ -241,7 +229,7 @@ def div(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    _record((a, b), (out,), bw)
+    _record((a, b), out, bw)
     return out
 
 
@@ -253,7 +241,7 @@ def sqrt(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(out.grad * 0.5 / out.data)
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -266,7 +254,7 @@ def relu(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(out.grad * (a.data > 0.0))
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -281,7 +269,7 @@ def gelu(a: Tensor) -> Tensor:
             pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
             a.accumulate_grad(out.grad * (phi + a.data * pdf))
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -303,7 +291,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
                 g = np.expand_dims(g, ax)
         a.accumulate_grad(np.broadcast_to(g, a.data.shape))
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -327,7 +315,7 @@ def reshape(a: Tensor, shape) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(out.grad.reshape(a.data.shape))
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -339,7 +327,7 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(np.swapaxes(out.grad, ax1, ax2))
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -371,7 +359,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                                   b.data.shape)
             b.accumulate_grad(gb)
 
-    _record((a, b), (out,), bw)
+    _record((a, b), out, bw)
     return out
 
 
@@ -400,7 +388,7 @@ def extract_patches(x: Tensor, patch_len: int, stride: int) -> Tensor:
         np.add.at(gx, (slice(None), idx), g)
         x.accumulate_grad(gx)
 
-    _record((x,), (out,), bw)
+    _record((x,), out, bw)
     return out
 
 
@@ -421,7 +409,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
             g = out.grad
             x.accumulate_grad(y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-    _record((x,), (out,), bw)
+    _record((x,), out, bw)
     return out
 
 
@@ -457,7 +445,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.requires_grad:
             bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
 
-    _record((x, gain, bias), (out,), bw)
+    _record((x, gain, bias), out, bw)
     return out
 
 
@@ -479,7 +467,7 @@ def dropout(x: Tensor, p: float, training: bool,
         if x.requires_grad:
             x.accumulate_grad(out.grad * keep * scale)
 
-    _record((x,), (out,), bw)
+    _record((x,), out, bw)
     return out
 
 
@@ -523,7 +511,7 @@ def circular_autocorr(x: Tensor, axis: int = -1) -> Tensor:
             gx += mi @ (gp * im)
             x.accumulate_grad(from_rows(gx))
 
-    _record((x,), (out,), bw)
+    _record((x,), out, bw)
     return out
 
 

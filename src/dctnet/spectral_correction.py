@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import numeric_engine as engine
 from .numeric_engine import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, finite_number
 
 _PATCH_AXIS = 2          # the N axis of [B, C, N, D]
 
@@ -35,7 +35,7 @@ class CorrectionConfig:
     reduction_scope: str = "per_batch_channel"
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if finite_number("correction eps", self.eps) <= 0:
             raise ConfigError(f"correction eps must be > 0, got {self.eps}")
         if self.reduction_scope not in REDUCTION_SCOPES:
             raise ConfigError(

@@ -18,7 +18,8 @@ import numpy as np
 from . import numeric_engine as engine
 from .numeric_engine import Tape, Tensor, backward
 from .data_io import WindowedDataset
-from .errors import ConfigError, ContractError, DataError, TrainingError
+from .errors import (ConfigError, ContractError, DataError, TrainingError,
+                     finite_number, whole_number)
 from .model import DCTNetParams, ModelConfig, forward
 from .rng import make_rng
 
@@ -109,14 +110,22 @@ class TrainSettings:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "patience"):
+            whole_number(name, getattr(self, name))
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 0:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        if self.lr < 0:
+        if finite_number("lr", self.lr) < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if self.clip_norm is not None and \
+                finite_number("clip_norm", self.clip_norm) <= 0:
+            raise ConfigError(
+                f"clip_norm must be > 0 or null, got {self.clip_norm}")
+        if self.seed is not None:
+            whole_number("seed", self.seed)
 
 
 @dataclass
@@ -159,6 +168,8 @@ class EvalResult:
 def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
              batch_size: int = 64) -> EvalResult:
     """MSE/MAE over every window of the dataset, plus the mean correction factor."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if len(dataset) == 0:
         raise DataError(f"{dataset.split} dataset has no windows")
     sq_sum = 0.0

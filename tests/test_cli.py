@@ -319,6 +319,76 @@ class TestAblate:
         assert "bogus" in capsys.readouterr().err
 
 
+NAN = float("nan")
+
+# config file (or extra flags) -> the setting the error message must name
+BAD_RUN_SETTINGS = {
+    "seed_string": ({"seed": "abc"}, [], "seed"),
+    "stride_string": ({"data": {"window_stride": "x"}}, [], "window_stride"),
+    "ratios_string": ({"data": {"ratios": ["a", 1, 1]}}, [], "ratios"),
+    "ratios_nan": ({"data": {"ratios": [NAN, 1, 1]}}, [], "ratios"),
+    "clip_negative": ({"train": {"clip_norm": -1}}, [], "clip_norm"),
+    "clip_zero": ({"train": {"clip_norm": 0}}, [], "clip_norm"),
+    "clip_nan": ({"train": {"clip_norm": NAN}}, [], "clip_norm"),
+    "lr_string": ({"train": {"lr": "x"}}, [], "lr"),
+    "patience_string": ({"train": {"patience": "2"}}, [], "patience"),
+    "lr_flag_nan": ({}, ["--lr", "nan"], "lr"),
+    "lr_flag_inf": ({}, ["--lr", "inf"], "lr"),
+    "revin_eps_nan": ({"model": {"revin_eps": NAN}}, [], "revin_eps"),
+    "correction_eps_nan": ({"model": {"correction": {"eps": NAN}}}, [],
+                           "eps"),
+}
+
+
+class TestBadSettings:
+    """Settings that used to crash raw, diverge or train silently wrong."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("case", list(BAD_RUN_SETTINGS.values()),
+                             ids=list(BAD_RUN_SETTINGS))
+    def test_run_exit_2(self, workdir, tmp_path, capsys, command, case):
+        file_cfg, flags, named = case
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(file_cfg))
+        code, stdout = run([command, "--config", str(cfg_path),
+                            "--data", str(workdir / "data.csv"),
+                            "--out", str(tmp_path / "out"),
+                            "--seq-len", "48", "--horizon", "12",
+                            "--epochs", "1", "--quiet"] + flags)
+        assert code == 2
+        assert stdout == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("batch_size", ["0", "-1"])
+    def test_eval_exit_2(self, trained, capsys, batch_size):
+        code, stdout = run(["eval",
+                            "--checkpoint",
+                            str(trained["out"] / "checkpoint.dct"),
+                            "--data", str(trained["root"] / "data.csv"),
+                            "--batch-size", batch_size])
+        assert code == 2
+        assert stdout == ""
+        assert "batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--period", "0"],
+        ["--kind", "freq_shift", "--period2", "0"],
+        ["--amplitude", "inf"],
+        ["--noise", "nan"],
+        ["--kind", "sine_trend", "--slope", "1e308"],
+    ], ids=["period_zero", "period2_zero", "amplitude_inf", "noise_nan",
+            "slope_overflow"])
+    def test_synth_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        with np.errstate(over="ignore"):
+            code, _ = run(["synth", "--kind", "sine", "--rows", "300",
+                           "--out", str(out)] + flags)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestUsage:
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -151,6 +151,15 @@ class TestSplits:
         with pytest.raises(ConfigError):
             split_chronological(table, (1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("ratios", [
+        (float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0), ("6", 2, 2),
+        (True, 1, 1),
+    ])
+    def test_nonfinite_or_mistyped_ratios_rejected(self, ratios):
+        table = SeriesTable(np.zeros((100, 1)), ["a"])
+        with pytest.raises(ConfigError):
+            split_chronological(table, ratios)
+
 
 class TestStats:
     def test_values(self):
@@ -276,6 +285,20 @@ class TestSynth:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             synth_series("sawtooth", 50, 1, seed=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("period", 0.0), ("period", -24.0), ("period2", 0.0),
+        ("amplitude", float("inf")), ("noise", float("nan")), ("noise", -0.1),
+        ("slope", float("nan")), ("magnitude", "4"), ("shift_row", 10.5),
+    ])
+    def test_bad_params_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            SynthParams(**{field: value})
+
+    def test_overflow_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ConfigError):
+            synth_series("sine_trend", 64, 1, seed=0,
+                         params=SynthParams(slope=1e308))
 
     def test_all_kinds_produce_finite_values(self):
         for kind in SYNTH_KINDS:

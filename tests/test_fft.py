@@ -1,4 +1,4 @@
-"""Orthonormal DFT kernels: known transforms, unitarity, fallback path."""
+"""Orthonormal DFT kernels: known transforms, unitarity, the real matrices."""
 
 import numpy as np
 import pytest
@@ -65,3 +65,14 @@ class TestUnitarity:
         x = rng.standard_normal(n)
         spec = fft.dft(x)
         assert np.sum(np.abs(spec) ** 2) == pytest.approx(np.sum(x ** 2), rel=1e-12)
+
+
+class TestRealDftMatrices:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_parts_of_transformed_identity(self, n):
+        # circular_autocorr multiplies by these; dft must use the same matrix
+        mr, mi = fft.real_dft_matrices(n)
+        full = fft.dft(np.eye(n))
+        np.testing.assert_array_equal(mr, full.real)
+        np.testing.assert_array_equal(mi, full.imag)
+        assert not mr.flags.writeable and not mi.flags.writeable

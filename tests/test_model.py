@@ -42,6 +42,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             micro_config(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("dropout", float("nan")), ("dropout", "0.1"),
+        ("revin_eps", float("nan")), ("revin_eps", float("inf")),
+        ("seed", "0"), ("seed", 1.5),
+    ])
+    def test_nonfinite_or_mistyped_fields_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            micro_config(**{field: value})
+
     def test_dict_round_trip(self):
         cfg = micro_config(fusion_mode="additive", disable_fsc=True)
         again = ModelConfig.from_dict(cfg.to_dict())

@@ -190,6 +190,26 @@ class TestBackwardSemantics:
         np.testing.assert_allclose(x.grad, np.ones((4, 3)))
 
 
+    def test_dead_branch_skipped(self):
+        # a node whose output never reaches the loss keeps grad None and
+        # leaves the leaf grads as they are without it
+        def run(side_branch):
+            x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+            w = Tensor(np.array([1.5, 0.25, -2.0]), requires_grad=True)
+            with Tape() as tape:
+                h = engine.gelu(x * w)
+                side = engine.mul(engine.relu(h), w) if side_branch else None
+                loss = engine.reduce_sum(h * h)
+                backward(loss, tape)
+            return x, w, h, side
+
+        x, w, h, side = run(side_branch=True)
+        x0, w0, _, _ = run(side_branch=False)
+        assert side.requires_grad and side.grad is None
+        assert h.grad is not None
+        np.testing.assert_array_equal(x.grad, x0.grad)
+        np.testing.assert_array_equal(w.grad, w0.grad)
+
     def test_fanout_inputs_own_their_grads(self):
         # add hands the same upstream grad to both inputs; a accumulates
         # again afterwards through the mul recorded before the add

@@ -156,6 +156,9 @@ class TestCorrectionFactor:
             CorrectionConfig(eps=0.0)
         with pytest.raises(ConfigError):
             CorrectionConfig(reduction_scope="per_feature")
+        for eps in (float("nan"), float("inf"), "1e-8", True):
+            with pytest.raises(ConfigError):
+                CorrectionConfig(eps=eps)
         rng = np.random.default_rng(17)
         with pytest.raises(ConfigError):
             correction_factor(Tensor(rng.standard_normal((1, 1, 4, 2))),

@@ -7,7 +7,7 @@ from dctnet import trainer
 from dctnet.numeric_engine import Tape, Tensor, backward
 from dctnet.data_io import (NormStats, WindowedDataset, compute_stats,
                             make_windows, synth_series)
-from dctnet.errors import ContractError, DataError, TrainingError
+from dctnet.errors import ConfigError, ContractError, DataError, TrainingError
 from dctnet.model import ModelConfig, forward, init_params
 from dctnet.trainer import (OptimizerState, TrainSettings, adam_step,
                             clip_global_norm, evaluate, fit, mae_metric,
@@ -132,6 +132,21 @@ class TestClip:
         assert norm == pytest.approx(5.0)
         np.testing.assert_allclose(grads["a"], [1.5])
         np.testing.assert_allclose(grads["b"], [2.0])
+
+
+class TestSettings:
+    @pytest.mark.parametrize("field,value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", "x"),
+        ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", float("nan")),
+        ("clip_norm", float("inf")), ("epochs", "2"), ("batch_size", 2.0),
+        ("patience", True), ("seed", "0"),
+    ])
+    def test_bad_values_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            TrainSettings(**{field: value})
+
+    def test_clipping_can_be_off(self):
+        assert TrainSettings(clip_norm=None).clip_norm is None
 
 
 class TestFit:
@@ -280,6 +295,13 @@ class TestEvaluate:
                                 "test", stats)
         with pytest.raises(DataError):
             evaluate(init_params(cfg), cfg, empty)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        cfg = micro_config()
+        with pytest.raises(ConfigError):
+            evaluate(init_params(cfg), cfg, tiny_dataset(3, cfg=cfg),
+                     batch_size=batch_size)
 
     def test_matches_manual_forward(self):
         cfg = micro_config()
