@@ -235,7 +235,8 @@ def _load_eval_inputs(args):
             f"data has {table.channels} channels, checkpoint expects "
             f"{cfg.channels}"
         )
-    return params, cfg, metadata, table, _norm_stats(metadata, cfg.channels)
+    return (params, cfg, metadata, table, _norm_stats(metadata, cfg.channels),
+            _split_settings(metadata))
 
 
 def _norm_stats(metadata: dict, channels: int) -> NormStats:
@@ -259,10 +260,27 @@ def _norm_stats(metadata: dict, channels: int) -> NormStats:
     return NormStats(mean=values["norm_mean"], std=values["norm_std"])
 
 
+def _split_settings(metadata: dict) -> tuple[tuple, int]:
+    """The split ratios and window stride a checkpoint was trained with."""
+    ratios = metadata.get("split_ratios", list(SPLIT_PRESETS["ett"]))
+    if not (isinstance(ratios, list) and len(ratios) == 3 and all(
+            type(r) in (int, float) and math.isfinite(r) and r > 0
+            for r in ratios)):
+        raise CheckpointError(
+            "checkpoint metadata split_ratios must be a list of 3 positive "
+            "finite numbers"
+        )
+    stride = metadata.get("window_stride", 1)
+    if type(stride) is not int or stride < 1:
+        raise CheckpointError(
+            "checkpoint metadata window_stride must be a positive integer"
+        )
+    return tuple(ratios), stride
+
+
 def cmd_eval(args) -> int:
-    params, cfg, metadata, table, stats = _load_eval_inputs(args)
-    ratios = tuple(metadata.get("split_ratios", SPLIT_PRESETS["ett"]))
-    stride = int(metadata.get("window_stride", 1))
+    params, cfg, metadata, table, stats, (ratios, stride) = \
+        _load_eval_inputs(args)
     need = cfg.seq_len + cfg.pred_len
     splits = dict(zip(("train", "val", "test"),
                       split_chronological(table, ratios, min_rows=need)))
@@ -287,7 +305,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    params, cfg, metadata, table, stats = _load_eval_inputs(args)
+    params, cfg, _metadata, table, stats, _split = _load_eval_inputs(args)
     rows = table.rows
     if args.origin is not None:
         origin = args.origin

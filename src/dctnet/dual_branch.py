@@ -3,9 +3,9 @@
 Two parallel views of the token grid [B, C, N, D]: a linear map over the
 patch axis models each channel's temporal evolution, and multi-head
 attention over the channel axis models dependencies between variables.
-Fusion happens inside the channel branch's residual connection: by default
-the temporal output rides the residual while attention reads the raw
-tokens, so both branches reach the fused output through one addition.
+Fusion happens inside the channel branch's residual connection: the
+temporal output rides the residual while attention reads the raw tokens,
+so both branches reach the fused output through one addition.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 from . import numeric_engine as engine
 from .numeric_engine import AttentionParams, Tensor
 from .errors import ConfigError
-
-FUSION_MODES = ("residual_substitution", "additive")
 
 
 @dataclass
@@ -93,26 +91,15 @@ def channel_branch_forward(x_patch: Tensor, residual_in: Tensor,
 
 def fuse_branches(x_patch: Tensor, temporal_params: TemporalBranchParams,
                   channel_params: ChannelBranchParams, training: bool = False,
-                  fusion_mode: str = "residual_substitution",
                   disabled: bool = False,
                   rng: Optional[np.random.Generator] = None) -> Tensor:
     """Combine both branches into the fused token grid.
 
-    residual_substitution: the channel branch's residual carries the
-    temporal output, so one addition merges the branches.  additive: both
-    branches keep their own input residual and the outputs are summed.
-    Disabled, the block is the identity.
+    The channel branch's residual carries the temporal output, so one
+    addition merges the branches.  Disabled, the block is the identity.
     """
     if disabled:
         return x_patch
-    if fusion_mode not in FUSION_MODES:
-        raise ConfigError(
-            f"fusion_mode must be one of {FUSION_MODES}, got {fusion_mode!r}"
-        )
     h_time = temporal_branch_forward(x_patch, temporal_params)
-    if fusion_mode == "residual_substitution":
-        return channel_branch_forward(x_patch, h_time, channel_params,
-                                      training=training, rng=rng)
-    h_channel = channel_branch_forward(x_patch, x_patch, channel_params,
-                                       training=training, rng=rng)
-    return engine.add(h_time, h_channel)
+    return channel_branch_forward(x_patch, h_time, channel_params,
+                                  training=training, rng=rng)

@@ -18,12 +18,12 @@ import numpy as np
 
 from . import numeric_engine as engine
 from .numeric_engine import AttentionParams, Tensor
-from .dual_branch import (FUSION_MODES, ChannelBranchParams,
-                          TemporalBranchParams, fuse_branches)
+from .dual_branch import ChannelBranchParams, TemporalBranchParams, \
+    fuse_branches
 from .errors import ConfigError, ContractError, DataError, finite_number, \
     whole_number
 from .global_fusion import GlobalFusionParams, global_patch_attention
-from .patch_embed import PatchConfig, PatchEmbedParams, compute_num_patches, \
+from .patch_embed import PatchEmbedParams, compute_num_patches, \
     embed_patches, segment_patches
 from .revin import RevINParams, revin_denormalize, revin_normalize
 from .rng import make_rng
@@ -33,9 +33,28 @@ from .spectral_correction import CorrectionConfig, SpectralDiagnostics, \
 ABLATION_STAGES = ("dbct", "gpaf", "fsc")
 
 
+def _drop_retired(section: dict, key: str, kept: str) -> dict:
+    """Copy of ``section`` without ``key``, a setting that older configs
+    and checkpoint headers carry; ``kept``, the value the model now always
+    uses, is the only one accepted."""
+    if key in section:
+        section = dict(section)
+        value = section.pop(key)
+        if value != kept:
+            raise ConfigError(
+                f"{key} {value!r} is no longer supported; the model always "
+                f"uses {kept!r}"
+            )
+    return section
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    """Shapes, regularisation, fusion wiring, and ablation switches."""
+    """Shapes, regularisation, correction guard, and ablation switches.
+
+    There is one dual-branch wiring (the temporal output rides the channel
+    attention residual) and one correction scope (one alpha per series).
+    """
 
     channels: int
     seq_len: int = 96
@@ -48,7 +67,6 @@ class ModelConfig:
     dropout: float = 0.1
     revin_eps: float = 1e-5
     correction: CorrectionConfig = field(default_factory=CorrectionConfig)
-    fusion_mode: str = "residual_substitution"
     disable_dbct: bool = False
     disable_gpaf: bool = False
     disable_fsc: bool = False
@@ -80,20 +98,11 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if finite_number("revin_eps", self.revin_eps) <= 0:
             raise ConfigError(f"revin_eps must be > 0, got {self.revin_eps}")
-        if self.fusion_mode not in FUSION_MODES:
-            raise ConfigError(
-                f"fusion_mode must be one of {FUSION_MODES}, "
-                f"got {self.fusion_mode!r}"
-            )
         whole_number("seed", self.seed)
 
     @property
-    def patch_config(self) -> PatchConfig:
-        return PatchConfig(self.patch_len, self.stride)
-
-    @property
     def num_patches(self) -> int:
-        return compute_num_patches(self.seq_len, self.patch_config)
+        return compute_num_patches(self.seq_len, self.patch_len, self.stride)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -102,10 +111,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
+        d = _drop_retired(dict(d), "fusion_mode", "residual_substitution")
         corr = d.get("correction")
         if isinstance(corr, dict):
-            d["correction"] = CorrectionConfig(**corr)
+            d["correction"] = CorrectionConfig(
+                **_drop_retired(corr, "reduction_scope", "per_batch_channel"))
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -268,13 +278,12 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
         )
 
     normed, state = revin_normalize(x, params.revin, eps=cfg.revin_eps)
-    x_patch = embed_patches(segment_patches(normed, cfg.patch_config),
+    x_patch = embed_patches(segment_patches(normed, cfg.patch_len, cfg.stride),
                             params.embed)
 
     h = x_patch
     for blk in params.blocks:
         h = fuse_branches(h, blk.temporal, blk.channel, training=training,
-                          fusion_mode=cfg.fusion_mode,
                           disabled=cfg.disable_dbct, rng=rng)
         h = global_patch_attention(h, blk.global_fusion, training=training,
                                    disabled=cfg.disable_gpaf, rng=rng)

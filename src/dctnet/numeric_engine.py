@@ -44,9 +44,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add ``g`` into ``grad``, copying on the first write.
 
@@ -64,37 +61,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; all routes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -371,6 +337,8 @@ def extract_patches(x: Tensor, patch_len: int, stride: int) -> Tensor:
     """
     x = _as_tensor(x)
     b, length, _ = x.data.shape
+    if patch_len < 1:
+        raise ConfigError(f"patch_len must be >= 1, got {patch_len}")
     if patch_len > length:
         raise ConfigError(f"patch_len {patch_len} exceeds window length {length}")
     if stride < 1:

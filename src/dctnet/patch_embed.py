@@ -15,20 +15,6 @@ from .numeric_engine import Tensor
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class PatchConfig:
-    """Segmentation geometry: patch length and hop between patch starts."""
-
-    patch_len: int = 16
-    stride: int = 8
-
-    def __post_init__(self):
-        if self.patch_len < 1:
-            raise ConfigError(f"patch_len must be >= 1, got {self.patch_len}")
-        if self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
-
-
 @dataclass
 class PatchEmbedParams:
     """Shared projection [P, D], bias [D], and positions [N, D]."""
@@ -41,18 +27,22 @@ class PatchEmbedParams:
         return {"weight": self.weight, "bias": self.bias, "pos": self.pos}
 
 
-def compute_num_patches(seq_len: int, cfg: PatchConfig) -> int:
+def compute_num_patches(seq_len: int, patch_len: int, stride: int) -> int:
     """Number of full patches: floor((L - P) / S) + 1."""
-    if cfg.patch_len > seq_len:
+    if patch_len < 1:
+        raise ConfigError(f"patch_len must be >= 1, got {patch_len}")
+    if stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
+    if patch_len > seq_len:
         raise ConfigError(
-            f"patch_len {cfg.patch_len} exceeds window length {seq_len}"
+            f"patch_len {patch_len} exceeds window length {seq_len}"
         )
-    return (seq_len - cfg.patch_len) // cfg.stride + 1
+    return (seq_len - patch_len) // stride + 1
 
 
-def segment_patches(x: Tensor, cfg: PatchConfig) -> Tensor:
-    """Cut [B, L, C] into raw patches [B, C, N, P]."""
-    return engine.extract_patches(x, cfg.patch_len, cfg.stride)
+def segment_patches(x: Tensor, patch_len: int, stride: int) -> Tensor:
+    """Cut [B, L, C] into raw patches [B, C, N, P] of length P, hop S."""
+    return engine.extract_patches(x, patch_len, stride)
 
 
 def embed_patches(patches: Tensor, params: PatchEmbedParams) -> Tensor:

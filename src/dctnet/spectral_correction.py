@@ -4,13 +4,17 @@ The clamped circular autocorrelation of a feature map along the patch axis
 summarises its spectral energy distribution.  By Wiener-Khinchin it is the
 inverse transform of the power spectrum; the single engine primitive
 ``numeric_engine.circular_autocorr`` computes it in one differentiable step.
-A scalar factor per reduction group,
+One factor per series (instance and channel), with the sums running over
+the patch and feature axes,
 
-    alpha = sqrt( sum(S_pred * S_input) / (sum(S_input^2) + eps) ),
+    alpha = sqrt( sum(S_pred * S_input) / ((1 + eps) * sum(S_input^2) + tiny) ),
 
-rescales the prediction features so their energy tracks the input's,
-countering distribution drift between history and forecast.  The whole
-path is differentiable, so the correction shapes training too.
+rescales that series' prediction features so their energy tracks the
+input's, countering distribution drift between history and forecast.
+The guard is relative, so alpha does not change when both feature maps
+are scaled together; ``tiny``, the smallest normal float64, only keeps
+an all-zero input from dividing zero by zero.  The whole path is
+differentiable, so the correction shapes training too.
 """
 
 from __future__ import annotations
@@ -18,30 +22,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import numeric_engine as engine
 from .numeric_engine import Tensor
 from .errors import ConfigError, finite_number
 
 _PATCH_AXIS = 2          # the N axis of [B, C, N, D]
-
-REDUCTION_SCOPES = ("per_batch_channel", "global_scalar")
+_SERIES_AXES = (_PATCH_AXIS, 3)   # energy sums run over N and D
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
 class CorrectionConfig:
-    """Division guard eps and the axes the energy sums run over."""
+    """Relative division guard eps of the correction factor."""
 
     eps: float = 1e-8
-    reduction_scope: str = "per_batch_channel"
 
     def __post_init__(self):
         if finite_number("correction eps", self.eps) <= 0:
             raise ConfigError(f"correction eps must be > 0, got {self.eps}")
-        if self.reduction_scope not in REDUCTION_SCOPES:
-            raise ConfigError(
-                f"reduction_scope must be one of {REDUCTION_SCOPES}, "
-                f"got {self.reduction_scope!r}"
-            )
 
 
 @dataclass
@@ -73,19 +73,18 @@ def _diagnose(h_global: Tensor, x_patch: Tensor,
         )
     s_pred = power_autocorrelation(h_global)
     s_input = power_autocorrelation(x_patch)
-    axes = (_PATCH_AXIS, 3) if cfg.reduction_scope == "per_batch_channel" else None
-    keep = axes is not None
-    num = engine.reduce_sum(engine.mul(s_pred, s_input), axis=axes, keepdims=keep)
-    den = engine.add(
-        engine.reduce_sum(engine.mul(s_input, s_input), axis=axes, keepdims=keep),
-        cfg.eps)
+    num = engine.reduce_sum(engine.mul(s_pred, s_input), axis=_SERIES_AXES,
+                            keepdims=True)
+    energy = engine.reduce_sum(engine.mul(s_input, s_input),
+                               axis=_SERIES_AXES, keepdims=True)
+    den = engine.add(engine.mul(energy, 1.0 + cfg.eps), _TINY)
     return SpectralDiagnostics(alpha=engine.sqrt(engine.div(num, den)),
                                pred_autocorr=s_pred, input_autocorr=s_input)
 
 
 def correction_factor(h_global: Tensor, x_patch: Tensor,
                       cfg: CorrectionConfig) -> Tensor:
-    """alpha per reduction group: [B, C, 1, 1] per channel, or a scalar."""
+    """alpha per series: [B, C, 1, 1]."""
     return _diagnose(h_global, x_patch, cfg).alpha
 
 
@@ -93,6 +92,7 @@ def apply_correction(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig,
                      enabled: bool = True) -> tuple[Tensor, SpectralDiagnostics]:
     """Scale prediction features by alpha; identity with alpha=1 when bypassed."""
     if not enabled:
-        return h_global, SpectralDiagnostics(alpha=Tensor(1.0))
+        ones = np.ones(h_global.shape[:2] + (1, 1))
+        return h_global, SpectralDiagnostics(alpha=Tensor(ones))
     diag = _diagnose(h_global, x_patch, cfg)
     return engine.mul(h_global, diag.alpha), diag

@@ -23,6 +23,10 @@ from .errors import (ConfigError, ContractError, DataError, TrainingError,
 from .model import DCTNetParams, ModelConfig, forward
 from .rng import make_rng
 
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 
 def mse_loss(pred: Tensor, target) -> Tensor:
     """Mean squared error over every element; differentiable scalar."""
@@ -46,15 +50,12 @@ def mae_metric(pred, target) -> float:
 
 @dataclass
 class OptimizerState:
-    """Adam moments and hyperparameters; one slot per parameter name."""
+    """Adam learning rate, step count and moments, one slot per parameter name."""
 
     lr: float
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor], lr: float) -> "OptimizerState":
@@ -72,7 +73,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     if missing:
         raise ContractError(f"no gradient supplied for {missing[0]!r}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, tensor in params.items():
@@ -81,7 +82,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        tensor.data = tensor.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        tensor.data = tensor.data - state.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray],
@@ -186,8 +187,8 @@ def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
         abs_sum += float(np.abs(err).sum())
         count += err.size
         a = fc.diagnostics.alpha.data
-        alpha_sum += float(np.sum(a)) * (xb.shape[0] if a.ndim == 0 else 1)
-        alpha_count += xb.shape[0] if a.ndim == 0 else a.size
+        alpha_sum += float(np.sum(a))
+        alpha_count += a.size
     return EvalResult(mse=sq_sum / count, mae=abs_sum / count,
                       alpha_mean=alpha_sum / alpha_count, num_windows=len(dataset))
 

@@ -1,4 +1,5 @@
-"""Shared utilities for the test suite: gradient checks and slow oracles."""
+"""Shared utilities for the test suite: gradient checks, slow oracles and
+random tiny model configs."""
 
 from __future__ import annotations
 
@@ -7,8 +8,10 @@ import json
 import struct
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dctnet import numeric_engine as engine
+from dctnet.model import ModelConfig
 
 
 def naive_dft(x, sign: int = -1):
@@ -112,3 +115,19 @@ def rewrite_header(path, edit):
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
                      + raw[16 + n:])
+
+
+@st.composite
+def tiny_configs(draw):
+    """Small valid ModelConfigs: every shape, depth and dropout field varies."""
+    heads = draw(st.integers(1, 2))
+    patch_len = draw(st.integers(1, 4))
+    return ModelConfig(
+        channels=draw(st.integers(1, 3)),
+        seq_len=draw(st.integers(patch_len, 10)),
+        pred_len=draw(st.integers(1, 4)), patch_len=patch_len,
+        stride=draw(st.integers(1, 4)),
+        latent_dim=heads * draw(st.integers(1, 3)), heads=heads,
+        depth=draw(st.integers(1, 2)),
+        dropout=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        seed=draw(st.integers(0, 2**16)))

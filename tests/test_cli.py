@@ -178,6 +178,12 @@ BAD_METADATA = {
     "std_negative": _with_metadata(norm_std=[1.0, -2.0]),
     "std_missing": lambda h: {**h, "metadata": {
         k: v for k, v in h["metadata"].items() if k != "norm_std"}},
+    "stride_string": _with_metadata(window_stride="x"),
+    "stride_zero": _with_metadata(window_stride=0),
+    "stride_float": _with_metadata(window_stride=1.5),
+    "ratios_number": _with_metadata(split_ratios=5),
+    "ratios_wrong_length": _with_metadata(split_ratios=[6.0, 2.0]),
+    "ratios_nonpositive": _with_metadata(split_ratios=[6.0, 0.0, 2.0]),
 }
 
 

@@ -18,7 +18,7 @@ from dctnet.errors import CheckpointError, ConfigError, DataError
 from dctnet.fft import dft
 from dctnet.model import ModelConfig, forward, init_params
 
-from helpers import rewrite_header
+from helpers import rewrite_header, tiny_configs
 
 
 class TestLoadCsv:
@@ -334,6 +334,20 @@ def _unknown_correction_field(header):
     return header
 
 
+def _set_correction(key, value):
+    def edit(header):
+        header["config"]["correction"][key] = value
+        return header
+    return edit
+
+
+def _with_retired_keys(header):
+    """The two settings a header written before their removal carries."""
+    header["config"]["fusion_mode"] = "residual_substitution"
+    header["config"]["correction"]["reduction_scope"] = "per_batch_channel"
+    return header
+
+
 def _bad_tensor_entry(header):
     header["tensors"][0] = 5
     return header
@@ -468,11 +482,13 @@ class TestCheckpoint:
         _drop("config"), _drop("tensors"), _unknown_correction_field,
         _set_config("dropout", "0.1"), _set_config("channels", -1),
         _bad_tensor_entry, lambda header: [header], _set_metadata([1.0]),
-        _set_config("correction", "x"),
+        _set_config("correction", "x"), _set_config("fusion_mode", "additive"),
+        _set_correction("reduction_scope", "global_scalar"),
     ], ids=["no_config", "no_tensors", "unknown_correction_field",
             "string_dropout", "negative_channels", "bad_tensor_entry",
             "header_not_object", "metadata_not_object",
-            "correction_not_object"])
+            "correction_not_object", "retired_fusion_mode",
+            "retired_reduction_scope"])
     def test_malformed_header_is_checkpoint_error(self, tmp_path, edit):
         cfg = micro_config()
         p = tmp_path / "x.dct"
@@ -480,6 +496,19 @@ class TestCheckpoint:
         rewrite_header(p, edit)
         with pytest.raises(CheckpointError, match="malformed checkpoint header"):
             checkpoint_load(p)
+
+    def test_retired_keys_at_surviving_values_load(self, tmp_path):
+        cfg = micro_config()
+        plain, old = tmp_path / "plain.dct", tmp_path / "old.dct"
+        checkpoint_save(init_params(cfg), cfg, plain)
+        checkpoint_save(init_params(cfg), cfg, old)
+        rewrite_header(old, _with_retired_keys)
+        a, cfg_a, _ = checkpoint_load(plain)
+        b, cfg_b, _ = checkpoint_load(old)
+        assert cfg_b == cfg_a
+        x = np.random.default_rng(3).standard_normal((2, 8, 2))
+        np.testing.assert_array_equal(forward(x, b, cfg_b).values.data,
+                                      forward(x, a, cfg_a).values.data)
 
     def test_corrupt_header_json(self, tmp_path):
         cfg = micro_config()
@@ -516,6 +545,18 @@ def tiny_checkpoint(tmp_path_factory):
 
 
 class TestCheckpointFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=tiny_configs(), seed=st.integers(0, 2**16))
+    def test_save_load_save_identical_bytes(self, tmp_path_factory, cfg,
+                                            seed):
+        base = tmp_path_factory.getbasetemp()
+        first, second = base / "first.dct", base / "second.dct"
+        meta = {"seed": seed, "norm_mean": [0.5] * cfg.channels}
+        checkpoint_save(init_params(cfg, seed=seed), cfg, first, metadata=meta)
+        params, cfg2, meta2 = checkpoint_load(first)
+        checkpoint_save(params, cfg2, second, metadata=meta2)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_every_truncation_is_checkpoint_error(self, tiny_checkpoint,
                                                   tmp_path):
         raw, _ = tiny_checkpoint

@@ -196,36 +196,10 @@ class TestFusion:
         tp = temporal_params(3, 4, rng=rng)
         cp = channel_params(4, rng)
         x = Tensor(rng.standard_normal((2, 3, 3, 4)))
-        fused = fuse_branches(x, tp, cp, fusion_mode="residual_substitution")
+        fused = fuse_branches(x, tp, cp)
         h_time = temporal_branch_forward(x, tp)
         manual = channel_branch_forward(x, h_time, cp)
         np.testing.assert_allclose(fused.data, manual.data, atol=1e-12)
-
-    def test_additive_wiring(self):
-        rng = np.random.default_rng(22)
-        tp = temporal_params(3, 4, rng=rng)
-        cp = channel_params(4, rng)
-        x = Tensor(rng.standard_normal((2, 3, 3, 4)))
-        fused = fuse_branches(x, tp, cp, fusion_mode="additive")
-        manual = engine.add(temporal_branch_forward(x, tp),
-                            channel_branch_forward(x, x, cp))
-        np.testing.assert_allclose(fused.data, manual.data, atol=1e-12)
-
-    def test_modes_differ(self):
-        rng = np.random.default_rng(23)
-        tp = temporal_params(3, 4, rng=rng)
-        cp = channel_params(4, rng)
-        x = Tensor(rng.standard_normal((1, 2, 3, 4)))
-        a = fuse_branches(x, tp, cp, fusion_mode="residual_substitution").data
-        b = fuse_branches(x, tp, cp, fusion_mode="additive").data
-        assert not np.allclose(a, b)
-
-    def test_unknown_mode_rejected(self):
-        rng = np.random.default_rng(24)
-        x = Tensor(np.zeros((1, 1, 2, 4)))
-        with pytest.raises(ConfigError):
-            fuse_branches(x, temporal_params(2, 4, rng=rng),
-                          channel_params(4, rng), fusion_mode="concat")
 
     def test_zeroed_block_reduces_to_nested_norms(self):
         # zero temporal weights and zero attention projections leave only

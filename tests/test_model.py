@@ -1,12 +1,18 @@
 """Model assembly: config validation, init, forward contract, ablations."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dctnet.model as model_module
 from dctnet.numeric_engine import Tensor
 from dctnet.errors import ConfigError, ContractError, DataError
 from dctnet.model import (ABLATION_STAGES, ModelConfig, ablation_variant,
                           forward, init_params, param_shapes)
+
+from helpers import tiny_configs
 
 
 def micro_config(**overrides):
@@ -36,7 +42,7 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("channels", 0), ("seq_len", 0), ("pred_len", 0), ("heads", 0),
         ("depth", 0), ("dropout", 1.0), ("dropout", -0.1),
-        ("revin_eps", 0.0), ("fusion_mode", "average"),
+        ("revin_eps", 0.0),
     ])
     def test_invalid_fields_rejected(self, field, value):
         with pytest.raises(ConfigError):
@@ -52,9 +58,22 @@ class TestConfig:
             micro_config(**{field: value})
 
     def test_dict_round_trip(self):
-        cfg = micro_config(fusion_mode="additive", disable_fsc=True)
+        cfg = micro_config(disable_fsc=True, dropout=0.2)
         again = ModelConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    def test_retired_keys_load_only_at_their_surviving_value(self):
+        # older configs and checkpoint headers carry both settings
+        d = micro_config().to_dict()
+        old = dict(d, fusion_mode="residual_substitution",
+                   correction=dict(d["correction"],
+                                   reduction_scope="per_batch_channel"))
+        assert ModelConfig.from_dict(old) == micro_config()
+        for bad in (dict(d, fusion_mode="additive"),
+                    dict(d, correction=dict(d["correction"],
+                                            reduction_scope="global_scalar"))):
+            with pytest.raises(ConfigError):
+                ModelConfig.from_dict(bad)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
@@ -178,14 +197,6 @@ class TestForward:
                      params, cfg)
         assert fc.values.shape == (1, 4, 2)
 
-    def test_additive_fusion_runs_and_differs(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((1, 8, 2))
-        a = forward(x, init_params(micro_config()), micro_config())
-        additive = micro_config(fusion_mode="additive")
-        b = forward(x, init_params(additive), additive)
-        assert not np.allclose(a.values.data, b.values.data)
-
     def test_training_dropout_changes_output(self):
         cfg = micro_config(dropout=0.3)
         params = init_params(cfg)
@@ -243,3 +254,39 @@ class TestAblationVariant:
         fc = forward(np.random.default_rng(8).standard_normal((2, 8, 2)),
                      params, cfg)
         np.testing.assert_allclose(fc.diagnostics.alpha.data, 1.0)
+
+
+# the function in dctnet.model that each ablation switch bypasses
+_STAGE_FN = {"dbct": "fuse_branches", "gpaf": "global_patch_attention",
+             "fsc": "apply_correction"}
+
+
+class TestBypassProperty:
+    @pytest.mark.parametrize("training", [False, True],
+                             ids=["eval", "train"])
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=tiny_configs(), which=st.sampled_from(ABLATION_STAGES),
+           batch=st.integers(1, 3), data_seed=st.integers(0, 2**32 - 1))
+    def test_bypassed_stage_returns_its_input(self, training, cfg, which,
+                                              batch, data_seed):
+        cfg = ablation_variant(cfg, which)
+        name = _STAGE_FN[which]
+        real = getattr(model_module, name)
+        calls = []
+
+        def spy(first, *args, **kwargs):
+            out = real(first, *args, **kwargs)
+            calls.append((first, out[0] if which == "fsc" else out))
+            return out
+
+        rng = np.random.default_rng(data_seed)
+        x = rng.standard_normal((batch, cfg.seq_len, cfg.channels))
+        with mock.patch.object(model_module, name, spy):
+            fc = forward(x, init_params(cfg), cfg, training=training, rng=rng)
+        assert len(calls) == (1 if which == "fsc" else cfg.depth)
+        for given_in, returned in calls:
+            assert returned is given_in
+        if which == "fsc":
+            alpha = fc.diagnostics.alpha.data
+            assert alpha.shape == (batch, cfg.channels, 1, 1)
+            np.testing.assert_array_equal(alpha, 1.0)

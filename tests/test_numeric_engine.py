@@ -36,7 +36,7 @@ class TestForwardValues:
     def test_arithmetic_chain(self):
         a = Tensor([2.0])
         b = Tensor([3.0])
-        out = (a + b) * a - b / a
+        out = engine.sub(engine.mul(engine.add(a, b), a), engine.div(b, a))
         np.testing.assert_allclose(out.data, [8.5])
 
     def test_matmul_known(self):
@@ -141,35 +141,35 @@ class TestBackwardSemantics:
     def test_requires_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            y = x * 2.0
+            y = engine.mul(x, 2.0)
             with pytest.raises(ContractError):
                 backward(y, tape)
 
     def test_simple_chain(self):
         x = Tensor(3.0, requires_grad=True)
         with Tape() as tape:
-            y = x * x + 2.0 * x      # dy/dx = 2x + 2 = 8
+            y = engine.add(engine.mul(x, x), engine.mul(2.0, x))  # 2x + 2 = 8
             backward(y, tape)
         assert x.grad == pytest.approx(8.0)
 
     def test_reuse_fanout(self):
         x = Tensor(2.0, requires_grad=True)
         with Tape() as tape:
-            y = x * x * x            # 3x^2 = 12
+            y = engine.mul(engine.mul(x, x), x)   # 3x^2 = 12
             backward(y, tape)
         assert x.grad == pytest.approx(12.0)
 
     def test_leaf_grads_accumulate_across_calls(self):
         x = Tensor(1.0, requires_grad=True)
         with Tape() as tape:
-            y = x * 5.0
+            y = engine.mul(x, 5.0)
             backward(y, tape)
             backward(y, tape)
         assert x.grad == pytest.approx(10.0)
 
     def test_no_tape_records_nothing(self):
         x = Tensor(1.0, requires_grad=True)
-        y = x * 3.0
+        y = engine.mul(x, 3.0)
         assert not y.requires_grad
         tape = Tape()
         assert len(tape) == 0
@@ -177,14 +177,14 @@ class TestBackwardSemantics:
     def test_untracked_inputs_skip_nodes(self):
         a = Tensor(1.0)
         with Tape() as tape:
-            _ = a * 2.0
+            _ = engine.mul(a, 2.0)
         assert len(tape) == 0
 
     def test_broadcast_bias_grad(self):
         x = Tensor(np.ones((4, 3)), requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)
         with Tape() as tape:
-            y = engine.reduce_sum(x + b)
+            y = engine.reduce_sum(engine.add(x, b))
             backward(y, tape)
         np.testing.assert_allclose(b.grad, [4.0, 4.0, 4.0])
         np.testing.assert_allclose(x.grad, np.ones((4, 3)))
@@ -197,9 +197,9 @@ class TestBackwardSemantics:
             x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
             w = Tensor(np.array([1.5, 0.25, -2.0]), requires_grad=True)
             with Tape() as tape:
-                h = engine.gelu(x * w)
+                h = engine.gelu(engine.mul(x, w))
                 side = engine.mul(engine.relu(h), w) if side_branch else None
-                loss = engine.reduce_sum(h * h)
+                loss = engine.reduce_sum(engine.mul(h, h))
                 backward(loss, tape)
             return x, w, h, side
 

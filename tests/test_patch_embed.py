@@ -5,37 +5,38 @@ import pytest
 
 from dctnet.numeric_engine import Tensor
 from dctnet.errors import ConfigError
-from dctnet.patch_embed import (PatchConfig, PatchEmbedParams,
-                                compute_num_patches, embed_patches,
-                                segment_patches)
+from dctnet.patch_embed import (PatchEmbedParams, compute_num_patches,
+                                embed_patches, segment_patches)
 
 
 class TestGeometry:
     def test_default_window_yields_eleven_patches(self):
-        assert compute_num_patches(96, PatchConfig(16, 8)) == 11
+        assert compute_num_patches(96, 16, 8) == 11
 
     @pytest.mark.parametrize("l,p,s,n", [
         (8, 4, 4, 2), (96, 96, 1, 1), (10, 4, 4, 2), (10, 4, 1, 7),
         (100, 16, 8, 11), (104, 16, 8, 12),
     ])
     def test_count_formula(self, l, p, s, n):
-        assert compute_num_patches(l, PatchConfig(p, s)) == n
+        assert compute_num_patches(l, p, s) == n
 
     def test_patch_longer_than_window(self):
         with pytest.raises(ConfigError):
-            compute_num_patches(8, PatchConfig(16, 8))
+            compute_num_patches(8, 16, 8)
 
     def test_invalid_geometry_rejected(self):
-        with pytest.raises(ConfigError):
-            PatchConfig(0, 8)
-        with pytest.raises(ConfigError):
-            PatchConfig(16, 0)
+        x = Tensor(np.zeros((1, 24, 1)))
+        for p, s in ((0, 8), (16, 0), (-1, 8), (16, -2)):
+            with pytest.raises(ConfigError):
+                compute_num_patches(24, p, s)
+            with pytest.raises(ConfigError):
+                segment_patches(x, p, s)
 
 
 class TestSegmentation:
     def test_values_and_overlap(self):
         x = np.arange(12, dtype=float).reshape(1, 12, 1)
-        out = segment_patches(Tensor(x), PatchConfig(4, 2))
+        out = segment_patches(Tensor(x), 4, 2)
         assert out.shape == (1, 1, 5, 4)
         np.testing.assert_allclose(out.data[0, 0, 0], [0, 1, 2, 3])
         np.testing.assert_allclose(out.data[0, 0, 1], [2, 3, 4, 5])
@@ -44,7 +45,7 @@ class TestSegmentation:
     def test_channels_segmented_independently(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 16, 3))
-        out = segment_patches(Tensor(x), PatchConfig(8, 4))
+        out = segment_patches(Tensor(x), 8, 4)
         for c in range(3):
             np.testing.assert_allclose(out.data[1, c, 1], x[1, 4:12, c])
 
@@ -93,10 +94,9 @@ class TestEmbedding:
 
     def test_pipeline_matches_manual_composition(self):
         rng = np.random.default_rng(5)
-        cfg = PatchConfig(16, 8)
         params = self._params(16, 8, 11, rng)
         x = rng.standard_normal((2, 96, 3))
-        tokens = embed_patches(segment_patches(Tensor(x), cfg), params)
+        tokens = embed_patches(segment_patches(Tensor(x), 16, 8), params)
         assert tokens.shape == (2, 3, 11, 8)
         manual = x[0, 16:32, 1] @ params.weight.data + params.bias.data \
             + params.pos.data[2]
