@@ -10,7 +10,7 @@ with reverse-mode differentiation; no deep-learning framework involved.
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
                      DCTNetError, SingularityError, TrainingError)
 from .model import (ABLATION_STAGES, DCTNetParams, Forecast, ModelConfig,
-                    ablation_variant, forward, init_params, param_shapes)
+                    ablation_variant, forward, init_params)
 from .numeric_engine import Tape, Tensor, backward
 from .spectral_correction import (CorrectionConfig, SpectralDiagnostics,
                                   apply_correction, correction_factor,
@@ -33,7 +33,7 @@ __all__ = [
     "WindowedDataset", "ablation_variant", "adam_step", "apply_correction",
     "backward", "checkpoint_load", "checkpoint_save", "compute_stats",
     "correction_factor", "evaluate", "fit", "forward", "init_params",
-    "load_csv", "mae_metric", "make_windows", "mse_loss", "param_shapes",
+    "load_csv", "mae_metric", "make_windows", "mse_loss",
     "power_autocorrelation", "save_csv", "split_chronological",
     "synth_series",
 ]

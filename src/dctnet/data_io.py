@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, DataError, finite_number, \
     whole_number
-from .model import DCTNetParams, ModelConfig, init_params, param_shapes
+from .model import DCTNetParams, ModelConfig, init_params
 from .rng import make_rng
 
 SPLIT_PRESETS = {"ett": (6.0, 2.0, 2.0), "standard": (7.0, 1.0, 2.0)}
@@ -375,21 +375,20 @@ def checkpoint_load(path) -> tuple[DCTNetParams, ModelConfig, dict]:
         raise CheckpointError(
             f"malformed checkpoint header in {path}: {exc!r}") from exc
 
-    expected = param_shapes(cfg)
-    for name in expected:
+    params = init_params(cfg)
+    registry = params.named_parameters()
+    for name in registry:
         if name not in stored:
             raise CheckpointError(f"checkpoint missing parameter {name!r}")
     for name, shape in stored.items():
-        if name not in expected:
+        if name not in registry:
             raise CheckpointError(f"checkpoint has unknown parameter {name!r}")
-        if shape != expected[name]:
+        if shape != registry[name].shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {shape}, config requires "
-                f"{expected[name]}"
+                f"{registry[name].shape}"
             )
 
-    params = init_params(cfg)
-    registry = params.named_parameters()
     offset = 16 + blob_len
     for entry in header["tensors"]:
         name, shape = entry["name"], tuple(entry["shape"])

@@ -28,9 +28,6 @@ class TemporalBranchParams:
     gain: Tensor
     bias: Tensor
 
-    def tensors(self) -> dict[str, Tensor]:
-        return {"w_time": self.w_time, "gain": self.gain, "bias": self.bias}
-
 
 @dataclass
 class ChannelBranchParams:
@@ -41,12 +38,6 @@ class ChannelBranchParams:
     bias: Tensor
     heads: int = 4
     dropout_p: float = 0.1
-
-    def tensors(self) -> dict[str, Tensor]:
-        out = dict(self.attn.tensors())
-        out["gain"] = self.gain
-        out["bias"] = self.bias
-        return out
 
 
 def temporal_branch_forward(x_patch: Tensor, params: TemporalBranchParams) -> Tensor:

@@ -26,12 +26,6 @@ class GlobalFusionParams:
     heads: int = 4
     dropout_p: float = 0.1
 
-    def tensors(self) -> dict[str, Tensor]:
-        out = dict(self.attn.tensors())
-        out["gain"] = self.gain
-        out["bias"] = self.bias
-        return out
-
 
 def global_patch_attention(h_fused: Tensor, params: GlobalFusionParams,
                            training: bool = False, disabled: bool = False,

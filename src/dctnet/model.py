@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,6 +46,15 @@ def _drop_retired(section: dict, key: str, kept: str) -> dict:
                 f"uses {kept!r}"
             )
     return section
+
+
+def _build(cls, section: str, d: dict):
+    """``cls(**d)``, with keys that are not fields of ``cls`` named in a
+    ``ConfigError`` instead of a ``TypeError``."""
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {section} fields: {sorted(unknown)}")
+    return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -114,12 +123,10 @@ class ModelConfig:
         d = _drop_retired(dict(d), "fusion_mode", "residual_substitution")
         corr = d.get("correction")
         if isinstance(corr, dict):
-            d["correction"] = CorrectionConfig(
-                **_drop_retired(corr, "reduction_scope", "per_batch_channel"))
-        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**d)
+            d["correction"] = _build(
+                CorrectionConfig, "correction",
+                _drop_retired(corr, "reduction_scope", "per_batch_channel"))
+        return _build(cls, "config", d)
 
 
 @dataclass
@@ -133,121 +140,89 @@ class BlockParams:
 
 @dataclass
 class DCTNetParams:
-    """Every learnable tensor, reachable by a unique dotted name."""
+    """Every learnable tensor, reachable by a unique dotted name.
+
+    ``registry`` holds the same tensors as the tree, in the order
+    ``init_params`` created them; that order is the checkpoint's.
+    """
 
     revin: RevINParams
     embed: PatchEmbedParams
     blocks: list[BlockParams]
     head_weight: Tensor
     head_bias: Tensor
+    registry: dict[str, Tensor] = field(repr=False)
 
     def named_parameters(self) -> dict[str, Tensor]:
         """Flat name → tensor registry in a fixed, deterministic order."""
-        out: dict[str, Tensor] = {}
-        for k, t in self.revin.tensors().items():
-            out[f"revin.{k}"] = t
-        for k, t in self.embed.tensors().items():
-            out[f"embed.{k}"] = t
-        for i, blk in enumerate(self.blocks):
-            for k, t in blk.temporal.tensors().items():
-                out[f"blocks.{i}.temporal.{k}"] = t
-            for k, t in blk.channel.tensors().items():
-                out[f"blocks.{i}.channel.{k}"] = t
-            for k, t in blk.global_fusion.tensors().items():
-                out[f"blocks.{i}.global.{k}"] = t
-        out["head.weight"] = self.head_weight
-        out["head.bias"] = self.head_bias
-        return out
-
-    def tensors(self) -> Iterator[Tensor]:
-        return iter(self.named_parameters().values())
-
-    def count(self) -> int:
-        return sum(t.data.size for t in self.tensors())
-
-
-def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
-    """Declared shape of every parameter for a config (the checkpoint contract)."""
-    c, p, d, t = cfg.channels, cfg.patch_len, cfg.latent_dim, cfg.pred_len
-    n = cfg.num_patches
-    shapes: dict[str, tuple] = {
-        "revin.gamma": (c,), "revin.beta": (c,),
-        "embed.weight": (p, d), "embed.bias": (d,), "embed.pos": (n, d),
-    }
-    for i in range(cfg.depth):
-        shapes[f"blocks.{i}.temporal.w_time"] = (n, n)
-        shapes[f"blocks.{i}.temporal.gain"] = (d,)
-        shapes[f"blocks.{i}.temporal.bias"] = (d,)
-        for branch in ("channel", "global"):
-            for w in ("wq", "wk", "wv", "wo"):
-                shapes[f"blocks.{i}.{branch}.{w}"] = (d, d)
-            for b in ("bq", "bk", "bv", "bo"):
-                shapes[f"blocks.{i}.{branch}.{b}"] = (d,)
-            shapes[f"blocks.{i}.{branch}.gain"] = (d,)
-            shapes[f"blocks.{i}.{branch}.bias"] = (d,)
-    shapes["head.weight"] = (n * d, t)
-    shapes["head.bias"] = (t,)
-    return shapes
+        return dict(self.registry)
 
 
 def init_params(cfg: ModelConfig, seed: Optional[int] = None) -> DCTNetParams:
     """Deterministic parameters: same (cfg, seed) gives identical bytes.
 
-    Each tensor draws from its own stream keyed by (seed, "init", name), so
-    values do not depend on creation order.  Linear weights and biases are
-    uniform within +-sqrt(1/fan_in); positions are N(0, 0.02^2); norm gains
-    start at 1, shifts at 0.
+    This is the one declaration of every parameter's name, shape and
+    initialisation, and so of the checkpoint contract.  Each tensor draws
+    from its own stream keyed by (seed, "init", name), so values do not
+    depend on creation order.  Linear weights and biases are uniform within
+    +-sqrt(1/fan_in); positions are N(0, 0.02^2); norm gains start at 1,
+    shifts at 0.
     """
     if seed is None:
         seed = cfg.seed
-    n, d, p = cfg.num_patches, cfg.latent_dim, cfg.patch_len
-    shapes = param_shapes(cfg)
+    c, n, d, p = cfg.channels, cfg.num_patches, cfg.latent_dim, cfg.patch_len
+    registry: dict[str, Tensor] = {}
 
-    def uniform(name: str, fan_in: int) -> Tensor:
+    def make(name: str, data: np.ndarray) -> Tensor:
+        registry[name] = Tensor(data, requires_grad=True)
+        return registry[name]
+
+    def uniform(name: str, shape: tuple, fan_in: int) -> Tensor:
         bound = float(np.sqrt(1.0 / fan_in))
-        data = make_rng(seed, "init", name).uniform(-bound, bound,
-                                                    size=shapes[name])
-        return Tensor(data, requires_grad=True)
+        return make(name, make_rng(seed, "init", name).uniform(
+            -bound, bound, size=shape))
 
-    def ones(name: str) -> Tensor:
-        return Tensor(np.ones(shapes[name]), requires_grad=True)
+    def norm(prefix: str, width: int) -> dict[str, Tensor]:
+        return {"gain": make(f"{prefix}.gain", np.ones(width)),
+                "bias": make(f"{prefix}.bias", np.zeros(width))}
 
-    def zeros(name: str) -> Tensor:
-        return Tensor(np.zeros(shapes[name]), requires_grad=True)
-
-    revin = RevINParams(gamma=ones("revin.gamma"), beta=zeros("revin.beta"))
-    pos = Tensor(make_rng(seed, "init", "embed.pos").normal(
-        0.0, 0.02, size=shapes["embed.pos"]), requires_grad=True)
-    embed = PatchEmbedParams(weight=uniform("embed.weight", p),
-                             bias=uniform("embed.bias", p), pos=pos)
+    revin = RevINParams(gamma=make("revin.gamma", np.ones(c)),
+                        beta=make("revin.beta", np.zeros(c)))
+    embed = PatchEmbedParams(
+        weight=uniform("embed.weight", (p, d), p),
+        bias=uniform("embed.bias", (d,), p),
+        pos=make("embed.pos", make_rng(seed, "init", "embed.pos").normal(
+            0.0, 0.02, size=(n, d))))
 
     def attention(prefix: str) -> AttentionParams:
-        return AttentionParams(
-            wq=uniform(f"{prefix}.wq", d), bq=uniform(f"{prefix}.bq", d),
-            wk=uniform(f"{prefix}.wk", d), bk=uniform(f"{prefix}.bk", d),
-            wv=uniform(f"{prefix}.wv", d), bv=uniform(f"{prefix}.bv", d),
-            wo=uniform(f"{prefix}.wo", d), bo=uniform(f"{prefix}.bo", d))
+        def w(name: str) -> Tensor:
+            return uniform(f"{prefix}.{name}", (d, d), d)
+
+        def b(name: str) -> Tensor:
+            return uniform(f"{prefix}.{name}", (d,), d)
+
+        return AttentionParams(wq=w("wq"), bq=b("bq"), wk=w("wk"), bk=b("bk"),
+                               wv=w("wv"), bv=b("bv"), wo=w("wo"), bo=b("bo"))
 
     blocks = []
     for i in range(cfg.depth):
         pre = f"blocks.{i}"
         temporal = TemporalBranchParams(
-            w_time=uniform(f"{pre}.temporal.w_time", n),
-            gain=ones(f"{pre}.temporal.gain"), bias=zeros(f"{pre}.temporal.bias"))
+            w_time=uniform(f"{pre}.temporal.w_time", (n, n), n),
+            **norm(f"{pre}.temporal", d))
         channel = ChannelBranchParams(
-            attn=attention(f"{pre}.channel"),
-            gain=ones(f"{pre}.channel.gain"), bias=zeros(f"{pre}.channel.bias"),
+            attn=attention(f"{pre}.channel"), **norm(f"{pre}.channel", d),
             heads=cfg.heads, dropout_p=cfg.dropout)
         glob = GlobalFusionParams(
-            attn=attention(f"{pre}.global"),
-            gain=ones(f"{pre}.global.gain"), bias=zeros(f"{pre}.global.bias"),
+            attn=attention(f"{pre}.global"), **norm(f"{pre}.global", d),
             heads=cfg.heads, dropout_p=cfg.dropout)
         blocks.append(BlockParams(temporal, channel, glob))
 
     return DCTNetParams(
         revin=revin, embed=embed, blocks=blocks,
-        head_weight=uniform("head.weight", n * d),
-        head_bias=uniform("head.bias", n * d))
+        head_weight=uniform("head.weight", (n * d, cfg.pred_len), n * d),
+        head_bias=uniform("head.bias", (cfg.pred_len,), n * d),
+        registry=registry)
 
 
 @dataclass

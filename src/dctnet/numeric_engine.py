@@ -204,8 +204,12 @@ def sqrt(a: Tensor) -> Tensor:
     out = _wrap(np.sqrt(a.data), False)
 
     def bw():
+        # d sqrt(a) is unbounded at a = 0; take 0 there, so a zero output
+        # passes no gradient instead of NaN
         if a.requires_grad:
-            a.accumulate_grad(out.grad * 0.5 / out.data)
+            g = np.zeros_like(out.data)
+            np.divide(out.grad * 0.5, out.data, out=g, where=out.data != 0.0)
+            a.accumulate_grad(g)
 
     _record((a,), out, bw)
     return out
@@ -499,10 +503,6 @@ class AttentionParams:
     bv: Tensor
     wo: Tensor
     bo: Tensor
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {"wq": self.wq, "bq": self.bq, "wk": self.wk, "bk": self.bk,
-                "wv": self.wv, "bv": self.bv, "wo": self.wo, "bo": self.bo}
 
 
 def _split_heads(t: Tensor, heads: int) -> Tensor:

@@ -23,9 +23,6 @@ class PatchEmbedParams:
     bias: Tensor
     pos: Tensor
 
-    def tensors(self) -> dict[str, Tensor]:
-        return {"weight": self.weight, "bias": self.bias, "pos": self.pos}
-
 
 def compute_num_patches(seq_len: int, patch_len: int, stride: int) -> int:
     """Number of full patches: floor((L - P) / S) + 1."""

@@ -25,9 +25,6 @@ class RevINParams:
     gamma: Tensor
     beta: Tensor
 
-    def tensors(self) -> dict[str, Tensor]:
-        return {"gamma": self.gamma, "beta": self.beta}
-
 
 @dataclass
 class RevINState:

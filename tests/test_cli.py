@@ -343,6 +343,8 @@ BAD_RUN_SETTINGS = {
     "revin_eps_nan": ({"model": {"revin_eps": NAN}}, [], "revin_eps"),
     "correction_eps_nan": ({"model": {"correction": {"eps": NAN}}}, [],
                            "eps"),
+    "correction_unknown_key": ({"model": {"correction": {"gamma": 1.0}}}, [],
+                               "gamma"),
 }
 
 

@@ -3,6 +3,7 @@ and the binary checkpoint format."""
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -542,6 +543,32 @@ def tiny_checkpoint(tmp_path_factory):
     checkpoint_save(init_params(cfg), cfg, p, metadata={"norm_std": [1.0]})
     raw = p.read_bytes()
     return raw, 16 + struct.unpack("<Q", raw[8:16])[0]
+
+
+class TestGoldenCheckpoint:
+    """``data/micro_depth2.dct`` is ``checkpoint_save(init_params(cfg), cfg,
+    path, metadata=GOLDEN_META)`` for ``GOLDEN_CFG``, written before
+    ``init_params`` became the one parameter declaration.  Names, order,
+    shapes, init streams and the file format must all still produce it."""
+
+    PATH = Path(__file__).parent / "data" / "micro_depth2.dct"
+    CFG = micro_config(depth=2, seed=3)
+    META = {"note": "golden"}
+
+    def test_init_reproduces_bytes(self, tmp_path):
+        out = tmp_path / "m.dct"
+        checkpoint_save(init_params(self.CFG), self.CFG, out,
+                        metadata=self.META)
+        assert out.read_bytes() == self.PATH.read_bytes()
+
+    def test_loads_back(self):
+        params, cfg, meta = checkpoint_load(self.PATH)
+        assert cfg == self.CFG and meta == self.META
+        fresh = init_params(self.CFG).named_parameters()
+        loaded = params.named_parameters()
+        assert list(loaded) == list(fresh)
+        for name, t in loaded.items():
+            assert t.data.tobytes() == fresh[name].data.tobytes(), name
 
 
 class TestCheckpointFuzz:

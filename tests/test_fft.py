@@ -76,3 +76,13 @@ class TestRealDftMatrices:
         np.testing.assert_array_equal(mr, full.real)
         np.testing.assert_array_equal(mi, full.imag)
         assert not mr.flags.writeable and not mi.flags.writeable
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_parts_are_orthogonal_halves_of_identity(self, n):
+        # M = Mr + i Mi is symmetric and unitary, and M^2 is real, so
+        # Mr^2 + Mi^2 = I and Mr Mi = 0; circular_autocorr's adjoint rests
+        # on both
+        mr, mi = fft.real_dft_matrices(n)
+        np.testing.assert_allclose(mr @ mr + mi @ mi, np.eye(n),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mr @ mi, 0.0, rtol=0, atol=1e-12)

@@ -1,5 +1,6 @@
 """Model assembly: config validation, init, forward contract, ablations."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import dctnet.model as model_module
 from dctnet.numeric_engine import Tensor
 from dctnet.errors import ConfigError, ContractError, DataError
 from dctnet.model import (ABLATION_STAGES, ModelConfig, ablation_variant,
-                          forward, init_params, param_shapes)
+                          forward, init_params)
 
 from helpers import tiny_configs
 
@@ -20,6 +21,28 @@ def micro_config(**overrides):
                 latent_dim=8, heads=2, seed=3)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def shapes(cfg):
+    return {k: t.shape for k, t in init_params(cfg).named_parameters().items()}
+
+
+def size(cfg):
+    return sum(t.data.size
+               for t in init_params(cfg).named_parameters().values())
+
+
+def tree_tensors(node):
+    """Every Tensor reachable from a params dataclass, in field order."""
+    if isinstance(node, Tensor):
+        yield node
+    elif isinstance(node, list):
+        for item in node:
+            yield from tree_tensors(item)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            if f.name != "registry":
+                yield from tree_tensors(getattr(node, f.name))
 
 
 class TestConfig:
@@ -97,14 +120,35 @@ class TestInit:
         assert a.embed.weight.data.tobytes() != b.embed.weight.data.tobytes()
 
     def test_shapes_match_declaration(self):
-        cfg = micro_config(depth=2)
+        # the checkpoint contract, spelled out apart from init_params
+        c, p, d, n, t = 2, 4, 8, 2, 4
+        attn = [(f"{kind}{x}", (d, d) if kind == "w" else (d,))
+                for x in "qkvo" for kind in "wb"]
+        norm = [("gain", (d,)), ("bias", (d,))]
+        expected = [("revin.gamma", (c,)), ("revin.beta", (c,)),
+                    ("embed.weight", (p, d)), ("embed.bias", (d,)),
+                    ("embed.pos", (n, d))]
+        for i in range(2):
+            expected += [(f"blocks.{i}.temporal.{k}", v)
+                         for k, v in [("w_time", (n, n))] + norm]
+            for branch in ("channel", "global"):
+                expected += [(f"blocks.{i}.{branch}.{k}", v)
+                             for k, v in attn + norm]
+        expected += [("head.weight", (n * d, t)), ("head.bias", (t,))]
+        registry = init_params(micro_config(depth=2)).named_parameters()
+        assert [(k, v.shape) for k, v in registry.items()] == expected
+        assert all(v.requires_grad for v in registry.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=tiny_configs())
+    def test_registry_is_the_tree(self, cfg):
         params = init_params(cfg)
+        tree = list(tree_tensors(params))
         registry = params.named_parameters()
-        shapes = param_shapes(cfg)
-        assert set(registry) == set(shapes)
-        for name, t in registry.items():
-            assert t.shape == shapes[name], name
-            assert t.requires_grad
+        assert len({id(t) for t in tree}) == len(tree) == len(registry)
+        assert {id(t) for t in tree} == {id(t) for t in registry.values()}
+        registry.clear()
+        assert len(params.named_parameters()) == len(tree)
 
     def test_micro_parameter_count(self):
         # revin 4 + embed (32+8+16) + temporal (4+16) + channel (4*72+16)
@@ -113,14 +157,14 @@ class TestInit:
         n, d, p, t, c = 2, 8, 4, 4, 2
         expected = (2 * c) + (p * d + d + n * d) + (n * n + 2 * d) \
             + (4 * (d * d + d) + 2 * d) * 2 + (n * d * t + t)
-        assert init_params(cfg).count() == expected == 756
+        assert size(cfg) == expected == 756
 
     def test_default_parameter_count(self):
         cfg = ModelConfig(channels=7)
         n, d, p, t, c = 11, 64, 16, 96, 7
         expected = (2 * c) + (p * d + d + n * d) + (n * n + 2 * d) \
             + (4 * (d * d + d) + 2 * d) * 2 + (n * d * t + t)
-        assert init_params(cfg).count() == expected == 103271
+        assert size(cfg) == expected == 103271
 
     def test_norms_start_at_identity(self):
         params = init_params(micro_config())
@@ -237,7 +281,8 @@ class TestAblationVariant:
 
     def test_shapes_unchanged(self):
         cfg = micro_config()
-        assert param_shapes(cfg) == param_shapes(ablation_variant(cfg, "gpaf"))
+        for which in ABLATION_STAGES:
+            assert shapes(cfg) == shapes(ablation_variant(cfg, which))
 
     def test_variants_change_output(self):
         cfg = micro_config()

@@ -291,6 +291,18 @@ class TestPrimitiveGradients:
         x0 = rng.random((5,)) + 0.5
         check_gradients(lambda t: engine.reduce_sum(engine.sqrt(t)), x0)
 
+    def test_sqrt_grad_is_zero_at_zero(self):
+        # unbounded at 0, so the adjoint takes 0 there; elsewhere it is
+        # g * 0.5 / sqrt(x) to the bit
+        x0 = np.array([0.0, 0.25, 2.0, 0.0, 1e-300])
+        g = np.array([1.5, -2.0, 3.0, 0.0, 1.0])
+        x = Tensor(x0, requires_grad=True)
+        with Tape() as tape:
+            backward(engine.reduce_sum(engine.mul(engine.sqrt(x), g)), tape)
+        nz = x0 != 0.0
+        assert np.all(x.grad[~nz] == 0.0)
+        assert x.grad[nz].tobytes() == (g[nz] * 0.5 / np.sqrt(x0[nz])).tobytes()
+
     def test_gelu(self):
         rng = np.random.default_rng(3)
         check_gradients(lambda t: engine.reduce_sum(engine.gelu(t)),

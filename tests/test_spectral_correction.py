@@ -1,5 +1,7 @@
 """Spectral correction: autocorrelations, the factor alpha, and its bypass."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +88,21 @@ class TestCorrectionFactor:
         zero = Tensor(np.zeros((1, 2, 8, 3)))
         alpha = correction_factor(zero, zero, CorrectionConfig())
         np.testing.assert_array_equal(alpha.data, 0.0)
+
+    def test_all_zero_prediction_gives_finite_grads(self):
+        # alpha = 0 sits where d sqrt is unbounded; the backward through it
+        # must neither warn nor hand NaN to the features
+        x0 = np.random.default_rng(13).standard_normal((1, 1, 4, 2))
+        h = Tensor(np.zeros((1, 1, 4, 2)), requires_grad=True)
+        x = Tensor(x0, requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with Tape() as tape:
+                out, diag = apply_correction(h, x, CorrectionConfig())
+                backward(engine.reduce_sum(out), tape)
+        np.testing.assert_array_equal(diag.alpha.data, 0.0)
+        np.testing.assert_array_equal(h.grad, 0.0)
+        np.testing.assert_array_equal(x.grad, 0.0)
 
     def test_zero_prediction_gives_zero(self):
         rng = np.random.default_rng(11)
