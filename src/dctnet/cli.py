@@ -307,6 +307,11 @@ def cmd_eval(args) -> int:
 def cmd_forecast(args) -> int:
     params, cfg, _metadata, table, stats, _split = _load_eval_inputs(args)
     rows = table.rows
+    if rows < cfg.seq_len:
+        raise DataError(
+            f"data has {rows} rows; a forecast needs at least seq_len = "
+            f"{cfg.seq_len}"
+        )
     if args.origin is not None:
         origin = args.origin
     elif rows >= cfg.seq_len + cfg.pred_len:

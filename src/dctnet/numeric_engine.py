@@ -365,25 +365,8 @@ def extract_patches(x: Tensor, patch_len: int, stride: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalisation, activation over slices, stochastic regularisation
+# normalisation and stochastic regularisation
 # ---------------------------------------------------------------------------
-
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Stable softmax over the last axis; rows are nonnegative and sum to 1."""
-    x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = _wrap(y, False)
-
-    def bw():
-        if x.requires_grad:
-            g = out.grad
-            x.accumulate_grad(y * (g - (g * y).sum(axis=-1, keepdims=True)))
-
-    _record((x,), out, bw)
-    return out
-
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-last-axis standardisation (biased variance) with affine gain/bias.
@@ -421,17 +404,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-def dropout(x: Tensor, p: float, training: bool,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
+def _dropout_mask(shape: tuple, p: float, training: bool,
+                  rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
+    """Keep mask rng.random(shape) >= p, or None when dropout is off."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        return x
+        return None
     if rng is None:
         raise ConfigError("dropout with p > 0 in training mode needs an rng")
+    return rng.random(shape) >= p
+
+
+def dropout(x: Tensor, p: float, training: bool,
+            rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
     x = _as_tensor(x)
-    keep = (rng.random(x.data.shape) >= p)
+    keep = _dropout_mask(x.data.shape, p, training, rng)
+    if keep is None:
+        return x
     scale = 1.0 / (1.0 - p)
     out = _wrap(x.data * keep * scale, False)
 
@@ -505,18 +496,6 @@ class AttentionParams:
     bo: Tensor
 
 
-def _split_heads(t: Tensor, heads: int) -> Tensor:
-    *lead, s, d = t.shape
-    t = reshape(t, (*lead, s, heads, d // heads))
-    return swapaxes(t, -3, -2)                        # [..., heads, S, dh]
-
-
-def _merge_heads(t: Tensor) -> Tensor:
-    t = swapaxes(t, -3, -2)                           # [..., S, heads, dh]
-    *lead, s, h, dh = t.shape
-    return reshape(t, (*lead, s, h * dh))
-
-
 def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
                          dropout_p: float = 0.0, training: bool = False,
                          rng: Optional[np.random.Generator] = None,
@@ -527,18 +506,81 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
     batch.  Dropout, when active, is applied to the attention probabilities.
     With ``return_weights`` the pre-dropout weights [..., heads, S, S] come
     back as a plain array alongside the output.
+
+    One tape node over ``x`` and the eight projections.  With p the
+    probabilities, pd their dropped-out form and gc the context grad, the
+    values get pdᵀ gc; gp = gc vᵀ, masked and rescaled, passes through the
+    softmax VJP gs = p * (gp - sum(gp * p)) and the 1/sqrt(dh) scale, and
+    the queries and keys get gs k and gsᵀ q.  Each weight grad is one GEMM
+    over the collapsed leading axes.
     """
-    d = x.shape[-1]
+    x = _as_tensor(x)
+    *lead, s, d = x.data.shape
     if d % heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {heads} heads")
-    q = _split_heads(add(matmul(x, params.wq), params.bq), heads)
-    k = _split_heads(add(matmul(x, params.wk), params.bk), heads)
-    v = _split_heads(add(matmul(x, params.wv), params.bv), heads)
-    scale = 1.0 / math.sqrt(d // heads)
-    scores = mul(matmul(q, swapaxes(k, -1, -2)), scale)
-    weights = softmax_lastdim(scores)
-    ctx = matmul(dropout(weights, dropout_p, training, rng), v)
-    out = add(matmul(_merge_heads(ctx), params.wo), params.bo)
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    wq, bq, wk, bk = params.wq, params.bq, params.wk, params.bk
+    wv, bv, wo, bo = params.wv, params.bv, params.wo, params.bo
+    x2 = x.data.reshape(-1, d)
+
+    def split(a):                                     # [M, D] -> [..., H, S, dh]
+        return a.reshape(*lead, s, heads, dh).swapaxes(-3, -2)
+
+    def merge(a):                                     # [..., H, S, dh] -> [M, D]
+        return a.swapaxes(-3, -2).reshape(-1, d)
+
+    def project(w, b):
+        a = x2 @ w.data
+        a += b.data
+        return split(a)
+
+    q, k, v = project(wq, bq), project(wk, bk), project(wv, bv)
+    # scores, then softmax in place: [..., H, S, S]
+    p = q @ k.swapaxes(-1, -2)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    weights = p.copy() if return_weights else None
+    keep = _dropout_mask(p.shape, dropout_p, training, rng)
+    pd = p
+    if keep is not None:
+        pd = p * keep
+        pd *= 1.0 / (1.0 - dropout_p)
+    merged = merge(pd @ v)
+    y = merged @ wo.data
+    y += bo.data
+    out = _wrap(y.reshape(x.data.shape), False)
+
+    def bw():
+        g = out.grad
+        g2 = g.reshape(-1, d)
+        if wo.requires_grad:
+            wo.accumulate_grad(merged.T @ g2)
+        if bo.requires_grad:
+            bo.accumulate_grad(_unbroadcast(g, bo.data.shape))
+        gc = split(g2 @ wo.data.T)
+        gv = pd.swapaxes(-1, -2) @ gc
+        gp = gc @ v.swapaxes(-1, -2)
+        if keep is not None:
+            gp *= keep
+            gp *= 1.0 / (1.0 - dropout_p)
+        gp -= (gp * p).sum(axis=-1, keepdims=True)
+        gp *= p
+        gp *= scale
+        gq = gp @ k
+        gk = (q.swapaxes(-1, -2) @ gp).swapaxes(-1, -2)
+        for gh, w, b in ((gv, wv, bv), (gk, wk, bk), (gq, wq, bq)):
+            gh = merge(gh)
+            if w.requires_grad:
+                w.accumulate_grad(x2.T @ gh)
+            if b.requires_grad:
+                b.accumulate_grad(_unbroadcast(gh.reshape(x.data.shape), b.data.shape))
+            if x.requires_grad:
+                x.accumulate_grad((gh @ w.data.T).reshape(x.data.shape))
+
+    _record((x, wq, bq, wk, bk, wv, bv, wo, bo), out, bw)
     if return_weights:
-        return out, weights.data.copy()
+        return out, weights
     return out

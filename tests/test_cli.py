@@ -290,6 +290,20 @@ class TestForecast:
         assert code == 2
         assert "origin" in capsys.readouterr().err
 
+    def test_fewer_rows_than_seq_len_exit_2(self, trained, workdir, capsys):
+        short = workdir / "short.csv"
+        assert run(["synth", "--kind", "sine", "--rows", "30",
+                    "--channels", "2", "--out", str(short)])[0] == 0
+        capsys.readouterr()
+        code, _ = run(["forecast",
+                       "--checkpoint",
+                       str(trained["out"] / "checkpoint.dct"),
+                       "--data", str(short)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data has 30 rows" in err
+        assert "at least seq_len = 48" in err
+
     def test_out_file_written(self, trained, workdir):
         dest = workdir / "fc.csv"
         code, stdout = run(["forecast",

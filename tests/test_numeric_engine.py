@@ -1,13 +1,16 @@
 """Differentiation engine: primitive forwards, adjoints, and tape semantics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dctnet import numeric_engine as engine
 from dctnet.numeric_engine import AttentionParams, Tape, Tensor, backward
 from dctnet.errors import ConfigError, ContractError
 
-from helpers import check_gradients, check_gradients_jointly
+from helpers import check_gradients, check_gradients_jointly, oracle_attention
 
 
 class TestTensorBasics:
@@ -62,22 +65,6 @@ class TestForwardValues:
     def test_gelu_saturates(self):
         out = engine.gelu(Tensor([10.0]))
         assert abs(out.data[0] - 10.0) < 1e-9
-
-    def test_softmax_known_row(self):
-        out = engine.softmax_lastdim(Tensor([0.0, np.log(2.0)]))
-        np.testing.assert_allclose(out.data, [1 / 3, 2 / 3], atol=1e-12)
-
-    def test_softmax_rows_stochastic(self):
-        rng = np.random.default_rng(0)
-        out = engine.softmax_lastdim(Tensor(rng.standard_normal((4, 5, 6)) * 50))
-        assert np.all(out.data >= 0)
-        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
-
-    def test_softmax_shift_invariant(self):
-        x = np.array([1.0, 2.0, 3.0])
-        a = engine.softmax_lastdim(Tensor(x)).data
-        b = engine.softmax_lastdim(Tensor(x + 500.0)).data
-        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_layer_norm_known(self):
         g = Tensor(np.ones(3))
@@ -311,14 +298,6 @@ class TestPrimitiveGradients:
     def test_relu_away_from_kink(self):
         x0 = np.array([-2.0, -1.0, 0.5, 1.0, 3.0])
         check_gradients(lambda t: engine.reduce_sum(engine.mul(engine.relu(t), t)), x0)
-
-    def test_softmax(self):
-        rng = np.random.default_rng(4)
-        x0 = rng.standard_normal((2, 5))
-        c = rng.standard_normal((2, 5))
-        check_gradients(
-            lambda t: engine.reduce_sum(engine.mul(engine.softmax_lastdim(t), Tensor(c))),
-            x0)
 
     def test_layer_norm(self):
         rng = np.random.default_rng(5)
@@ -591,3 +570,115 @@ class TestAttention:
             return engine.reduce_sum(engine.mul(y, Tensor(c)))
 
         check_gradients(loss, wq0, rtol=1e-4, atol=1e-6)
+
+    def test_records_one_node(self):
+        rng = np.random.default_rng(76)
+        p = self._params(8, rng)
+        x = Tensor(rng.standard_normal((2, 3, 5, 8)), requires_grad=True)
+        with Tape() as tape:
+            engine.multi_head_attention(x, p, heads=2, dropout_p=0.5,
+                                        training=True, rng=rng)
+        assert len(tape) == 1
+
+    def test_bad_dropout_rejected(self):
+        rng = np.random.default_rng(77)
+        p = self._params(8, rng)
+        x = Tensor(rng.standard_normal((1, 4, 8)))
+        with pytest.raises(ConfigError, match="dropout probability"):
+            engine.multi_head_attention(x, p, heads=2, dropout_p=1.0)
+        with pytest.raises(ConfigError, match="needs an rng"):
+            engine.multi_head_attention(x, p, heads=2, dropout_p=0.5,
+                                        training=True)
+
+    def test_weights_known_row(self):
+        # one head of width 1 with q = x and k = x - 1: the first token
+        # (x = 1) scores the two keys [0, log 2] and weighs them 1/3, 2/3
+        one, zero = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
+        p = AttentionParams(one, zero, one, Tensor(-np.ones(1)), one, zero,
+                            one, zero)
+        x = Tensor(np.array([[1.0], [1.0 + np.log(2.0)]]))
+        _, w = engine.multi_head_attention(x, p, heads=1, return_weights=True)
+        np.testing.assert_allclose(w[0, 0], [1 / 3, 2 / 3], rtol=0, atol=1e-12)
+
+    def test_weights_stochastic_at_large_scores(self):
+        rng = np.random.default_rng(78)
+        p = dataclasses.replace(self._params(8, rng), bq=Tensor(np.zeros(8)),
+                                bk=Tensor(np.zeros(8)))
+        x = rng.standard_normal((3, 6, 8))
+
+        def peak_score(x):
+            q = (x @ p.wq.data).reshape(3, 6, 2, 4).swapaxes(1, 2)
+            k = (x @ p.wk.data).reshape(3, 6, 2, 4).swapaxes(1, 2)
+            return np.abs(q @ k.swapaxes(-1, -2)).max() / 2.0
+
+        # with no query or key bias the scores scale as the square of x
+        x *= np.sqrt(500.0 / peak_score(x))
+        assert peak_score(x) == pytest.approx(500.0)
+        _, w = engine.multi_head_attention(Tensor(x), p, heads=2,
+                                           return_weights=True)
+        assert np.all(np.isfinite(w))
+        assert np.all(w >= 0)
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(shift=st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8))
+    def test_weights_invariant_to_key_bias(self, shift):
+        # q . (k + shift) moves every score of one query row by q . shift
+        rng = np.random.default_rng(79)
+        p = self._params(8, rng)
+        x = Tensor(rng.standard_normal((2, 5, 8)))
+        _, before = engine.multi_head_attention(x, p, heads=2,
+                                                return_weights=True)
+        shifted = dataclasses.replace(p, bk=Tensor(p.bk.data + np.array(shift)))
+        _, after = engine.multi_head_attention(x, shifted, heads=2,
+                                               return_weights=True)
+        np.testing.assert_allclose(after, before, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_output_matches_oracle(self, heads):
+        rng = np.random.default_rng(80)
+        p = self._params(8, rng)
+        x = rng.standard_normal((2, 3, 5, 8))
+        out = engine.multi_head_attention(Tensor(x), p, heads=heads).data
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(out[idx],
+                                       oracle_attention(x[idx], p, heads),
+                                       rtol=0, atol=1e-12)
+
+    def test_dropout_mask_is_the_next_draw(self):
+        # the mask is rng.random(weights.shape) >= p, drawn after nothing else
+        rng = np.random.default_rng(81)
+        p = self._params(4, rng)
+        x = rng.standard_normal((3, 5, 4))
+        out, w = engine.multi_head_attention(
+            Tensor(x), p, heads=2, dropout_p=0.4, training=True,
+            rng=np.random.default_rng(9), return_weights=True)
+        keep = np.random.default_rng(9).random(w.shape) >= 0.4
+        v = (x @ p.wv.data + p.bv.data).reshape(3, 5, 2, 2).swapaxes(1, 2)
+        ctx = (w * keep / 0.6) @ v
+        expected = ctx.swapaxes(1, 2).reshape(3, 5, 4) @ p.wo.data + p.bo.data
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.integers(1, 4), heads=st.integers(1, 2), dh=st.integers(1, 2),
+           lead=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+           dropout=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_gradients_match_central_differences(self, s, heads, dh, lead,
+                                                 dropout, seed):
+        rng = np.random.default_rng(seed)
+        d = heads * dh
+        arrays = [rng.standard_normal((*lead, s, d))]
+        for _ in range(4):
+            arrays += [rng.standard_normal((d, d)) * 0.5,
+                       rng.standard_normal(d) * 0.2]
+        c = Tensor(rng.standard_normal((*lead, s, d)))
+
+        def loss(x, *weights):
+            # a fresh rng per evaluation draws the same dropout mask each time
+            y = engine.multi_head_attention(
+                x, AttentionParams(*weights), heads,
+                dropout_p=0.5 if dropout else 0.0, training=True,
+                rng=np.random.default_rng(seed))
+            return engine.reduce_sum(engine.mul(y, c))
+
+        check_gradients_jointly(loss, arrays)

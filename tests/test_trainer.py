@@ -1,17 +1,23 @@
 """Loss, Adam optimizer, gradient clipping, and the fit/evaluate loop."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dctnet import trainer
 from dctnet.numeric_engine import Tape, Tensor, backward
-from dctnet.data_io import (NormStats, WindowedDataset, compute_stats,
-                            make_windows, synth_series)
+from dctnet.data_io import (NormStats, WindowedDataset, checkpoint_save,
+                            compute_stats, make_windows, synth_series)
 from dctnet.errors import ConfigError, ContractError, DataError, TrainingError
 from dctnet.model import ModelConfig, forward, init_params
 from dctnet.trainer import (OptimizerState, TrainSettings, adam_step,
                             clip_global_norm, evaluate, fit, mae_metric,
                             mse_loss)
+
+from helpers import tiny_configs
 
 
 def micro_config(**overrides):
@@ -183,6 +189,23 @@ class TestFit:
                     log=lambda m: None)
         assert r1.train_loss == r2.train_loss
         assert r1.val_mse == r2.val_mse
+
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=tiny_configs(), seed=st.integers(0, 2**16))
+    def test_same_seed_same_checkpoint_bytes(self, cfg, seed):
+        train = tiny_dataset(6, seed=1, cfg=cfg)
+        val = tiny_dataset(2, seed=2, cfg=cfg)
+        train_settings = TrainSettings(lr=1e-2, epochs=2, batch_size=4,
+                                       patience=2, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            files = []
+            for run in range(2):
+                params, _ = fit(init_params(cfg), cfg, train, val,
+                                train_settings, log=lambda m: None)
+                path = Path(tmp) / f"run{run}.dct"
+                checkpoint_save(params, cfg, path, metadata={"seed": seed})
+                files.append(path.read_bytes())
+        assert files[0] == files[1]
 
     def test_empty_train_set_rejected(self):
         cfg = micro_config()
