@@ -8,7 +8,8 @@ output (reports as JSON, forecasts as CSV) goes to standard output or the
 Settings resolve in precedence order: flags, then environment (DCTNET_SEED
 and DCTNET_LOG only), then the --config JSON file, then defaults.  The
 config file has optional sections "model", "train", "data", and a "seed"
-key; every field is optional.
+key; every field is optional.  The top-level "seed" (or --seed) is the one
+run seed: it seeds initialisation, shuffling and dropout alike.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .trainer import TrainSettings, evaluate, fit
 logger = logging.getLogger("dctnet")
 
 _JSON_KW = dict(sort_keys=True, indent=2)
+_DATA_KEYS = {"path", "ratios", "preset", "window_stride"}
 
 
 def _emit_json(payload: dict, out_path: Optional[Path] = None) -> None:
@@ -81,6 +83,20 @@ def _load_config_file(path: Optional[str]) -> dict:
     unknown = set(cfg) - {"model", "train", "data", "seed"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for name in ("model", "train", "data"):
+        section = cfg.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be a JSON "
+                              f"object, got {type(section).__name__}")
+        if name != "data" and "seed" in section:
+            raise ConfigError(f"{name}.seed is not a setting; the run seed "
+                              f"is the top-level \"seed\" or --seed")
+    data = cfg.get("data", {})
+    unknown = set(data) - _DATA_KEYS
+    if unknown:
+        raise ConfigError(f"unknown data settings: {sorted(unknown)}")
+    if not isinstance(data.get("path", ""), str):
+        raise ConfigError(f"data.path must be a string, got {data['path']!r}")
     return cfg
 
 
@@ -107,7 +123,7 @@ def _resolve_ratios(args, file_cfg: dict) -> tuple[float, float, float]:
         return tuple(finite_number("data.ratios", v) for v in r)
     if "preset" in data_section:
         preset = data_section["preset"]
-        if preset not in SPLIT_PRESETS:
+        if not isinstance(preset, str) or preset not in SPLIT_PRESETS:
             raise ConfigError(
                 f"unknown preset {preset!r}; choose from "
                 f"{sorted(SPLIT_PRESETS)}"

@@ -1,9 +1,10 @@
 """Data ingestion, windowing, synthesis, and checkpoint persistence.
 
 CSV tables come in with an optional header and an optional leading
-timestamp column; numeric columns become channels.  Splits are
-chronological, standardisation statistics come from the train split only,
-and sliding windows pair an L-step history with the T steps after it.
+timestamp column, which is skipped; numeric columns become channels.
+Splits are chronological, standardisation statistics come from the train
+split only, and sliding windows pair an L-step history with the T steps
+after it.
 Checkpoints are a single self-describing binary file: magic, version,
 JSON header, then named float64 tensors.  Files are written through
 ``atomic_write``, so a failed write leaves the previous file in place.
@@ -56,11 +57,10 @@ def atomic_write(path, binary: bool = False, **open_kwargs) -> Iterator[IO]:
 
 @dataclass
 class SeriesTable:
-    """One multivariate series: [rows, C] values plus column bookkeeping."""
+    """One multivariate series: [rows, C] values plus channel names."""
 
     values: np.ndarray
     channel_names: list[str]
-    timestamps: Optional[list[str]] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -116,14 +116,12 @@ def _parse_cell(text: str) -> Optional[float]:
     return v
 
 
-def load_csv(path, has_header: Optional[bool] = None,
-             timestamp_col: Optional[bool] = None) -> SeriesTable:
+def load_csv(path) -> SeriesTable:
     """Read a comma-separated series; channels are the numeric columns.
 
-    ``has_header`` and ``timestamp_col`` default to auto-detection: a first
-    row with no numeric cell is a header, and a non-numeric first cell in
-    the first data row marks a leading timestamp column.  Pass booleans to
-    override either guess.
+    A first row with no numeric cell is a header, and a non-numeric first
+    cell in the first data row marks a leading timestamp column, which is
+    skipped.
     """
     path = Path(path)
     if not path.exists():
@@ -142,25 +140,18 @@ def load_csv(path, has_header: Optional[bool] = None,
                 f"ragged row {i + 1}: {len(row)} cells, expected {width}"
             )
 
-    if has_header is None:
-        has_header = all(_parse_cell(c) is None for c in rows[0])
-    header = rows[0] if has_header else None
+    has_header = all(_parse_cell(c) is None for c in rows[0])
     data_rows = rows[1:] if has_header else rows
     if not data_rows:
         raise DataError(f"no data rows in {path}")
 
-    if timestamp_col is None:
-        timestamp_col = _parse_cell(data_rows[0][0]) is None
-    first_channel = 1 if timestamp_col else 0
+    first_channel = 1 if _parse_cell(data_rows[0][0]) is None else 0
     if width - first_channel < 1:
         raise DataError(f"no numeric columns in {path}")
 
     values = np.empty((len(data_rows), width - first_channel))
-    timestamps = [] if timestamp_col else None
     header_offset = 2 if has_header else 1
     for i, row in enumerate(data_rows):
-        if timestamp_col:
-            timestamps.append(row[0])
         for j, cell in enumerate(row[first_channel:]):
             v = _parse_cell(cell)
             if v is None or not np.isfinite(v):
@@ -170,25 +161,20 @@ def load_csv(path, has_header: Optional[bool] = None,
                 )
             values[i, j] = v
 
-    if header is not None:
-        names = [c.strip() for c in header[first_channel:]]
+    if has_header:
+        names = [c.strip() for c in rows[0][first_channel:]]
     else:
         names = [f"ch{j}" for j in range(width - first_channel)]
-    return SeriesTable(values=values, channel_names=names, timestamps=timestamps)
+    return SeriesTable(values=values, channel_names=names)
 
 
 def save_csv(table: SeriesTable, path) -> None:
     """Write a table with header; float cells use repr for exact round-trips."""
     with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if table.timestamps is not None:
-            writer.writerow(["date"] + table.channel_names)
-            for ts, row in zip(table.timestamps, table.values):
-                writer.writerow([ts] + [repr(float(v)) for v in row])
-        else:
-            writer.writerow(table.channel_names)
-            for row in table.values:
-                writer.writerow([repr(float(v)) for v in row])
+        writer.writerow(table.channel_names)
+        for row in table.values:
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def split_chronological(table: SeriesTable, ratios: tuple[float, float, float],
@@ -214,10 +200,8 @@ def split_chronological(table: SeriesTable, ratios: tuple[float, float, float],
                 f"{name} split has {hi - lo} rows, needs at least "
                 f"{max(min_rows, 1)}"
             )
-        ts = table.timestamps[lo:hi] if table.timestamps is not None else None
         parts.append(SeriesTable(values=table.values[lo:hi],
-                                 channel_names=list(table.channel_names),
-                                 timestamps=ts))
+                                 channel_names=list(table.channel_names)))
     return tuple(parts)
 
 

@@ -23,8 +23,7 @@ from .dual_branch import ChannelBranchParams, TemporalBranchParams, \
 from .errors import ConfigError, ContractError, DataError, finite_number, \
     whole_number
 from .global_fusion import GlobalFusionParams, global_patch_attention
-from .patch_embed import PatchEmbedParams, compute_num_patches, \
-    embed_patches, segment_patches
+from .patch_embed import PatchEmbedParams, embed_patches, segment_patches
 from .revin import RevINParams, revin_denormalize, revin_normalize
 from .rng import make_rng
 from .spectral_correction import CorrectionConfig, SpectralDiagnostics, \
@@ -90,6 +89,9 @@ class ModelConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+        if self.latent_dim < 2:
+            # a norm over one feature outputs its bias, whatever its input
+            raise ConfigError(f"latent_dim must be >= 2, got {self.latent_dim}")
         if self.patch_len > self.seq_len:
             raise ConfigError(
                 f"patch_len {self.patch_len} exceeds seq_len {self.seq_len}"
@@ -111,12 +113,11 @@ class ModelConfig:
 
     @property
     def num_patches(self) -> int:
-        return compute_num_patches(self.seq_len, self.patch_len, self.stride)
+        """Full patches per window: floor((L - P) / S) + 1."""
+        return (self.seq_len - self.patch_len) // self.stride + 1
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["correction"] = dataclasses.asdict(self.correction)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -240,11 +241,7 @@ class Forecast:
 def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
             rng: Optional[np.random.Generator] = None) -> Forecast:
     """Run one batch of windows [B, L, C] through the whole pipeline."""
-    if not isinstance(x, Tensor):
-        arr = np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise DataError("input window contains NaN/Inf")
-        x = Tensor(arr)
+    x = engine._as_tensor(x)
     if not np.all(np.isfinite(x.data)):
         raise DataError("input window contains NaN/Inf")
     if x.ndim != 3 or x.shape[1] != cfg.seq_len or x.shape[2] != cfg.channels:

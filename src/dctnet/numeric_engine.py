@@ -247,34 +247,24 @@ def gelu(a: Tensor) -> Tensor:
 # reductions and shape ops
 # ---------------------------------------------------------------------------
 
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a: Tensor, axis=None) -> Tensor:
+    """Sum over ``axis``, which stays as extent 1; over everything when None."""
     a = _as_tensor(a)
-    out = _wrap(a.data.sum(axis=axis, keepdims=keepdims), False)
+    out = _wrap(a.data.sum(axis=axis, keepdims=axis is not None), False)
 
     def bw():
-        if not a.requires_grad:
-            return
-        g = out.grad
-        if axis is not None and not keepdims:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            for ax in sorted(ax % a.data.ndim for ax in axes):
-                g = np.expand_dims(g, ax)
-        a.accumulate_grad(np.broadcast_to(g, a.data.shape))
+        if a.requires_grad:
+            a.accumulate_grad(np.broadcast_to(out.grad, a.data.shape))
 
     _record((a,), out, bw)
     return out
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(a: Tensor, axis=None) -> Tensor:
+    """Mean over ``axis``, which stays as extent 1; over everything when None."""
     a = _as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = 1
-        for ax in axes:
-            count *= a.data.shape[ax]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    total = reduce_sum(a, axis=axis)
+    return mul(total, 1.0 / (a.data.size // total.data.size))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -301,35 +291,26 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over the last two axes."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
+def matmul(a: Tensor, w: Tensor) -> Tensor:
+    """[..., K] @ [K, M]: every leading axis of ``a`` is batch, ``w`` is shared."""
+    a, w = _as_tensor(a), _as_tensor(w)
+    if w.data.ndim != 2 or a.data.shape[-1:] != w.data.shape[:1]:
         raise ContractError(
-            f"matmul expects operands of rank >= 2, got {a.data.shape} and {b.data.shape}"
+            f"matmul expects [..., K] @ [K, M], got {a.data.shape} and "
+            f"{w.data.shape}"
         )
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ContractError(
-            f"matmul inner extents differ: {a.data.shape} vs {b.data.shape}"
-        )
-    out = _wrap(np.matmul(a.data, b.data), False)
+    out = _wrap(np.matmul(a.data, w.data), False)
 
     def bw():
         g = out.grad
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a.accumulate_grad(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            if b.data.ndim == 2:
-                # shared weight: one GEMM over the collapsed leading axes
-                k, m = b.data.shape
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
-            else:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
-                                  b.data.shape)
-            b.accumulate_grad(gb)
+            a.accumulate_grad(g @ w.data.T)
+        if w.requires_grad:
+            # one GEMM over the collapsed leading axes
+            k, m = w.data.shape
+            w.accumulate_grad(a.data.reshape(-1, k).T @ g.reshape(-1, m))
 
-    _record((a, b), out, bw)
+    _record((a, w), out, bw)
     return out
 
 

@@ -24,19 +24,6 @@ class PatchEmbedParams:
     pos: Tensor
 
 
-def compute_num_patches(seq_len: int, patch_len: int, stride: int) -> int:
-    """Number of full patches: floor((L - P) / S) + 1."""
-    if patch_len < 1:
-        raise ConfigError(f"patch_len must be >= 1, got {patch_len}")
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
-    if patch_len > seq_len:
-        raise ConfigError(
-            f"patch_len {patch_len} exceeds window length {seq_len}"
-        )
-    return (seq_len - patch_len) // stride + 1
-
-
 def segment_patches(x: Tensor, patch_len: int, stride: int) -> Tensor:
     """Cut [B, L, C] into raw patches [B, C, N, P] of length P, hop S."""
     return engine.extract_patches(x, patch_len, stride)

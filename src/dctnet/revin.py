@@ -50,10 +50,9 @@ def revin_normalize(x: Tensor, params: RevINParams,
         raise ConfigError(f"revin eps must be > 0, got {eps}")
     if x.ndim != 3:
         raise ConfigError(f"revin expects [B, L, C], got shape {x.shape}")
-    mean = engine.reduce_mean(x, axis=1, keepdims=True)
+    mean = engine.reduce_mean(x, axis=1)
     centered = engine.sub(x, mean)
-    var = engine.reduce_mean(engine.mul(centered, centered), axis=1,
-                             keepdims=True)
+    var = engine.reduce_mean(engine.mul(centered, centered), axis=1)
     std = engine.sqrt(engine.add(var, eps))
     state = RevINState(mean=mean, std=std)
     normed = engine.div(centered, std)

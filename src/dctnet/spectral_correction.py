@@ -73,10 +73,9 @@ def _diagnose(h_global: Tensor, x_patch: Tensor,
         )
     s_pred = power_autocorrelation(h_global)
     s_input = power_autocorrelation(x_patch)
-    num = engine.reduce_sum(engine.mul(s_pred, s_input), axis=_SERIES_AXES,
-                            keepdims=True)
+    num = engine.reduce_sum(engine.mul(s_pred, s_input), axis=_SERIES_AXES)
     energy = engine.reduce_sum(engine.mul(s_input, s_input),
-                               axis=_SERIES_AXES, keepdims=True)
+                               axis=_SERIES_AXES)
     den = engine.add(engine.mul(energy, 1.0 + cfg.eps), _TINY)
     return SpectralDiagnostics(alpha=engine.sqrt(engine.div(num, den)),
                                pred_autocorr=s_pred, input_autocorr=s_input)

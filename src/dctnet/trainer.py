@@ -10,7 +10,7 @@ seed, so a rerun reproduces the loss trajectory bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,15 +37,6 @@ def mse_loss(pred: Tensor, target) -> Tensor:
         )
     diff = engine.sub(pred, target)
     return engine.reduce_mean(engine.mul(diff, diff))
-
-
-def mae_metric(pred, target) -> float:
-    """Mean absolute error over every element; plain number."""
-    p = pred.data if isinstance(pred, Tensor) else np.asarray(pred)
-    t = target.data if isinstance(target, Tensor) else np.asarray(target)
-    if p.shape != t.shape:
-        raise ContractError(f"prediction shape {p.shape} != target shape {t.shape}")
-    return float(np.abs(p - t).mean())
 
 
 @dataclass
@@ -145,15 +136,9 @@ class TrainReport:
     def to_json_dict(self) -> dict:
         """Serializable view; wall-clock time is deliberately left out so
         identical runs serialize to identical bytes."""
-        return {
-            "train_loss": self.train_loss,
-            "val_mse": self.val_mse,
-            "val_mae": self.val_mae,
-            "best_epoch": self.best_epoch,
-            "epochs_run": self.epochs_run,
-            "seed": self.seed,
-            "config": self.config,
-        }
+        d = asdict(self)
+        del d["wall_clock_seconds"]
+        return d
 
 
 @dataclass

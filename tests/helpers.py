@@ -119,7 +119,10 @@ def rewrite_header(path, edit):
 
 @st.composite
 def tiny_configs(draw):
-    """Small valid ModelConfigs: every shape, depth and dropout field varies."""
+    """Small valid ModelConfigs: every shape, depth and dropout field varies.
+
+    latent_dim is at least 2, the smallest width a layer norm learns in.
+    """
     heads = draw(st.integers(1, 2))
     patch_len = draw(st.integers(1, 4))
     return ModelConfig(
@@ -127,7 +130,7 @@ def tiny_configs(draw):
         seq_len=draw(st.integers(patch_len, 10)),
         pred_len=draw(st.integers(1, 4)), patch_len=patch_len,
         stride=draw(st.integers(1, 4)),
-        latent_dim=heads * draw(st.integers(1, 3)), heads=heads,
+        latent_dim=heads * draw(st.integers(2 // heads, 3)), heads=heads,
         depth=draw(st.integers(1, 2)),
         dropout=draw(st.sampled_from([0.0, 0.1, 0.5])),
         seed=draw(st.integers(0, 2**16)))

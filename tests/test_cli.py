@@ -359,6 +359,14 @@ BAD_RUN_SETTINGS = {
                            "eps"),
     "correction_unknown_key": ({"model": {"correction": {"gamma": 1.0}}}, [],
                                "gamma"),
+    "data_not_object": ({"data": [1]}, [], "section 'data'"),
+    "model_not_object": ({"model": [1]}, [], "section 'model'"),
+    "train_not_object": ({"train": "x"}, [], "section 'train'"),
+    "data_unknown_key": ({"data": {"window_strid": 4}}, [], "window_strid"),
+    "path_number": ({"data": {"path": 5}}, [], "data.path"),
+    "preset_list": ({"data": {"preset": ["ett"]}}, [], "preset"),
+    "model_seed": ({"model": {"seed": 3}}, [], "model.seed"),
+    "train_seed": ({"seed": 1, "train": {"seed": 3}}, [], "train.seed"),
 }
 
 

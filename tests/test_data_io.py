@@ -30,8 +30,6 @@ class TestLoadCsv:
                      "2016-07-01 01:00:00,5.693,2.076\n")
         table = load_csv(p)
         assert table.channel_names == ["hufl", "mull"]
-        assert table.timestamps == ["2016-07-01 00:00:00",
-                                    "2016-07-01 01:00:00"]
         np.testing.assert_allclose(table.values,
                                    [[5.827, 2.009], [5.693, 2.076]])
 
@@ -40,15 +38,7 @@ class TestLoadCsv:
         p.write_text("1.0,2.0\n3.0,4.0\n")
         table = load_csv(p)
         assert table.channel_names == ["ch0", "ch1"]
-        assert table.timestamps is None
         assert table.rows == 2 and table.channels == 2
-
-    def test_explicit_flags_override_detection(self, tmp_path):
-        p = tmp_path / "c.csv"
-        p.write_text("10,1.5\n20,2.5\n")
-        table = load_csv(p, has_header=False, timestamp_col=True)
-        assert table.timestamps == ["10", "20"]
-        np.testing.assert_allclose(table.values, [[1.5], [2.5]])
 
     def test_bad_cell_named_by_position(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -66,11 +66,12 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("channels", 0), ("seq_len", 0), ("pred_len", 0), ("heads", 0),
         ("depth", 0), ("dropout", 1.0), ("dropout", -0.1),
-        ("revin_eps", 0.0),
+        ("revin_eps", 0.0), ("latent_dim", 1),
     ])
     def test_invalid_fields_rejected(self, field, value):
-        with pytest.raises(ConfigError):
-            micro_config(**{field: value})
+        # one head, so a latent_dim is never rejected for divisibility
+        with pytest.raises(ConfigError, match=field):
+            micro_config(**{"heads": 1, field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("dropout", float("nan")), ("dropout", "0.1"),
@@ -365,9 +366,7 @@ class TestModelGradient:
         params = init_params(cfg)
         registry = params.named_parameters()
         rng = np.random.default_rng(data_seed)
-        # move off the init point: norm biases start at 0, and with
-        # latent_dim 1 a norm's output is its bias, so the prediction
-        # features and alpha would sit at sqrt's kink at 0
+        # move off the symmetric init point (norm gains 1, biases 0)
         for t in registry.values():
             t.data += 0.1 * rng.standard_normal(t.shape)
         x = rng.standard_normal((2, cfg.seq_len, cfg.channels))

@@ -5,30 +5,32 @@ import pytest
 
 from dctnet.numeric_engine import Tensor
 from dctnet.errors import ConfigError
-from dctnet.patch_embed import (PatchEmbedParams, compute_num_patches,
-                                embed_patches, segment_patches)
+from dctnet.model import ModelConfig
+from dctnet.patch_embed import PatchEmbedParams, embed_patches, \
+    segment_patches
 
 
 class TestGeometry:
     def test_default_window_yields_eleven_patches(self):
-        assert compute_num_patches(96, 16, 8) == 11
+        assert ModelConfig(channels=1).num_patches == 11
 
     @pytest.mark.parametrize("l,p,s,n", [
         (8, 4, 4, 2), (96, 96, 1, 1), (10, 4, 4, 2), (10, 4, 1, 7),
         (100, 16, 8, 11), (104, 16, 8, 12),
     ])
     def test_count_formula(self, l, p, s, n):
-        assert compute_num_patches(l, p, s) == n
+        cfg = ModelConfig(channels=1, seq_len=l, patch_len=p, stride=s)
+        assert cfg.num_patches == n
+        x = Tensor(np.zeros((1, l, 1)))
+        assert segment_patches(x, p, s).shape[2] == n
 
     def test_patch_longer_than_window(self):
         with pytest.raises(ConfigError):
-            compute_num_patches(8, 16, 8)
+            segment_patches(Tensor(np.zeros((1, 8, 1))), 16, 8)
 
     def test_invalid_geometry_rejected(self):
         x = Tensor(np.zeros((1, 24, 1)))
         for p, s in ((0, 8), (16, 0), (-1, 8), (16, -2)):
-            with pytest.raises(ConfigError):
-                compute_num_patches(24, p, s)
             with pytest.raises(ConfigError):
                 segment_patches(x, p, s)
 

@@ -14,8 +14,7 @@ from dctnet.data_io import (NormStats, WindowedDataset, checkpoint_save,
 from dctnet.errors import ConfigError, ContractError, DataError, TrainingError
 from dctnet.model import ModelConfig, forward, init_params
 from dctnet.trainer import (OptimizerState, TrainSettings, adam_step,
-                            clip_global_norm, evaluate, fit, mae_metric,
-                            mse_loss)
+                            clip_global_norm, evaluate, fit, mse_loss)
 
 from helpers import tiny_configs
 
@@ -41,20 +40,17 @@ class TestLosses:
         p = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         t = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert mse_loss(p, t).data == 0.0
-        assert mae_metric(p.data, t) == 0.0
 
     def test_unit_offset(self):
         p = Tensor(np.array([0.0, 0.0]))
         t = np.array([1.0, 1.0])
         assert mse_loss(p, t).data == 1.0
-        assert mae_metric(p.data, t) == 1.0
 
     def test_hand_case(self):
         p = Tensor(np.array([1.0, 3.0]))
         t = np.array([2.0, 5.0])
-        # errors -1, -2 -> mse (1+4)/2, mae (1+2)/2
+        # errors -1, -2 -> mse (1+4)/2
         assert mse_loss(p, t).data == pytest.approx(2.5)
-        assert mae_metric(p.data, t) == pytest.approx(1.5)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
