@@ -135,7 +135,8 @@ def _resolve_ratios(args, file_cfg: dict) -> tuple[float, float, float]:
 def _resolve_model_config(args, file_cfg: dict, channels: int,
                           seed: int) -> ModelConfig:
     section = dict(file_cfg.get("model", {}))
-    if "channels" in section and section["channels"] != channels:
+    if "channels" in section and whole_number(
+            "model.channels", section["channels"]) != channels:
         raise DataError(
             f"config expects {section['channels']} channels, data has "
             f"{channels}"

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import CheckpointError, ConfigError, DataError, finite_number, \
     whole_number
 from .model import DCTNetParams, ModelConfig, init_params
+from .revin import MIN_GAIN
 from .rng import make_rng
 
 SPLIT_PRESETS = {"ett": (6.0, 2.0, 2.0), "standard": (7.0, 1.0, 2.0)}
@@ -392,4 +393,9 @@ def checkpoint_load(path) -> tuple[DCTNetParams, ModelConfig, dict]:
         raise CheckpointError(
             f"checkpoint has {len(raw) - offset} trailing bytes"
         )
+    small = np.flatnonzero(np.abs(params.revin.gamma.data) < MIN_GAIN)
+    if small.size:
+        raise CheckpointError(
+            f"checkpoint parameter 'revin.gamma' entry {small[0]} has "
+            f"|value| < {MIN_GAIN:g} and cannot be inverted")
     return params, cfg, metadata

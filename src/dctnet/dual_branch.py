@@ -5,7 +5,8 @@ patch axis models each channel's temporal evolution, and multi-head
 attention over the channel axis models dependencies between variables.
 Fusion happens inside the channel branch's residual connection: the
 temporal output rides the residual while attention reads the raw tokens,
-so both branches reach the fused output through one addition.
+so both branches reach the fused output through one addition.  Global
+patch attention reuses the same ``attention_sublayer`` over the patch axis.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ class TemporalBranchParams:
 
 
 @dataclass
-class ChannelBranchParams:
-    """Channel-attention projections, norm affine [D], heads, dropout."""
+class AttentionSublayerParams:
+    """Attention projections, norm affine [D], head count, dropout rate."""
 
     attn: AttentionParams
     gain: Tensor
     bias: Tensor
-    heads: int = 4
-    dropout_p: float = 0.1
+    heads: int
+    dropout_p: float
 
 
 def temporal_branch_forward(x_patch: Tensor, params: TemporalBranchParams) -> Tensor:
@@ -58,39 +59,37 @@ def temporal_branch_forward(x_patch: Tensor, params: TemporalBranchParams) -> Te
     return engine.layer_norm(pre, params.gain, params.bias)
 
 
-def channel_branch_forward(x_patch: Tensor, residual_in: Tensor,
-                           params: ChannelBranchParams, training: bool = False,
-                           rng: Optional[np.random.Generator] = None) -> Tensor:
-    """layer_norm(dropout(MHA over channels) + residual_in).
+def attention_sublayer(x: Tensor, residual: Tensor,
+                       params: AttentionSublayerParams, token_axis: int,
+                       training: bool = False,
+                       rng: Optional[np.random.Generator] = None) -> Tensor:
+    """layer_norm(dropout(MHA over ``token_axis`` of x) + residual).
 
-    For every (instance, patch index) the C channel vectors act as tokens.
-    Queries, keys, and values all come from ``x_patch``; only the residual
-    path is caller-chosen, which is what lets fusion ride through here.
+    Queries, keys and values all come from ``x``; the caller picks the
+    residual, which is how fusion rides through the channel branch.
     """
-    if residual_in.shape != x_patch.shape:
+    if residual.shape != x.shape:
         raise ConfigError(
-            f"residual shape {residual_in.shape} != input shape {x_patch.shape}"
+            f"residual shape {residual.shape} != input shape {x.shape}"
         )
-    tokens = engine.swapaxes(x_patch, 1, 2)               # [B, N, C, D]
     attended = engine.multi_head_attention(
-        tokens, params.attn, params.heads,
+        x, params.attn, params.heads, token_axis=token_axis,
         dropout_p=params.dropout_p, training=training, rng=rng)
-    attended = engine.dropout(attended, params.dropout_p, training, rng)
-    back = engine.swapaxes(attended, 1, 2)                # [B, C, N, D]
-    return engine.layer_norm(engine.add(back, residual_in), params.gain, params.bias)
+    return engine.layer_norm(engine.add(attended, residual),
+                             params.gain, params.bias)
 
 
 def fuse_branches(x_patch: Tensor, temporal_params: TemporalBranchParams,
-                  channel_params: ChannelBranchParams, training: bool = False,
-                  disabled: bool = False,
+                  channel_params: AttentionSublayerParams,
+                  training: bool = False, disabled: bool = False,
                   rng: Optional[np.random.Generator] = None) -> Tensor:
     """Combine both branches into the fused token grid.
 
-    The channel branch's residual carries the temporal output, so one
+    Channel attention's residual carries the temporal output, so one
     addition merges the branches.  Disabled, the block is the identity.
     """
     if disabled:
         return x_patch
     h_time = temporal_branch_forward(x_patch, temporal_params)
-    return channel_branch_forward(x_patch, h_time, channel_params,
-                                  training=training, rng=rng)
+    return attention_sublayer(x_patch, h_time, channel_params, token_axis=-3,
+                              training=training, rng=rng)

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import numeric_engine as engine
 from .numeric_engine import AttentionParams, Tensor
-from .dual_branch import ChannelBranchParams, TemporalBranchParams, \
+from .dual_branch import AttentionSublayerParams, TemporalBranchParams, \
     fuse_branches
 from .errors import ConfigError, ContractError, DataError, finite_number, \
     whole_number
-from .global_fusion import GlobalFusionParams, global_patch_attention
+from .global_fusion import global_patch_attention
 from .patch_embed import PatchEmbedParams, embed_patches, segment_patches
 from .revin import RevINParams, revin_denormalize, revin_normalize
 from .rng import make_rng
@@ -135,8 +135,8 @@ class BlockParams:
     """One dual-branch block paired with its global patch attention."""
 
     temporal: TemporalBranchParams
-    channel: ChannelBranchParams
-    global_fusion: GlobalFusionParams
+    channel: AttentionSublayerParams
+    global_fusion: AttentionSublayerParams
 
 
 @dataclass
@@ -211,12 +211,10 @@ def init_params(cfg: ModelConfig, seed: Optional[int] = None) -> DCTNetParams:
         temporal = TemporalBranchParams(
             w_time=uniform(f"{pre}.temporal.w_time", (n, n), n),
             **norm(f"{pre}.temporal", d))
-        channel = ChannelBranchParams(
-            attn=attention(f"{pre}.channel"), **norm(f"{pre}.channel", d),
+        channel, glob = (AttentionSublayerParams(
+            attn=attention(f"{pre}.{part}"), **norm(f"{pre}.{part}", d),
             heads=cfg.heads, dropout_p=cfg.dropout)
-        glob = GlobalFusionParams(
-            attn=attention(f"{pre}.global"), **norm(f"{pre}.global", d),
-            heads=cfg.heads, dropout_p=cfg.dropout)
+            for part in ("channel", "global"))
         blocks.append(BlockParams(temporal, channel, glob))
 
     return DCTNetParams(

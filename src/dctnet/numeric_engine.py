@@ -346,7 +346,7 @@ def extract_patches(x: Tensor, patch_len: int, stride: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalisation and stochastic regularisation
+# normalisation
 # ---------------------------------------------------------------------------
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -382,36 +382,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
 
     _record((x, gain, bias), out, bw)
-    return out
-
-
-def _dropout_mask(shape: tuple, p: float, training: bool,
-                  rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
-    """Keep mask rng.random(shape) >= p, or None when dropout is off."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return None
-    if rng is None:
-        raise ConfigError("dropout with p > 0 in training mode needs an rng")
-    return rng.random(shape) >= p
-
-
-def dropout(x: Tensor, p: float, training: bool,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
-    x = _as_tensor(x)
-    keep = _dropout_mask(x.data.shape, p, training, rng)
-    if keep is None:
-        return x
-    scale = 1.0 / (1.0 - p)
-    out = _wrap(x.data * keep * scale, False)
-
-    def bw():
-        if x.requires_grad:
-            x.accumulate_grad(out.grad * keep * scale)
-
-    _record((x,), out, bw)
     return out
 
 
@@ -477,39 +447,57 @@ class AttentionParams:
     bo: Tensor
 
 
+def _dropout_mask(shape: tuple, p: float, training: bool,
+                  rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
+    """Keep mask rng.random(shape) >= p, or None when dropout is off."""
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return None
+    if rng is None:
+        raise ConfigError("dropout with p > 0 in training mode needs an rng")
+    return rng.random(shape) >= p
+
+
 def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
-                         dropout_p: float = 0.0, training: bool = False,
+                         token_axis: int = -2, dropout_p: float = 0.0,
+                         training: bool = False,
                          rng: Optional[np.random.Generator] = None,
                          return_weights: bool = False):
-    """Scaled dot-product attention over the second-to-last axis of ``x``.
+    """Scaled dot-product attention over the ``token_axis`` of ``x``.
 
-    ``x`` is [..., S, D] with S tokens of width D; all leading axes are
-    batch.  Dropout, when active, is applied to the attention probabilities.
-    With ``return_weights`` the pre-dropout weights [..., heads, S, S] come
-    back as a plain array alongside the output.
+    ``x`` is [..., D] with its S tokens along ``token_axis``; the other
+    axes but the last are batch, and the output keeps the input's layout.
+    Dropout, when active, masks the attention probabilities, then the
+    output with the next draw, taken with the tokens second-to-last.  With
+    ``return_weights`` the pre-dropout weights [..., heads, S, S] come back
+    as a plain array alongside the output.
 
-    One tape node over ``x`` and the eight projections.  With p the
-    probabilities, pd their dropped-out form and gc the context grad, the
-    values get pdᵀ gc; gp = gc vᵀ, masked and rescaled, passes through the
-    softmax VJP gs = p * (gp - sum(gp * p)) and the 1/sqrt(dh) scale, and
-    the queries and keys get gs k and gsᵀ q.  Each weight grad is one GEMM
-    over the collapsed leading axes.
+    One tape node over ``x`` and the eight projections, which are row GEMMs
+    on ``x`` as laid out.  With p the probabilities, pd their dropped-out
+    form and gc the context grad, the values get pdᵀ gc; gp = gc vᵀ, masked
+    and rescaled, passes through the softmax VJP gs = p * (gp - sum(gp * p))
+    and the 1/sqrt(dh) scale, and the queries and keys get gs k and gsᵀ q.
+    Each weight grad is one GEMM over the collapsed leading axes.
     """
     x = _as_tensor(x)
-    *lead, s, d = x.data.shape
+    shape = x.data.shape
+    d = shape[-1]
     if d % heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {heads} heads")
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
+    token_axis %= x.data.ndim
     wq, bq, wk, bk = params.wq, params.bq, params.wk, params.bk
     wv, bv, wo, bo = params.wv, params.bv, params.wo, params.bo
     x2 = x.data.reshape(-1, d)
 
     def split(a):                                     # [M, D] -> [..., H, S, dh]
-        return a.reshape(*lead, s, heads, dh).swapaxes(-3, -2)
+        return np.moveaxis(a.reshape(*shape[:-1], heads, dh),
+                           (token_axis, -2), (-2, -3))
 
     def merge(a):                                     # [..., H, S, dh] -> [M, D]
-        return a.swapaxes(-3, -2).reshape(-1, d)
+        return np.moveaxis(a, (-2, -3), (token_axis, -2)).reshape(-1, d)
 
     def project(w, b):
         a = x2 @ w.data
@@ -527,15 +515,25 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
     keep = _dropout_mask(p.shape, dropout_p, training, rng)
     pd = p
     if keep is not None:
+        rescale = 1.0 / (1.0 - dropout_p)
         pd = p * keep
-        pd *= 1.0 / (1.0 - dropout_p)
+        pd *= rescale
     merged = merge(pd @ v)
-    y = merged @ wo.data
+    y = (merged @ wo.data).reshape(shape)
     y += bo.data
-    out = _wrap(y.reshape(x.data.shape), False)
+    if keep is not None:
+        keep_out = np.ascontiguousarray(np.moveaxis(_dropout_mask(
+            np.moveaxis(y, token_axis, -2).shape, dropout_p, training, rng),
+            -2, token_axis))
+        y *= keep_out
+        y *= rescale
+    out = _wrap(y, False)
 
     def bw():
         g = out.grad
+        if keep is not None:
+            g = g * keep_out
+            g *= rescale
         g2 = g.reshape(-1, d)
         if wo.requires_grad:
             wo.accumulate_grad(merged.T @ g2)
@@ -546,7 +544,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
         gp = gc @ v.swapaxes(-1, -2)
         if keep is not None:
             gp *= keep
-            gp *= 1.0 / (1.0 - dropout_p)
+            gp *= rescale
         gp -= (gp * p).sum(axis=-1, keepdims=True)
         gp *= p
         gp *= scale
@@ -557,9 +555,9 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
             if w.requires_grad:
                 w.accumulate_grad(x2.T @ gh)
             if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(gh.reshape(x.data.shape), b.data.shape))
+                b.accumulate_grad(_unbroadcast(gh.reshape(shape), b.data.shape))
             if x.requires_grad:
-                x.accumulate_grad((gh @ w.data.T).reshape(x.data.shape))
+                x.accumulate_grad((gh @ w.data.T).reshape(shape))
 
     _record((x, wq, bq, wk, bk, wv, bv, wo, bo), out, bw)
     if return_weights:

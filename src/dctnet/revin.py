@@ -17,6 +17,8 @@ from . import numeric_engine as engine
 from .numeric_engine import Tensor
 from .errors import ConfigError, SingularityError
 
+MIN_GAIN = 1e-12  # smallest |gain| that revin_denormalize inverts
+
 
 @dataclass
 class RevINParams:
@@ -69,7 +71,7 @@ def revin_denormalize(y: Tensor, params: RevINParams, state: RevINState) -> Tens
     if y.ndim != 3:
         raise ConfigError(f"revin expects [B, T, C], got shape {y.shape}")
     min_gain = float(np.abs(params.gamma.data).min())
-    if min_gain < 1e-12:
+    if min_gain < MIN_GAIN:
         raise SingularityError(
             f"revin gain entry with |value| = {min_gain:.3e} cannot be inverted"
         )

@@ -16,10 +16,10 @@ from dctnet.cli import main as cli_main
 from dctnet.data_io import (SPLIT_PRESETS, SeriesTable, SynthParams,
                             compute_stats, load_csv, make_windows,
                             split_chronological, synth_series)
-from dctnet.dual_branch import (ChannelBranchParams, TemporalBranchParams,
+from dctnet.dual_branch import (AttentionSublayerParams, TemporalBranchParams,
                                 fuse_branches)
 from dctnet.fft import dft, idft
-from dctnet.global_fusion import GlobalFusionParams, global_patch_attention
+from dctnet.global_fusion import global_patch_attention
 from dctnet.model import (ModelConfig, ablation_variant, forward, init_params)
 from dctnet.numeric_engine import (AttentionParams, Tape, Tensor, backward)
 from dctnet.revin import (RevINParams, revin_denormalize, revin_normalize)
@@ -178,18 +178,18 @@ class TestAcceptance:
             tp = TemporalBranchParams(
                 w_time=Tensor(rng.standard_normal((n, n)), requires_grad=True),
                 gain=Tensor(np.ones(d)), bias=Tensor(np.zeros(d)))
-            cp = ChannelBranchParams(attn=rand_attention(rng, d),
-                                     gain=Tensor(np.ones(d)),
-                                     bias=Tensor(np.zeros(d)),
-                                     heads=2, dropout_p=0.0)
+            cp = AttentionSublayerParams(attn=rand_attention(rng, d),
+                                         gain=Tensor(np.ones(d)),
+                                         bias=Tensor(np.zeros(d)),
+                                         heads=2, dropout_p=0.0)
             fused = fuse_branches(x, tp, cp, training=False,
                                   disabled=True)
             ok = ok and fused is x
 
-            gp = GlobalFusionParams(attn=rand_attention(rng, d),
-                                    gain=Tensor(np.ones(d)),
-                                    bias=Tensor(np.zeros(d)),
-                                    heads=2, dropout_p=0.0)
+            gp = AttentionSublayerParams(attn=rand_attention(rng, d),
+                                         gain=Tensor(np.ones(d)),
+                                         bias=Tensor(np.zeros(d)),
+                                         heads=2, dropout_p=0.0)
             passed = global_patch_attention(x, gp, disabled=True)
             ok = ok and passed is x
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dctnet.cli import main
+from dctnet.data_io import checkpoint_load, checkpoint_save
 
 from helpers import rewrite_header
 
@@ -241,6 +242,21 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "NaN/Inf" in err
 
+    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    def test_zero_revin_gain_exit_2(self, trained, tmp_path, capsys,
+                                    command):
+        params, cfg, meta = checkpoint_load(
+            trained["out"] / "checkpoint.dct")
+        params.revin.gamma.data[0] = 0.0
+        ckpt = tmp_path / "checkpoint.dct"
+        checkpoint_save(params, cfg, ckpt, metadata=meta)
+        code, stdout = run([command, "--checkpoint", str(ckpt),
+                            "--data", str(trained["root"] / "data.csv")])
+        assert code == 2
+        assert stdout == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "revin.gamma" in err
+
     def test_channel_mismatch_names_both_counts(self, trained, workdir,
                                                 capsys):
         code, _ = run(["synth", "--kind", "sine", "--rows", "400",
@@ -367,6 +383,8 @@ BAD_RUN_SETTINGS = {
     "preset_list": ({"data": {"preset": ["ett"]}}, [], "preset"),
     "model_seed": ({"model": {"seed": 3}}, [], "model.seed"),
     "train_seed": ({"seed": 1, "train": {"seed": 3}}, [], "train.seed"),
+    "channels_string": ({"model": {"channels": "2"}}, [],
+                        "must be an integer"),
 }
 
 

@@ -524,6 +524,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"'{first}'.*NaN/Inf"):
             checkpoint_load(p)
 
+    @pytest.mark.parametrize("gain", [0.0, -1e-13])
+    def test_uninvertible_revin_gain_named(self, tmp_path, gain):
+        # revin_denormalize divides by the gain; a checkpoint whose gain
+        # cannot be inverted is refused on load, not at the first forecast
+        cfg = micro_config()
+        params = init_params(cfg)
+        params.revin.gamma.data[1] = gain
+        p = tmp_path / "x.dct"
+        checkpoint_save(params, cfg, p)
+        with pytest.raises(CheckpointError, match="'revin.gamma' entry 1 "):
+            checkpoint_load(p)
+        params.revin.gamma.data[1] = 1e-12
+        checkpoint_save(params, cfg, p)
+        assert checkpoint_load(p)[0].revin.gamma.data[1] == 1e-12
+
 
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory):

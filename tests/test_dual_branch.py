@@ -6,8 +6,8 @@ from scipy.special import erf
 
 from dctnet import numeric_engine as engine
 from dctnet.numeric_engine import AttentionParams, Tensor
-from dctnet.dual_branch import (ChannelBranchParams, TemporalBranchParams,
-                                channel_branch_forward, fuse_branches,
+from dctnet.dual_branch import (AttentionSublayerParams, TemporalBranchParams,
+                                attention_sublayer, fuse_branches,
                                 temporal_branch_forward)
 from dctnet.errors import ConfigError
 
@@ -33,9 +33,9 @@ def channel_params(d, rng, heads=2, dropout_p=0.0, scale=0.3):
         return Tensor(rng.standard_normal(d) * 0.1)
 
     attn = AttentionParams(w(), b(), w(), b(), w(), b(), w(), b())
-    return ChannelBranchParams(attn=attn, gain=Tensor(np.ones(d)),
-                               bias=Tensor(np.zeros(d)), heads=heads,
-                               dropout_p=dropout_p)
+    return AttentionSublayerParams(attn=attn, gain=Tensor(np.ones(d)),
+                                   bias=Tensor(np.zeros(d)), heads=heads,
+                                   dropout_p=dropout_p)
 
 
 class TestTemporalBranch:
@@ -113,7 +113,7 @@ class TestChannelBranch:
         params = channel_params(4, rng, heads=2)
         x = rng.standard_normal((2, 1, 3, 4))
         res = rng.standard_normal((2, 1, 3, 4))
-        out = channel_branch_forward(Tensor(x), Tensor(res), params)
+        out = attention_sublayer(Tensor(x), Tensor(res), params, token_axis=-3)
         # one token: attention weight is 1, context is its value vector
         p = params.attn
         v = x @ p.wv.data + p.bv.data
@@ -126,7 +126,8 @@ class TestChannelBranch:
         params = channel_params(6, rng, heads=3)
         row = rng.standard_normal((1, 1, 4, 6))
         x = np.tile(row, (1, 5, 1, 1))
-        out = channel_branch_forward(Tensor(x), Tensor(x), params).data
+        out = attention_sublayer(Tensor(x), Tensor(x), params,
+                                 token_axis=-3).data
         for c in range(1, 5):
             np.testing.assert_allclose(out[0, c], out[0, 0], atol=1e-12)
 
@@ -135,7 +136,8 @@ class TestChannelBranch:
         params = channel_params(4, rng, heads=2)
         x = rng.standard_normal((1, 3, 2, 4))       # C=3 tokens, N=2 positions
         res = rng.standard_normal((1, 3, 2, 4))
-        out = channel_branch_forward(Tensor(x), Tensor(res), params).data
+        out = attention_sublayer(Tensor(x), Tensor(res), params,
+                                 token_axis=-3).data
         for n in range(2):
             tokens = x[0, :, n, :]                   # [C, D]
             att = oracle_attention(tokens, params.attn, heads=2)
@@ -147,26 +149,28 @@ class TestChannelBranch:
         rng = np.random.default_rng(13)
         params = channel_params(4, rng, heads=2, scale=0.8)
         x = rng.standard_normal((1, 3, 2, 4))
-        base = channel_branch_forward(Tensor(x), Tensor(x), params).data
+        base = attention_sublayer(Tensor(x), Tensor(x), params,
+                                  token_axis=-3).data
         bumped = x.copy()
         bumped[0, 2] += 2.0
-        out = channel_branch_forward(Tensor(bumped), Tensor(bumped), params).data
+        out = attention_sublayer(Tensor(bumped), Tensor(bumped), params,
+                                 token_axis=-3).data
         assert not np.allclose(out[0, 0], base[0, 0])
 
     def test_residual_shape_checked(self):
         rng = np.random.default_rng(14)
         params = channel_params(4, rng)
         with pytest.raises(ConfigError):
-            channel_branch_forward(Tensor(np.zeros((1, 2, 2, 4))),
-                                   Tensor(np.zeros((1, 2, 3, 4))), params)
+            attention_sublayer(Tensor(np.zeros((1, 2, 2, 4))),
+                               Tensor(np.zeros((1, 2, 3, 4))), params,
+                               token_axis=-3)
 
     def test_attention_weights_row_stochastic(self):
         rng = np.random.default_rng(15)
         params = channel_params(4, rng, heads=2)
         x = rng.standard_normal((2, 5, 3, 4))
-        tokens = engine.swapaxes(Tensor(x), 1, 2)
-        _, w = engine.multi_head_attention(tokens, params.attn, heads=2,
-                                           return_weights=True)
+        _, w = engine.multi_head_attention(Tensor(x), params.attn, heads=2,
+                                           token_axis=-3, return_weights=True)
         assert w.shape == (2, 3, 2, 5, 5)
         assert np.all(w >= 0)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
@@ -175,11 +179,13 @@ class TestChannelBranch:
         rng = np.random.default_rng(16)
         params = channel_params(4, rng, dropout_p=0.5)
         x = Tensor(rng.standard_normal((1, 3, 2, 4)))
-        a = channel_branch_forward(x, x, params, training=False).data
-        b = channel_branch_forward(x, x, params, training=False).data
+        a = attention_sublayer(x, x, params, token_axis=-3,
+                               training=False).data
+        b = attention_sublayer(x, x, params, token_axis=-3,
+                               training=False).data
         np.testing.assert_array_equal(a, b)
-        c = channel_branch_forward(x, x, params, training=True,
-                                   rng=np.random.default_rng(0)).data
+        c = attention_sublayer(x, x, params, token_axis=-3, training=True,
+                               rng=np.random.default_rng(0)).data
         assert not np.allclose(a, c)
 
 
@@ -198,7 +204,7 @@ class TestFusion:
         x = Tensor(rng.standard_normal((2, 3, 3, 4)))
         fused = fuse_branches(x, tp, cp)
         h_time = temporal_branch_forward(x, tp)
-        manual = channel_branch_forward(x, h_time, cp)
+        manual = attention_sublayer(x, h_time, cp, token_axis=-3)
         np.testing.assert_allclose(fused.data, manual.data, atol=1e-12)
 
     def test_zeroed_block_reduces_to_nested_norms(self):
@@ -209,9 +215,9 @@ class TestFusion:
         zero_attn = AttentionParams(*(Tensor(np.zeros((d, d))) if i % 2 == 0
                                       else Tensor(np.zeros(d))
                                       for i in range(8)))
-        cp = ChannelBranchParams(attn=zero_attn, gain=Tensor(np.ones(d)),
-                                 bias=Tensor(np.zeros(d)), heads=2,
-                                 dropout_p=0.0)
+        cp = AttentionSublayerParams(attn=zero_attn, gain=Tensor(np.ones(d)),
+                                     bias=Tensor(np.zeros(d)), heads=2,
+                                     dropout_p=0.0)
         rng = np.random.default_rng(25)
         x = rng.standard_normal((1, 2, n, d))
         fused = fuse_branches(Tensor(x), tp, cp)

@@ -5,7 +5,8 @@ import pytest
 
 from dctnet import numeric_engine as engine
 from dctnet.numeric_engine import AttentionParams, Tensor
-from dctnet.global_fusion import GlobalFusionParams, global_patch_attention
+from dctnet.dual_branch import AttentionSublayerParams
+from dctnet.global_fusion import global_patch_attention
 
 from helpers import check_gradients, oracle_attention, oracle_layer_norm
 
@@ -18,9 +19,9 @@ def make_params(d, rng, heads=2, dropout_p=0.0, scale=0.4):
         return Tensor(rng.standard_normal(d) * 0.1)
 
     attn = AttentionParams(w(), b(), w(), b(), w(), b(), w(), b())
-    return GlobalFusionParams(attn=attn, gain=Tensor(np.ones(d)),
-                              bias=Tensor(np.zeros(d)), heads=heads,
-                              dropout_p=dropout_p)
+    return AttentionSublayerParams(attn=attn, gain=Tensor(np.ones(d)),
+                                   bias=Tensor(np.zeros(d)), heads=heads,
+                                   dropout_p=dropout_p)
 
 
 class TestForward:

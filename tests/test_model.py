@@ -342,7 +342,7 @@ class TestBypassProperty:
 class TestTapeSize:
     # each attention call is one node; the count does not depend on shape
     @pytest.mark.parametrize("overrides, nodes", [
-        ({}, 47), ({"dropout": 0.0}, 45), ({"depth": 2}, 63),
+        ({}, 43), ({"dropout": 0.0}, 43), ({"depth": 2}, 55),
     ], ids=["depth1", "no_dropout", "depth2"])
     def test_train_step_records(self, overrides, nodes):
         cfg = micro_config(**overrides)

@@ -462,44 +462,6 @@ class TestSpectralPrimitives:
         np.testing.assert_array_equal(out.data, taped.data)
 
 
-class TestDropout:
-    def test_eval_mode_is_identity(self):
-        x = Tensor(np.ones((4, 4)))
-        out = engine.dropout(x, 0.5, training=False)
-        assert out is x
-
-    def test_p_zero_is_identity(self):
-        x = Tensor(np.ones((4, 4)))
-        assert engine.dropout(x, 0.0, training=True) is x
-
-    def test_invalid_p_rejected(self):
-        x = Tensor(np.ones(3))
-        for bad in (-0.1, 1.0, 1.5):
-            with pytest.raises(ConfigError):
-                engine.dropout(x, bad, training=True,
-                               rng=np.random.default_rng(0))
-
-    def test_inverted_scaling_preserves_mean(self):
-        rng = np.random.default_rng(60)
-        x = Tensor(np.ones((200, 200)))
-        out = engine.dropout(x, 0.3, training=True, rng=rng)
-        kept = out.data[out.data != 0]
-        np.testing.assert_allclose(kept, 1.0 / 0.7, atol=1e-12)
-        assert out.data.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_mask_reproducible_and_grad_matches(self):
-        x0 = np.ones((8, 8))
-        a = engine.dropout(Tensor(x0), 0.4, True, np.random.default_rng(5)).data
-        b = engine.dropout(Tensor(x0), 0.4, True, np.random.default_rng(5)).data
-        np.testing.assert_array_equal(a, b)
-
-        x = Tensor(x0, requires_grad=True)
-        with Tape() as tape:
-            y = engine.dropout(x, 0.4, True, np.random.default_rng(5))
-            backward(engine.reduce_sum(y), tape)
-        np.testing.assert_allclose(x.grad, (a != 0) / 0.6)
-
-
 class TestAttention:
     @staticmethod
     def _params(d, rng):
@@ -582,8 +544,9 @@ class TestAttention:
         rng = np.random.default_rng(77)
         p = self._params(8, rng)
         x = Tensor(rng.standard_normal((1, 4, 8)))
-        with pytest.raises(ConfigError, match="dropout probability"):
-            engine.multi_head_attention(x, p, heads=2, dropout_p=1.0)
+        for bad in (-0.1, 1.0, 1.5):
+            with pytest.raises(ConfigError, match="dropout probability"):
+                engine.multi_head_attention(x, p, heads=2, dropout_p=bad)
         with pytest.raises(ConfigError, match="needs an rng"):
             engine.multi_head_attention(x, p, heads=2, dropout_p=0.5,
                                         training=True)
@@ -637,32 +600,48 @@ class TestAttention:
         rng = np.random.default_rng(80)
         p = self._params(8, rng)
         x = rng.standard_normal((2, 3, 5, 8))
-        out = engine.multi_head_attention(Tensor(x), p, heads=heads).data
-        for idx in np.ndindex(2, 3):
-            np.testing.assert_allclose(out[idx],
-                                       oracle_attention(x[idx], p, heads),
-                                       rtol=0, atol=1e-12)
+        for axis in (-2, -3):
+            # training mode at p = 0 draws no mask and needs no rng
+            out = engine.multi_head_attention(Tensor(x), p, heads=heads,
+                                              token_axis=axis, training=True)
+            tokens = np.moveaxis(x, axis, -2)
+            got = np.moveaxis(out.data, axis, -2)
+            for idx in np.ndindex(tokens.shape[:2]):
+                np.testing.assert_allclose(
+                    got[idx], oracle_attention(tokens[idx], p, heads),
+                    rtol=0, atol=1e-12)
 
     def test_dropout_mask_is_the_next_draw(self):
-        # the mask is rng.random(weights.shape) >= p, drawn after nothing else
+        # the probability mask is rng.random(weights.shape) >= p, drawn
+        # first; the output mask is the next draw, taken in the shape of x
+        # with the tokens second-to-last
         rng = np.random.default_rng(81)
         p = self._params(4, rng)
-        x = rng.standard_normal((3, 5, 4))
-        out, w = engine.multi_head_attention(
-            Tensor(x), p, heads=2, dropout_p=0.4, training=True,
-            rng=np.random.default_rng(9), return_weights=True)
-        keep = np.random.default_rng(9).random(w.shape) >= 0.4
-        v = (x @ p.wv.data + p.bv.data).reshape(3, 5, 2, 2).swapaxes(1, 2)
-        ctx = (w * keep / 0.6) @ v
-        expected = ctx.swapaxes(1, 2).reshape(3, 5, 4) @ p.wo.data + p.bo.data
-        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+        x = rng.standard_normal((3, 5, 2, 4))
+        for axis in (-2, -3):
+            out, w = engine.multi_head_attention(
+                Tensor(x), p, heads=2, token_axis=axis, dropout_p=0.4,
+                training=True, rng=np.random.default_rng(9),
+                return_weights=True)
+            tokens = np.moveaxis(x, axis, -2)
+            draws = np.random.default_rng(9)
+            keep = draws.random(w.shape) >= 0.4
+            keep_out = draws.random(tokens.shape) >= 0.4
+            v = (tokens @ p.wv.data + p.bv.data).reshape(
+                *tokens.shape[:-1], 2, 2).swapaxes(-3, -2)
+            ctx = ((w * keep / 0.6) @ v).swapaxes(-3, -2).reshape(tokens.shape)
+            expected = (ctx @ p.wo.data + p.bo.data) * keep_out / 0.6
+            np.testing.assert_allclose(out.data,
+                                       np.moveaxis(expected, -2, axis),
+                                       rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(s=st.integers(1, 4), heads=st.integers(1, 2), dh=st.integers(1, 2),
            lead=st.lists(st.integers(1, 2), min_size=1, max_size=3),
-           dropout=st.booleans(), seed=st.integers(0, 2**32 - 1))
+           token_axis=st.sampled_from([-2, -3]), dropout=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
     def test_gradients_match_central_differences(self, s, heads, dh, lead,
-                                                 dropout, seed):
+                                                 token_axis, dropout, seed):
         rng = np.random.default_rng(seed)
         d = heads * dh
         arrays = [rng.standard_normal((*lead, s, d))]
@@ -674,7 +653,7 @@ class TestAttention:
         def loss(x, *weights):
             # a fresh rng per evaluation draws the same dropout mask each time
             y = engine.multi_head_attention(
-                x, AttentionParams(*weights), heads,
+                x, AttentionParams(*weights), heads, token_axis=token_axis,
                 dropout_p=0.5 if dropout else 0.0, training=True,
                 rng=np.random.default_rng(seed))
             return engine.reduce_sum(engine.mul(y, c))
