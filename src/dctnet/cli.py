@@ -5,18 +5,21 @@ output (reports as JSON, forecasts as CSV) goes to standard output or the
 --out target; progress and diagnostics go to standard error.  Exit codes:
 0 success, 1 internal or training failure, 2 usage or data errors.
 
-Settings resolve in precedence order: flags, then environment (DCTNET_SEED
-and DCTNET_LOG only), then the --config JSON file, then defaults.  The
-config file has optional sections "model", "train", "data", and a "seed"
-key; every field is optional.  The top-level "seed" (or --seed) is the one
-run seed: it seeds initialisation, shuffling and dropout alike.
+The config file has optional sections "model", "train" and "data", and a
+"seed" key; every field is optional.  A section's flags (``_FLAGS``) are
+laid over its file values, and the section is then built and checked by
+its own dataclass: ``ModelConfig``, ``TrainSettings``, ``DataSettings``.
+So a setting resolves from its flag, then DCTNET_SEED (the seed only),
+then the file, then the dataclass default.  --preset drops the file's
+"ratios"; in the file, "ratios" beat "preset".  The top-level "seed" (or
+--seed) is the one run seed: it seeds initialisation, shuffling and
+dropout alike.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
 import math
@@ -27,12 +30,12 @@ from typing import Optional
 
 import numpy as np
 
-from .data_io import (SPLIT_PRESETS, SYNTH_KINDS, NormStats, SynthParams,
-                      atomic_write, checkpoint_load, checkpoint_save,
-                      compute_stats, load_csv, make_windows, save_csv,
-                      split_chronological, synth_series)
+from .data_io import (SPLIT_PRESETS, SYNTH_KINDS, DataSettings, NormStats,
+                      SynthParams, atomic_write, checkpoint_load,
+                      checkpoint_save, compute_stats, load_csv, make_windows,
+                      save_csv, split_chronological, synth_series)
 from .errors import (CheckpointError, ConfigError, DataError, DCTNetError,
-                     TrainingError, finite_number, whole_number)
+                     TrainingError, from_fields, whole_number)
 from .model import ABLATION_STAGES, ModelConfig, ablation_variant, forward, \
     init_params
 from .numeric_engine import Tensor
@@ -41,7 +44,14 @@ from .trainer import TrainSettings, evaluate, fit
 logger = logging.getLogger("dctnet")
 
 _JSON_KW = dict(sort_keys=True, indent=2)
-_DATA_KEYS = {"path", "ratios", "preset", "window_stride"}
+# (flag, field) pairs of each config section; a given flag beats the file
+_FLAGS = {
+    "model": (("seq_len", "seq_len"), ("horizon", "pred_len")),
+    "train": (("epochs", "epochs"), ("lr", "lr"), ("batch_size", "batch_size"),
+              ("patience", "patience")),
+    "data": (("data", "path"), ("preset", "preset"),
+             ("window_stride", "window_stride")),
+}
 
 
 def _emit_json(payload: dict, out_path: Optional[Path] = None) -> None:
@@ -91,17 +101,15 @@ def _load_config_file(path: Optional[str]) -> dict:
         if name != "data" and "seed" in section:
             raise ConfigError(f"{name}.seed is not a setting; the run seed "
                               f"is the top-level \"seed\" or --seed")
+    # checked here because a --data flag would hide it from DataSettings
     data = cfg.get("data", {})
-    unknown = set(data) - _DATA_KEYS
-    if unknown:
-        raise ConfigError(f"unknown data settings: {sorted(unknown)}")
     if not isinstance(data.get("path", ""), str):
         raise ConfigError(f"data.path must be a string, got {data['path']!r}")
     return cfg
 
 
 def _resolve_seed(args, file_cfg: dict) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("DCTNET_SEED")
     if env is not None:
@@ -112,78 +120,44 @@ def _resolve_seed(args, file_cfg: dict) -> int:
     return whole_number("seed", file_cfg.get("seed", 0))
 
 
-def _resolve_ratios(args, file_cfg: dict) -> tuple[float, float, float]:
-    data_section = file_cfg.get("data", {})
-    if getattr(args, "preset", None) is not None:
-        return SPLIT_PRESETS[args.preset]
-    if "ratios" in data_section:
-        r = data_section["ratios"]
-        if not (isinstance(r, (list, tuple)) and len(r) == 3):
-            raise ConfigError(f"data.ratios must be three numbers, got {r!r}")
-        return tuple(finite_number("data.ratios", v) for v in r)
-    if "preset" in data_section:
-        preset = data_section["preset"]
-        if not isinstance(preset, str) or preset not in SPLIT_PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset!r}; choose from "
-                f"{sorted(SPLIT_PRESETS)}"
-            )
-        return SPLIT_PRESETS[preset]
-    return SPLIT_PRESETS["ett"]
+def _section(args, file_cfg: dict, name: str) -> dict:
+    """The file's ``name`` section with each given flag laid over its field."""
+    section = dict(file_cfg.get(name, {}))
+    section.update((field, getattr(args, flag)) for flag, field in _FLAGS[name]
+                   if getattr(args, flag) is not None)
+    return section
 
 
-def _resolve_model_config(args, file_cfg: dict, channels: int,
-                          seed: int) -> ModelConfig:
-    section = dict(file_cfg.get("model", {}))
-    if "channels" in section and whole_number(
-            "model.channels", section["channels"]) != channels:
-        raise DataError(
-            f"config expects {section['channels']} channels, data has "
-            f"{channels}"
-        )
-    section["channels"] = channels
-    section["seed"] = seed
-    if getattr(args, "seq_len", None) is not None:
-        section["seq_len"] = args.seq_len
-    if getattr(args, "horizon", None) is not None:
-        section["pred_len"] = args.horizon
-    return ModelConfig.from_dict(section)
-
-
-def _resolve_train_settings(args, file_cfg: dict) -> TrainSettings:
-    section = dict(file_cfg.get("train", {}))
-    for flag, key in (("epochs", "epochs"), ("lr", "lr"),
-                      ("batch_size", "batch_size"), ("patience", "patience")):
-        if getattr(args, flag, None) is not None:
-            section[key] = getattr(args, flag)
-    known = {f.name for f in dataclasses.fields(TrainSettings)}
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError(f"unknown train settings: {sorted(unknown)}")
-    return TrainSettings(**section)
-
-
-def _resolve_window_stride(args, file_cfg: dict) -> int:
-    if getattr(args, "window_stride", None) is not None:
-        return args.window_stride
-    return whole_number("data.window_stride",
-                        file_cfg.get("data", {}).get("window_stride", 1))
-
-
-def _data_path(args, file_cfg: dict) -> Path:
-    path = getattr(args, "data", None) or file_cfg.get("data", {}).get("path")
-    if path is None:
+def _resolve_run(args):
+    """(data settings, table, model config, train settings, windows) of a
+    ``train`` or ``ablate`` run; windows are the (train, val, test) sets."""
+    file_cfg = _load_config_file(args.config)
+    seed = _resolve_seed(args, file_cfg)
+    data = _section(args, file_cfg, "data")
+    if args.preset is not None:     # else the file's ratios would beat it
+        data.pop("ratios", None)
+    data = from_fields(DataSettings, "data", data)
+    if not data.path:
         raise ConfigError("no data file given (flag --data or config data.path)")
-    return Path(path)
-
-
-def _prepare_splits(table, ratios, cfg: ModelConfig, stride: int):
-    need = cfg.seq_len + cfg.pred_len
-    train_t, val_t, test_t = split_chronological(table, ratios, min_rows=need)
-    stats = compute_stats(train_t)
-    mk = lambda t, tag: make_windows(t, cfg.seq_len, cfg.pred_len, stats,
-                                     stride=stride, split_tag=tag)
-    return mk(train_t, "train"), mk(val_t, "val"), mk(test_t, "test"), stats
+    table = load_csv(data.path)
+    model = _section(args, file_cfg, "model")
+    if "channels" in model and whole_number(
+            "model.channels", model["channels"]) != table.channels:
+        raise DataError(
+            f"config expects {model['channels']} channels, data has "
+            f"{table.channels}"
+        )
+    cfg = ModelConfig.from_dict(dict(model, channels=table.channels,
+                                     seed=seed))
+    settings = from_fields(TrainSettings, "train",
+                           _section(args, file_cfg, "train"))
+    splits = split_chronological(table, data.split_ratios,
+                                 min_rows=cfg.seq_len + cfg.pred_len)
+    stats = compute_stats(splits[0])
+    windows = tuple(make_windows(t, cfg.seq_len, cfg.pred_len, stats,
+                                 stride=data.window_stride, split_tag=tag)
+                    for t, tag in zip(splits, ("train", "val", "test")))
+    return data, table, cfg, settings, windows
 
 
 def _train_once(cfg: ModelConfig, settings: TrainSettings, datasets,
@@ -202,33 +176,24 @@ def _train_once(cfg: ModelConfig, settings: TrainSettings, datasets,
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _resolve_seed(args, file_cfg)
-    data_path = _data_path(args, file_cfg)
-    table = load_csv(data_path)
-    cfg = _resolve_model_config(args, file_cfg, table.channels, seed)
-    settings = _resolve_train_settings(args, file_cfg)
-    ratios = _resolve_ratios(args, file_cfg)
-    stride = _resolve_window_stride(args, file_cfg)
-
-    train_ds, val_ds, test_ds, stats = _prepare_splits(table, ratios, cfg,
-                                                       stride)
+    data, table, cfg, settings, windows = _resolve_run(args)
+    data_path = Path(data.path)
+    train_ds, val_ds, test_ds = windows
     logger.info("training on %s: %d/%d/%d windows, %d channels, horizon %d",
                 data_path.name, len(train_ds), len(val_ds), len(test_ds),
                 cfg.channels, cfg.pred_len)
-    params, report, test_score = _train_once(cfg, settings,
-                                             (train_ds, val_ds, test_ds))
+    params, report, test_score = _train_once(cfg, settings, windows)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     metadata = {
         "dataset": data_path.stem,
         "horizon": cfg.pred_len,
-        "seed": seed,
-        "split_ratios": list(ratios),
-        "window_stride": stride,
-        "norm_mean": stats.mean.tolist(),
-        "norm_std": stats.std.tolist(),
+        "seed": cfg.seed,
+        "split_ratios": list(data.split_ratios),
+        "window_stride": data.window_stride,
+        "norm_mean": train_ds.stats.mean.tolist(),
+        "norm_std": train_ds.stats.std.tolist(),
         "channel_names": table.channel_names,
         "best_epoch": report.best_epoch,
         "best_val_mse": report.val_mse[report.best_epoch],
@@ -277,32 +242,24 @@ def _norm_stats(metadata: dict, channels: int) -> NormStats:
     return NormStats(mean=values["norm_mean"], std=values["norm_std"])
 
 
-def _split_settings(metadata: dict) -> tuple[tuple, int]:
+def _split_settings(metadata: dict) -> DataSettings:
     """The split ratios and window stride a checkpoint was trained with."""
-    ratios = metadata.get("split_ratios", list(SPLIT_PRESETS["ett"]))
-    if not (isinstance(ratios, list) and len(ratios) == 3 and all(
-            type(r) in (int, float) and math.isfinite(r) and r > 0
-            for r in ratios)):
-        raise CheckpointError(
-            "checkpoint metadata split_ratios must be a list of 3 positive "
-            "finite numbers"
-        )
-    stride = metadata.get("window_stride", 1)
-    if type(stride) is not int or stride < 1:
-        raise CheckpointError(
-            "checkpoint metadata window_stride must be a positive integer"
-        )
-    return tuple(ratios), stride
+    try:
+        return DataSettings(ratios=metadata.get("split_ratios"),
+                            window_stride=metadata.get("window_stride", 1))
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint metadata: {exc}") from exc
 
 
 def cmd_eval(args) -> int:
-    params, cfg, metadata, table, stats, (ratios, stride) = \
-        _load_eval_inputs(args)
+    params, cfg, metadata, table, stats, split = _load_eval_inputs(args)
     need = cfg.seq_len + cfg.pred_len
     splits = dict(zip(("train", "val", "test"),
-                      split_chronological(table, ratios, min_rows=need)))
+                      split_chronological(table, split.split_ratios,
+                                          min_rows=need)))
     dataset = make_windows(splits[args.split], cfg.seq_len, cfg.pred_len,
-                           stats, stride=stride, split_tag=args.split)
+                           stats, stride=split.window_stride,
+                           split_tag=args.split)
     score = evaluate(params, cfg, dataset, batch_size=args.batch_size)
     logger.info("%s split: %d windows, mse %.6f, mae %.6f, mean alpha %.4f",
                 args.split, score.num_windows, score.mse, score.mae,
@@ -374,9 +331,6 @@ _VARIANT_LABELS = {"dbct": "w/o-DBCT", "gpaf": "w/o-GPAF", "fsc": "w/o-FSC"}
 
 
 def cmd_ablate(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _resolve_seed(args, file_cfg)
-    data_path = _data_path(args, file_cfg)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     unknown = [v for v in variants if v not in ABLATION_STAGES]
     if unknown:
@@ -384,21 +338,15 @@ def cmd_ablate(args) -> int:
             f"unknown variant {unknown[0]!r}; choose from "
             f"{','.join(ABLATION_STAGES)}"
         )
-    table = load_csv(data_path)
-    cfg = _resolve_model_config(args, file_cfg, table.channels, seed)
-    settings = _resolve_train_settings(args, file_cfg)
-    ratios = _resolve_ratios(args, file_cfg)
-    stride = _resolve_window_stride(args, file_cfg)
-    train_ds, val_ds, test_ds, _stats = _prepare_splits(table, ratios, cfg,
-                                                        stride)
+    data, _table, cfg, settings, windows = _resolve_run(args)
 
     rows = []
     runs = [("full", cfg)] + [(_VARIANT_LABELS[v], ablation_variant(cfg, v))
                               for v in variants]
     for label, variant_cfg in runs:
         logger.info("=== training %s ===", label)
-        _params, report, score = _train_once(
-            variant_cfg, settings, (train_ds, val_ds, test_ds), label=label)
+        _params, report, score = _train_once(variant_cfg, settings, windows,
+                                             label=label)
         rows.append({
             "name": label,
             "mse": score.mse,
@@ -409,9 +357,9 @@ def cmd_ablate(args) -> int:
         logger.info("%s: test mse %.6f mae %.6f", label, score.mse, score.mae)
 
     _emit_json({
-        "dataset": data_path.stem,
+        "dataset": Path(data.path).stem,
         "horizon": cfg.pred_len,
-        "seed": seed,
+        "seed": cfg.seed,
         "config": cfg.to_dict(),
         "variants": rows,
     }, Path(args.out) if args.out else None)

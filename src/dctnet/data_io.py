@@ -206,6 +206,40 @@ def split_chronological(table: SeriesTable, ratios: tuple[float, float, float],
     return tuple(parts)
 
 
+@dataclass(frozen=True)
+class DataSettings:
+    """The ``data`` settings of a run: its series file and how it is cut.
+
+    ``ratios`` (train:val:test weights) win over ``preset``.  A checkpoint
+    stores the resulting ``split_ratios`` and ``window_stride``.
+    """
+
+    path: Optional[str] = None
+    ratios: Optional[tuple[float, float, float]] = None
+    preset: str = "ett"
+    window_stride: int = 1
+
+    def __post_init__(self):
+        r = self.ratios
+        if r is not None:
+            if not (isinstance(r, (list, tuple)) and len(r) == 3 and
+                    all(finite_number("ratios", v) > 0 for v in r)):
+                raise ConfigError(
+                    f"ratios must be three positive numbers, got {r!r}")
+            object.__setattr__(self, "ratios", tuple(float(v) for v in r))
+        if not isinstance(self.preset, str) or \
+                self.preset not in SPLIT_PRESETS:
+            raise ConfigError(f"unknown preset {self.preset!r}; choose from "
+                              f"{sorted(SPLIT_PRESETS)}")
+        if whole_number("window_stride", self.window_stride) < 1:
+            raise ConfigError(
+                f"window_stride must be >= 1, got {self.window_stride}")
+
+    @property
+    def split_ratios(self) -> tuple[float, float, float]:
+        return self.ratios or SPLIT_PRESETS[self.preset]
+
+
 def compute_stats(table: SeriesTable) -> NormStats:
     """Per-channel mean/std of one split; zero spread falls back to std 1."""
     mean = table.values.mean(axis=0)

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all dctnet modules, and the value checks
-that turn a wrongly typed or non-finite setting into a ``ConfigError``."""
+that turn a wrongly typed, non-finite or unknown setting into a
+``ConfigError``."""
 
+import dataclasses
 import math
 import numbers
 
@@ -46,3 +48,12 @@ def whole_number(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def from_fields(cls, section: str, d: dict):
+    """``cls(**d)``, with keys that are not fields of ``cls`` named in a
+    ``ConfigError`` instead of a ``TypeError``."""
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {section} fields: {sorted(unknown)}")
+    return cls(**d)

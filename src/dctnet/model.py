@@ -21,7 +21,7 @@ from .numeric_engine import AttentionParams, Tensor
 from .dual_branch import AttentionSublayerParams, TemporalBranchParams, \
     fuse_branches
 from .errors import ConfigError, ContractError, DataError, finite_number, \
-    whole_number
+    from_fields, whole_number
 from .global_fusion import global_patch_attention
 from .patch_embed import PatchEmbedParams, embed_patches, segment_patches
 from .revin import RevINParams, revin_denormalize, revin_normalize
@@ -45,15 +45,6 @@ def _drop_retired(section: dict, key: str, kept: str) -> dict:
                 f"uses {kept!r}"
             )
     return section
-
-
-def _build(cls, section: str, d: dict):
-    """``cls(**d)``, with keys that are not fields of ``cls`` named in a
-    ``ConfigError`` instead of a ``TypeError``."""
-    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {section} fields: {sorted(unknown)}")
-    return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -124,10 +115,10 @@ class ModelConfig:
         d = _drop_retired(dict(d), "fusion_mode", "residual_substitution")
         corr = d.get("correction")
         if isinstance(corr, dict):
-            d["correction"] = _build(
+            d["correction"] = from_fields(
                 CorrectionConfig, "correction",
                 _drop_retired(corr, "reduction_scope", "per_batch_channel"))
-        return _build(cls, "config", d)
+        return from_fields(cls, "config", d)
 
 
 @dataclass
@@ -159,18 +150,16 @@ class DCTNetParams:
         return dict(self.registry)
 
 
-def init_params(cfg: ModelConfig, seed: Optional[int] = None) -> DCTNetParams:
-    """Deterministic parameters: same (cfg, seed) gives identical bytes.
+def init_params(cfg: ModelConfig) -> DCTNetParams:
+    """Deterministic parameters: the same cfg gives identical bytes.
 
     This is the one declaration of every parameter's name, shape and
     initialisation, and so of the checkpoint contract.  Each tensor draws
-    from its own stream keyed by (seed, "init", name), so values do not
+    from its own stream keyed by (cfg.seed, "init", name), so values do not
     depend on creation order.  Linear weights and biases are uniform within
     +-sqrt(1/fan_in); positions are N(0, 0.02^2); norm gains start at 1,
     shifts at 0.
     """
-    if seed is None:
-        seed = cfg.seed
     c, n, d, p = cfg.channels, cfg.num_patches, cfg.latent_dim, cfg.patch_len
     registry: dict[str, Tensor] = {}
 
@@ -180,7 +169,7 @@ def init_params(cfg: ModelConfig, seed: Optional[int] = None) -> DCTNetParams:
 
     def uniform(name: str, shape: tuple, fan_in: int) -> Tensor:
         bound = float(np.sqrt(1.0 / fan_in))
-        return make(name, make_rng(seed, "init", name).uniform(
+        return make(name, make_rng(cfg.seed, "init", name).uniform(
             -bound, bound, size=shape))
 
     def norm(prefix: str, width: int) -> dict[str, Tensor]:
@@ -192,7 +181,7 @@ def init_params(cfg: ModelConfig, seed: Optional[int] = None) -> DCTNetParams:
     embed = PatchEmbedParams(
         weight=uniform("embed.weight", (p, d), p),
         bias=uniform("embed.bias", (d,), p),
-        pos=make("embed.pos", make_rng(seed, "init", "embed.pos").normal(
+        pos=make("embed.pos", make_rng(cfg.seed, "init", "embed.pos").normal(
             0.0, 0.02, size=(n, d))))
 
     def attention(prefix: str) -> AttentionParams:

@@ -18,8 +18,8 @@ import numpy as np
 from . import numeric_engine as engine
 from .numeric_engine import Tape, Tensor, backward
 from .data_io import WindowedDataset
-from .errors import (ConfigError, ContractError, DataError, TrainingError,
-                     finite_number, whole_number)
+from .errors import (ConfigError, ContractError, DataError, SingularityError,
+                     TrainingError, finite_number, whole_number)
 from .model import DCTNetParams, ModelConfig, forward
 from .rng import make_rng
 
@@ -197,9 +197,9 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
     mini-batch on clipped gradients, then score the validation split in
     eval mode.  The best validation MSE's parameters are kept; training
     stops early after ``patience`` consecutive epochs without improvement.
-    A non-finite forecast, loss or pre-clip gradient norm raises
-    ``TrainingError`` naming the epoch and step, before Adam touches the
-    parameters.
+    A non-finite forecast, loss or pre-clip gradient norm, or a revin gain
+    too small to invert, raises ``TrainingError`` naming the epoch and step
+    (or the epoch's validation), before Adam touches the parameters.
     """
     settings = settings or TrainSettings()
     if len(train) == 0:
@@ -241,8 +241,9 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
                 try:
                     fc = forward(Tensor(xb), params, cfg, training=True,
                                  rng=make_rng(seed, "dropout", epoch, step))
-                except ContractError as exc:
-                    # shapes were checked above, so the forecast is non-finite
+                except (ContractError, SingularityError) as exc:
+                    # shapes were checked above, so the forecast is
+                    # non-finite or a revin gain has collapsed
                     raise TrainingError(f"{where}: {exc}") from exc
                 loss = mse_loss(fc.values, yb)
             loss_val = float(loss.data)
@@ -260,7 +261,10 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
         epoch_loss = loss_sum / seen
         train_losses.append(epoch_loss)
 
-        score = evaluate(params, cfg, val, batch_size=settings.batch_size)
+        try:
+            score = evaluate(params, cfg, val, batch_size=settings.batch_size)
+        except (ContractError, SingularityError) as exc:
+            raise TrainingError(f"epoch {epoch}, validation: {exc}") from exc
         val_mses.append(score.mse)
         val_maes.append(score.mae)
         emit(f"epoch {epoch}: train_loss={epoch_loss:.6f} "

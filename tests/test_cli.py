@@ -361,8 +361,13 @@ NAN = float("nan")
 BAD_RUN_SETTINGS = {
     "seed_string": ({"seed": "abc"}, [], "seed"),
     "stride_string": ({"data": {"window_stride": "x"}}, [], "window_stride"),
+    "stride_zero": ({"data": {"window_stride": 0}}, [], "window_stride"),
+    "stride_flag_zero": ({}, ["--window-stride", "0"], "window_stride"),
     "ratios_string": ({"data": {"ratios": ["a", 1, 1]}}, [], "ratios"),
     "ratios_nan": ({"data": {"ratios": [NAN, 1, 1]}}, [], "ratios"),
+    "ratios_zero": ({"data": {"ratios": [0, 1, 1]}}, [], "ratios"),
+    "ratios_short": ({"data": {"ratios": [1, 1]}}, [], "ratios"),
+    "preset_unknown": ({"data": {"preset": "nope"}}, [], "preset"),
     "clip_negative": ({"train": {"clip_norm": -1}}, [], "clip_norm"),
     "clip_zero": ({"train": {"clip_norm": 0}}, [], "clip_norm"),
     "clip_nan": ({"train": {"clip_norm": NAN}}, [], "clip_norm"),
@@ -435,6 +440,37 @@ class TestBadSettings:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+class TestPrecedence:
+    """Where a run's split settings and data file come from, read back
+    from the checkpoint it writes."""
+
+    FILE = {"ratios": [5, 3, 2], "preset": "standard", "window_stride": 8}
+
+    def _metadata(self, tmp_path, data_section, flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(CFG_JSON, data=data_section)))
+        code, _ = run(["train", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out"), "--seq-len", "48",
+                       "--horizon", "12", "--epochs", "1", "--quiet"] + flags)
+        assert code == 0
+        return checkpoint_load(tmp_path / "out" / "checkpoint.dct")[2]
+
+    @pytest.mark.parametrize("flags, ratios, stride", [
+        ([], [5.0, 3.0, 2.0], 8),
+        (["--preset", "ett", "--window-stride", "3"], [6.0, 2.0, 2.0], 3),
+    ], ids=["file_ratios_beat_file_preset", "flags_beat_file"])
+    def test_split_settings(self, workdir, tmp_path, flags, ratios, stride):
+        meta = self._metadata(
+            tmp_path, dict(self.FILE, path=str(workdir / "data.csv")), flags)
+        assert meta["split_ratios"] == ratios
+        assert meta["window_stride"] == stride
+
+    def test_data_flag_beats_file_path(self, workdir, tmp_path):
+        meta = self._metadata(tmp_path, {"path": str(tmp_path / "none.csv")},
+                              ["--data", str(workdir / "data.csv")])
+        assert meta["dataset"] == "data"
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 """CSV loading, chronological splits, windowing, synthetic generators,
 and the binary checkpoint format."""
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -584,7 +585,8 @@ class TestCheckpointFuzz:
         base = tmp_path_factory.getbasetemp()
         first, second = base / "first.dct", base / "second.dct"
         meta = {"seed": seed, "norm_mean": [0.5] * cfg.channels}
-        checkpoint_save(init_params(cfg, seed=seed), cfg, first, metadata=meta)
+        cfg = dataclasses.replace(cfg, seed=seed)
+        checkpoint_save(init_params(cfg), cfg, first, metadata=meta)
         params, cfg2, meta2 = checkpoint_load(first)
         checkpoint_save(params, cfg2, second, metadata=meta2)
         assert second.read_bytes() == first.read_bytes()

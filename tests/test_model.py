@@ -117,8 +117,8 @@ class TestInit:
 
     def test_different_seeds_differ(self):
         cfg = micro_config()
-        a = init_params(cfg, seed=1)
-        b = init_params(cfg, seed=2)
+        a = init_params(dataclasses.replace(cfg, seed=1))
+        b = init_params(dataclasses.replace(cfg, seed=2))
         assert a.embed.weight.data.tobytes() != b.embed.weight.data.tobytes()
 
     def test_shapes_match_declaration(self):

@@ -236,6 +236,28 @@ class TestFit:
                                match="epoch 0, step 0: forecast contains"):
                 fit(params, cfg, train, train, settings, log=lambda m: None)
 
+    def test_collapsed_revin_gain_reported_with_position(self):
+        cfg = micro_config()
+        train = tiny_dataset(4, cfg=cfg)
+        params = init_params(cfg)
+        params.revin.gamma.data[0] = 0.0
+        settings = TrainSettings(lr=1e-4, epochs=2, batch_size=2,
+                                 patience=5, seed=0)
+        with pytest.raises(TrainingError, match="epoch 0, step 0"):
+            fit(params, cfg, train, train, settings, log=lambda m: None)
+
+    def test_nonfinite_validation_forecast_names_epoch(self):
+        cfg = micro_config()
+        train = tiny_dataset(4, cfg=cfg)
+        val = tiny_dataset(2, seed=1, cfg=cfg)
+        val.inputs[:] = 1e307 * np.sign(val.inputs)
+        settings = TrainSettings(lr=1e-4, epochs=2, batch_size=2,
+                                 patience=5, seed=0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingError, match="epoch 0, validation"):
+                fit(init_params(cfg), cfg, train, val, settings,
+                    log=lambda m: None)
+
     def test_nonfinite_gradient_norm_stops_before_adam(self, monkeypatch):
         cfg = micro_config()
         train = tiny_dataset(4, cfg=cfg)
