@@ -22,7 +22,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -30,10 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-from .data_io import (SPLIT_PRESETS, SYNTH_KINDS, DataSettings, NormStats,
-                      SynthParams, atomic_write, checkpoint_load,
-                      checkpoint_save, compute_stats, load_csv, make_windows,
-                      save_csv, split_chronological, synth_series)
+from .data_io import (SPLIT_PRESETS, SYNTH_KINDS, DataSettings, SynthParams,
+                      atomic_write, checkpoint_load, checkpoint_save,
+                      load_csv, run_record, run_settings, save_csv,
+                      synth_series)
 from .errors import (CheckpointError, ConfigError, DataError, DCTNetError,
                      TrainingError, from_fields, whole_number)
 from .model import ABLATION_STAGES, ModelConfig, ablation_variant, forward, \
@@ -43,7 +42,7 @@ from .trainer import TrainSettings, evaluate, fit
 
 logger = logging.getLogger("dctnet")
 
-_JSON_KW = dict(sort_keys=True, indent=2)
+_JSON_KW = dict(sort_keys=True, indent=2, allow_nan=False)
 # (flag, field) pairs of each config section; a given flag beats the file
 _FLAGS = {
     "model": (("seq_len", "seq_len"), ("horizon", "pred_len")),
@@ -86,7 +85,7 @@ def _load_config_file(path: Optional[str]) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         cfg = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # bad JSON, or an int past the digit limit
         raise ConfigError(f"config file {p} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {p} must hold a JSON object")
@@ -151,13 +150,8 @@ def _resolve_run(args):
                                      seed=seed))
     settings = from_fields(TrainSettings, "train",
                            _section(args, file_cfg, "train"))
-    splits = split_chronological(table, data.split_ratios,
-                                 min_rows=cfg.seq_len + cfg.pred_len)
-    stats = compute_stats(splits[0])
-    windows = tuple(make_windows(t, cfg.seq_len, cfg.pred_len, stats,
-                                 stride=data.window_stride, split_tag=tag)
-                    for t, tag in zip(splits, ("train", "val", "test")))
-    return data, table, cfg, settings, windows
+    return (data, table, cfg, settings,
+            data.windows(table, cfg.seq_len, cfg.pred_len))
 
 
 def _train_once(cfg: ModelConfig, settings: TrainSettings, datasets,
@@ -186,20 +180,11 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metadata = {
-        "dataset": data_path.stem,
-        "horizon": cfg.pred_len,
-        "seed": cfg.seed,
-        "split_ratios": list(data.split_ratios),
-        "window_stride": data.window_stride,
-        "norm_mean": train_ds.stats.mean.tolist(),
-        "norm_std": train_ds.stats.std.tolist(),
-        "channel_names": table.channel_names,
-        "best_epoch": report.best_epoch,
-        "best_val_mse": report.val_mse[report.best_epoch],
-    }
     ckpt_path = out_dir / "checkpoint.dct"
-    checkpoint_save(params, cfg, ckpt_path, metadata=metadata)
+    checkpoint_save(params, cfg, ckpt_path, metadata=run_record(
+        train_ds.stats, data, dataset=data_path.stem,
+        channel_names=table.channel_names, best_epoch=report.best_epoch,
+        best_val_mse=report.val_mse[report.best_epoch]))
     payload = dict(report.to_json_dict(),
                    dataset=data_path.stem,
                    test_mse=test_score.mse, test_mae=test_score.mae,
@@ -217,49 +202,17 @@ def _load_eval_inputs(args):
             f"data has {table.channels} channels, checkpoint expects "
             f"{cfg.channels}"
         )
-    return (params, cfg, metadata, table, _norm_stats(metadata, cfg.channels),
-            _split_settings(metadata))
-
-
-def _norm_stats(metadata: dict, channels: int) -> NormStats:
-    """The train-split statistics a checkpoint carries, checked per channel."""
-    if "norm_mean" not in metadata or "norm_std" not in metadata:
-        raise CheckpointError(
-            "checkpoint metadata lacks normalization statistics"
-        )
-    values = {}
-    for key in ("norm_mean", "norm_std"):
-        v = metadata[key]
-        if not (isinstance(v, list) and len(v) == channels and all(
-                type(x) in (int, float) and math.isfinite(x) for x in v)):
-            raise CheckpointError(
-                f"checkpoint metadata {key} must be a list of {channels} "
-                f"finite numbers"
-            )
-        values[key] = np.asarray(v, dtype=np.float64)
-    if np.any(values["norm_std"] <= 0.0):
-        raise CheckpointError("checkpoint metadata norm_std must be > 0")
-    return NormStats(mean=values["norm_mean"], std=values["norm_std"])
-
-
-def _split_settings(metadata: dict) -> DataSettings:
-    """The split ratios and window stride a checkpoint was trained with."""
-    try:
-        return DataSettings(ratios=metadata.get("split_ratios"),
-                            window_stride=metadata.get("window_stride", 1))
-    except ConfigError as exc:
-        raise CheckpointError(f"checkpoint metadata: {exc}") from exc
+    stats, split = run_settings(metadata, cfg.channels)
+    if stats is None:
+        raise CheckpointError("checkpoint metadata lacks normalization "
+                              "statistics")
+    return params, cfg, table, stats, split
 
 
 def cmd_eval(args) -> int:
-    params, cfg, metadata, table, stats, split = _load_eval_inputs(args)
-    need = cfg.seq_len + cfg.pred_len
-    splits = dict(zip(("train", "val", "test"),
-                      split_chronological(table, split.split_ratios,
-                                          min_rows=need)))
-    dataset = make_windows(splits[args.split], cfg.seq_len, cfg.pred_len,
-                           stats, stride=split.window_stride,
-                           split_tag=args.split)
+    params, cfg, table, stats, split = _load_eval_inputs(args)
+    dataset, = split.windows(table, cfg.seq_len, cfg.pred_len, stats,
+                             which=(args.split,))
     score = evaluate(params, cfg, dataset, batch_size=args.batch_size)
     logger.info("%s split: %d windows, mse %.6f, mae %.6f, mean alpha %.4f",
                 args.split, score.num_windows, score.mse, score.mae,
@@ -270,7 +223,7 @@ def cmd_eval(args) -> int:
         "horizon": cfg.pred_len,
         "dataset": Path(args.data).stem,
         "config": cfg.to_dict(),
-        "seed": metadata.get("seed", cfg.seed),
+        "seed": cfg.seed,
         "split": args.split,
         "alpha_mean": score.alpha_mean,
         "num_windows": score.num_windows,
@@ -279,7 +232,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    params, cfg, _metadata, table, stats, _split = _load_eval_inputs(args)
+    params, cfg, table, stats, _split = _load_eval_inputs(args)
     rows = table.rows
     if rows < cfg.seq_len:
         raise DataError(
@@ -298,8 +251,13 @@ def cmd_forecast(args) -> int:
             f"{rows} observed rows"
         )
     window = stats.apply(table.values[origin - cfg.seq_len:origin])
-    fc = forward(Tensor(window[None]), params, cfg, training=False)
-    pred = stats.invert(fc.values.data[0])                  # [T, C] raw scale
+    try:
+        fc = forward(Tensor(window[None]), params, cfg, training=False)
+        pred = stats.invert(fc.values.data[0])              # [T, C] raw scale
+        if not np.all(np.isfinite(pred)):
+            raise DataError("raw-scale forecast overflows float64")
+    except DataError as exc:
+        raise DataError(f"forecast from row {origin}: {exc}") from exc
     truth = table.values[origin:origin + cfg.pred_len]
     has_truth = truth.shape[0] > 0
 
@@ -465,10 +423,7 @@ def main(argv=None) -> int:
     _setup_logging(args)
     try:
         return args.func(args)
-    except (ConfigError, DataError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, DataError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

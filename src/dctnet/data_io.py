@@ -8,6 +8,10 @@ after it.
 Checkpoints are a single self-describing binary file: magic, version,
 JSON header, then named float64 tensors.  Files are written through
 ``atomic_write``, so a failed write leaves the previous file in place.
+Their metadata is the run record that ``run_record`` writes: the train
+split's ``norm_mean`` and ``norm_std`` and the ``split_ratios`` and
+``window_stride`` it was cut with, which ``checkpoint_load`` checks and
+``run_settings`` reads, plus facts such as ``dataset`` and ``best_epoch``.
 """
 
 from __future__ import annotations
@@ -178,6 +182,13 @@ def save_csv(table: SeriesTable, path) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+def _positive_ratios(name: str, r) -> tuple[float, float, float]:
+    if not (isinstance(r, (list, tuple)) and len(r) == 3 and
+            all(finite_number(name, v) > 0 for v in r)):
+        raise ConfigError(f"{name} must be three positive numbers, got {r!r}")
+    return tuple(float(v) for v in r)
+
+
 def split_chronological(table: SeriesTable, ratios: tuple[float, float, float],
                         min_rows: int = 0
                         ) -> tuple[SeriesTable, SeriesTable, SeriesTable]:
@@ -186,9 +197,7 @@ def split_chronological(table: SeriesTable, ratios: tuple[float, float, float],
     The remainder lands in test.  ``min_rows`` (typically L+T) makes a
     too-short split a hard error naming the offending split.
     """
-    if len(ratios) != 3 or \
-            any(finite_number("ratios", r) <= 0 for r in ratios):
-        raise ConfigError(f"ratios must be three positive numbers, got {ratios}")
+    ratios = _positive_ratios("ratios", ratios)
     total = sum(ratios)
     n = table.rows
     cut1 = int(n * ratios[0] / total)
@@ -220,13 +229,9 @@ class DataSettings:
     window_stride: int = 1
 
     def __post_init__(self):
-        r = self.ratios
-        if r is not None:
-            if not (isinstance(r, (list, tuple)) and len(r) == 3 and
-                    all(finite_number("ratios", v) > 0 for v in r)):
-                raise ConfigError(
-                    f"ratios must be three positive numbers, got {r!r}")
-            object.__setattr__(self, "ratios", tuple(float(v) for v in r))
+        if self.ratios is not None:
+            object.__setattr__(self, "ratios",
+                               _positive_ratios("ratios", self.ratios))
         if not isinstance(self.preset, str) or \
                 self.preset not in SPLIT_PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from "
@@ -238,6 +243,18 @@ class DataSettings:
     @property
     def split_ratios(self) -> tuple[float, float, float]:
         return self.ratios or SPLIT_PRESETS[self.preset]
+
+    def windows(self, table: SeriesTable, seq_len: int, pred_len: int,
+                stats: Optional[NormStats] = None,
+                which=("train", "val", "test")) -> tuple[WindowedDataset, ...]:
+        """Windows of ``table``'s ``which`` splits cut by these settings,
+        standardised by ``stats`` (by default the train split's)."""
+        splits = dict(zip(("train", "val", "test"), split_chronological(
+            table, self.split_ratios, min_rows=seq_len + pred_len)))
+        stats = compute_stats(splits["train"]) if stats is None else stats
+        return tuple(make_windows(splits[tag], seq_len, pred_len, stats,
+                                  stride=self.window_stride, split_tag=tag)
+                     for tag in which)
 
 
 def compute_stats(table: SeriesTable) -> NormStats:
@@ -340,6 +357,41 @@ def synth_series(kind: str, rows: int, channels: int, seed: int,
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def run_record(stats: NormStats, data: DataSettings, **facts) -> dict:
+    """A checkpoint's metadata: ``facts`` plus the statistics and split
+    settings a forecast from it needs."""
+    return dict(facts, norm_mean=stats.mean.tolist(),
+                norm_std=stats.std.tolist(),
+                split_ratios=list(data.split_ratios),
+                window_stride=data.window_stride)
+
+
+def run_settings(metadata: dict, channels: int
+                 ) -> tuple[Optional[NormStats], DataSettings]:
+    """The train-split statistics (None unless both are stored) and split
+    settings of a run record; each key is checked on its own."""
+    try:
+        stats = {}
+        for key in ("norm_mean", "norm_std"):
+            if key in metadata:
+                v = metadata[key]
+                if not (isinstance(v, list) and len(v) == channels):
+                    raise ConfigError(f"{key} must be a list of {channels} "
+                                      f"finite numbers")
+                stats[key] = np.array([finite_number(key, x) for x in v])
+        if np.any(stats.get("norm_std", 1.0) <= 0.0):
+            raise ConfigError("norm_std must be > 0")
+        ratios = metadata.get("split_ratios")
+        split = DataSettings(
+            ratios=None if ratios is None else
+            _positive_ratios("split_ratios", ratios),
+            window_stride=metadata.get("window_stride", 1))
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint metadata {exc}") from exc
+    return (NormStats(mean=stats["norm_mean"], std=stats["norm_std"])
+            if len(stats) == 2 else None), split
+
+
 def checkpoint_save(params: DCTNetParams, cfg: ModelConfig, path,
                     metadata: Optional[dict] = None) -> None:
     """Write magic, version, JSON header, then named float64 tensor bytes.
@@ -364,7 +416,8 @@ def checkpoint_save(params: DCTNetParams, cfg: ModelConfig, path,
 
 
 def checkpoint_load(path) -> tuple[DCTNetParams, ModelConfig, dict]:
-    """Rebuild (params, config, metadata); every mismatch names its offender."""
+    """Rebuild (params, config, metadata as saved); every mismatch, in the
+    run record too, names its offender."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -380,7 +433,7 @@ def checkpoint_load(path) -> tuple[DCTNetParams, ModelConfig, dict]:
         raise CheckpointError(f"truncated checkpoint header in {path}")
     try:
         header = json.loads(raw[16:16 + blob_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:       # bad UTF-8 or JSON, or an int too long
         raise CheckpointError(f"corrupt checkpoint header in {path}: {exc}")
     try:
         cfg = ModelConfig.from_dict(header["config"])
@@ -393,6 +446,7 @@ def checkpoint_load(path) -> tuple[DCTNetParams, ModelConfig, dict]:
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(
             f"malformed checkpoint header in {path}: {exc!r}") from exc
+    run_settings(metadata, cfg.channels)
 
     params = init_params(cfg)
     registry = params.named_parameters()

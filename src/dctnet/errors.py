@@ -36,9 +36,14 @@ class SingularityError(DCTNetError):
 
 
 def finite_number(name: str, value) -> float:
-    """``value`` as a float; ``ConfigError`` unless a finite real number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value):
+    """``value`` as a float; ``ConfigError`` unless a real number that is
+    finite in float64."""
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, numbers.Real) \
+            and math.isfinite(value)
+    except OverflowError:                   # an int beyond float64's range
+        ok = False
+    if not ok:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 

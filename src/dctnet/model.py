@@ -78,8 +78,9 @@ class ModelConfig:
         for name in ("channels", "seq_len", "pred_len", "patch_len", "stride",
                      "latent_dim", "heads", "depth"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+            if type(v) is not int or not 1 <= v < 2**63:      # not a bool
+                raise ConfigError(f"{name} must be a positive integer below "
+                                  f"2**63, got {v!r}")
         if self.latent_dim < 2:
             # a norm over one feature outputs its bias, whatever its input
             raise ConfigError(f"latent_dim must be >= 2, got {self.latent_dim}")
@@ -100,6 +101,10 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if finite_number("revin_eps", self.revin_eps) <= 0:
             raise ConfigError(f"revin_eps must be > 0, got {self.revin_eps}")
+        for name in ("disable_dbct", "disable_gpaf", "disable_fsc"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got "
+                                  f"{getattr(self, name)!r}")
         whole_number("seed", self.seed)
 
     @property
@@ -215,14 +220,15 @@ def init_params(cfg: ModelConfig) -> DCTNetParams:
 
 @dataclass
 class Forecast:
-    """Horizon values in the data's own scale, plus correction diagnostics."""
+    """Horizon values in the data's own scale, plus correction diagnostics;
+    one that overflows float64 is a ``DataError``, as its inputs are."""
 
     values: Tensor
     diagnostics: SpectralDiagnostics
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values.data)):
-            raise ContractError("forecast contains NaN/Inf")
+            raise DataError("forecast contains NaN/Inf")
 
 
 def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,

@@ -153,7 +153,11 @@ class EvalResult:
 
 def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
              batch_size: int = 64) -> EvalResult:
-    """MSE/MAE over every window of the dataset, plus the mean correction factor."""
+    """MSE/MAE over every window of the dataset, plus the mean correction factor.
+
+    A forecast or a score that overflows float64 is a ``DataError`` naming
+    the split.
+    """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if len(dataset) == 0:
@@ -166,7 +170,11 @@ def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
     for start in range(0, len(dataset), batch_size):
         xb = dataset.inputs[start:start + batch_size]
         yb = dataset.targets[start:start + batch_size]
-        fc = forward(Tensor(xb), params, cfg, training=False)
+        try:
+            fc = forward(Tensor(xb), params, cfg, training=False)
+        except DataError as exc:
+            raise DataError(f"{dataset.split} split, windows {start}-"
+                            f"{start + len(xb) - 1}: {exc}") from exc
         err = fc.values.data - yb
         sq_sum += float((err * err).sum())
         abs_sum += float(np.abs(err).sum())
@@ -174,6 +182,8 @@ def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
         a = fc.diagnostics.alpha.data
         alpha_sum += float(np.sum(a))
         alpha_count += a.size
+    if not np.isfinite(sq_sum):         # mae overflows only if mse does
+        raise DataError(f"{dataset.split} split: mse overflows float64")
     return EvalResult(mse=sq_sum / count, mae=abs_sum / count,
                       alpha_mean=alpha_sum / alpha_count, num_windows=len(dataset))
 
@@ -199,7 +209,8 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
     stops early after ``patience`` consecutive epochs without improvement.
     A non-finite forecast, loss or pre-clip gradient norm, or a revin gain
     too small to invert, raises ``TrainingError`` naming the epoch and step
-    (or the epoch's validation), before Adam touches the parameters.
+    (or the epoch's validation), before Adam touches the parameters; so
+    does a validation score that overflows float64.
     """
     settings = settings or TrainSettings()
     if len(train) == 0:
@@ -241,9 +252,7 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
                 try:
                     fc = forward(Tensor(xb), params, cfg, training=True,
                                  rng=make_rng(seed, "dropout", epoch, step))
-                except (ContractError, SingularityError) as exc:
-                    # shapes were checked above, so the forecast is
-                    # non-finite or a revin gain has collapsed
+                except (DataError, SingularityError) as exc:
                     raise TrainingError(f"{where}: {exc}") from exc
                 loss = mse_loss(fc.values, yb)
             loss_val = float(loss.data)
@@ -263,7 +272,7 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
 
         try:
             score = evaluate(params, cfg, val, batch_size=settings.batch_size)
-        except (ContractError, SingularityError) as exc:
+        except (DataError, SingularityError) as exc:
             raise TrainingError(f"epoch {epoch}, validation: {exc}") from exc
         val_mses.append(score.mse)
         val_maes.append(score.mae)

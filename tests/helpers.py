@@ -134,3 +134,49 @@ def tiny_configs(draw):
         depth=draw(st.integers(1, 2)),
         dropout=draw(st.sampled_from([0.0, 0.1, 0.5])),
         seed=draw(st.integers(0, 2**16)))
+
+
+def _with_metadata(**fields):
+    def edit(header):
+        header["metadata"].update(fields)
+        return header
+    return edit
+
+
+def _metadata_is(value):
+    def edit(header):
+        header["metadata"] = value
+        return header
+    return edit
+
+
+# checkpoint header edits that checkpoint_load refuses; each name starts
+# with the record key it spoils (see RECORD_KEY)
+BAD_METADATA = {
+    "metadata_number": _metadata_is(7),
+    "metadata_list": _metadata_is(["norm_mean", "norm_std"]),
+    "mean_string": _with_metadata(norm_mean="0.0,0.0"),
+    "mean_wrong_length": _with_metadata(norm_mean=[0.0, 0.0, 0.0]),
+    "mean_nested": _with_metadata(norm_mean=[[0.0, 0.0]]),
+    "mean_bool": _with_metadata(norm_mean=[True, 0.0]),
+    "mean_huge_int": _with_metadata(norm_mean=[10**400, 0.0]),
+    "std_nan": _with_metadata(norm_std=[float("nan"), 1.0]),
+    "std_infinite": _with_metadata(norm_std=[float("inf"), 1.0]),
+    "std_zero": _with_metadata(norm_std=[0.0, 1.0]),
+    "std_negative": _with_metadata(norm_std=[1.0, -2.0]),
+    "stride_string": _with_metadata(window_stride="x"),
+    "stride_zero": _with_metadata(window_stride=0),
+    "stride_float": _with_metadata(window_stride=1.5),
+    "ratios_number": _with_metadata(split_ratios=5),
+    "ratios_wrong_length": _with_metadata(split_ratios=[6.0, 2.0]),
+    "ratios_nonpositive": _with_metadata(split_ratios=[6.0, 0.0, 2.0]),
+}
+RECORD_KEY = {"metadata": "metadata", "mean": "norm_mean", "std": "norm_std",
+              "stride": "window_stride", "ratios": "split_ratios"}
+
+# edits that load, since each key is checked on its own, but leave no
+# statistics to forecast with
+LACKS_STATS = {
+    "std_missing": lambda h: {**h, "metadata": {
+        k: v for k, v in h["metadata"].items() if k != "norm_std"}},
+}

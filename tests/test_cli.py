@@ -9,10 +9,11 @@ import struct
 import numpy as np
 import pytest
 
-from dctnet.cli import main
-from dctnet.data_io import checkpoint_load, checkpoint_save
+from dctnet.cli import _emit_json, main
+from dctnet.data_io import checkpoint_load, checkpoint_save, load_csv, \
+    save_csv
 
-from helpers import rewrite_header
+from helpers import BAD_METADATA, LACKS_STATS, rewrite_header
 
 CFG_JSON = {
     "model": {"latent_dim": 16, "heads": 2, "patch_len": 8, "stride": 4},
@@ -152,46 +153,11 @@ class TestTrain:
         assert json.loads(stdout)["seed"] == 5
 
 
-def _with_metadata(**fields):
-    def edit(header):
-        header["metadata"].update(fields)
-        return header
-    return edit
-
-
-def _metadata_is(value):
-    def edit(header):
-        header["metadata"] = value
-        return header
-    return edit
-
-
-BAD_METADATA = {
-    "metadata_number": _metadata_is(7),
-    "metadata_list": _metadata_is(["norm_mean", "norm_std"]),
-    "mean_string": _with_metadata(norm_mean="0.0,0.0"),
-    "mean_wrong_length": _with_metadata(norm_mean=[0.0, 0.0, 0.0]),
-    "mean_nested": _with_metadata(norm_mean=[[0.0, 0.0]]),
-    "mean_bool": _with_metadata(norm_mean=[True, 0.0]),
-    "std_nan": _with_metadata(norm_std=[float("nan"), 1.0]),
-    "std_infinite": _with_metadata(norm_std=[float("inf"), 1.0]),
-    "std_zero": _with_metadata(norm_std=[0.0, 1.0]),
-    "std_negative": _with_metadata(norm_std=[1.0, -2.0]),
-    "std_missing": lambda h: {**h, "metadata": {
-        k: v for k, v in h["metadata"].items() if k != "norm_std"}},
-    "stride_string": _with_metadata(window_stride="x"),
-    "stride_zero": _with_metadata(window_stride=0),
-    "stride_float": _with_metadata(window_stride=1.5),
-    "ratios_number": _with_metadata(split_ratios=5),
-    "ratios_wrong_length": _with_metadata(split_ratios=[6.0, 2.0]),
-    "ratios_nonpositive": _with_metadata(split_ratios=[6.0, 0.0, 2.0]),
-}
-
-
 class TestBadCheckpointMetadata:
     @pytest.mark.parametrize("command", ["eval", "forecast"])
-    @pytest.mark.parametrize("edit", list(BAD_METADATA.values()),
-                             ids=list(BAD_METADATA))
+    @pytest.mark.parametrize("edit", [*BAD_METADATA.values(),
+                                      *LACKS_STATS.values()],
+                             ids=[*BAD_METADATA, *LACKS_STATS])
     def test_exit_2(self, trained, tmp_path, capsys, command, edit):
         ckpt = tmp_path / "checkpoint.dct"
         shutil.copy(trained["out"] / "checkpoint.dct", ckpt)
@@ -270,6 +236,79 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert "1" in err and "2" in err
+
+
+class TestOverflow:
+    """Finite data or weights whose forecast or score overflows float64:
+    a data error (exit 2) naming the split or the forecast origin."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        with np.errstate(all="ignore"):
+            code, stdout = run(argv + ["--quiet"])
+        return code, stdout, capsys.readouterr().err
+
+    @staticmethod
+    def _edited_data(trained, tmp_path, edit):
+        table = load_csv(trained["root"] / "data.csv")
+        edit(table.values)
+        save_csv(table, tmp_path / "edited.csv")
+        return str(tmp_path / "edited.csv")
+
+    def test_train_test_split_forecast(self, trained, tmp_path, capsys):
+        data = self._edited_data(
+            trained, tmp_path, lambda v: v.__setitem__((slice(-60, None), 0),
+                                                       1e300))
+        code, stdout, err = self._run(
+            ["train", "--data", data, "--out", str(tmp_path / "run")]
+            + TRAIN_FLAGS, capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: test split, windows ")
+        assert "forecast contains NaN/Inf" in err
+
+    @pytest.mark.parametrize("command, where", [
+        ("eval", "error: test split, windows "),
+        ("forecast", "error: forecast from row 388: "),
+    ], ids=["eval", "forecast"])
+    def test_constant_huge_channel(self, trained, tmp_path, capsys, command,
+                                   where):
+        data = self._edited_data(
+            trained, tmp_path, lambda v: v.__setitem__((slice(None), 1),
+                                                       1e200))
+        code, stdout, err = self._run(
+            [command, "--checkpoint", str(trained["out"] / "checkpoint.dct"),
+             "--data", data], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(where)
+
+    def test_eval_score_names_mse(self, trained, tmp_path, capsys):
+        params, cfg, meta = checkpoint_load(trained["out"] / "checkpoint.dct")
+        params.head_bias.data[:] = 1e300
+        ckpt = tmp_path / "checkpoint.dct"
+        checkpoint_save(params, cfg, ckpt, metadata=meta)
+        code, stdout, err = self._run(
+            ["eval", "--checkpoint", str(ckpt),
+             "--data", str(trained["root"] / "data.csv")], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: test split: mse overflows")
+
+    def test_forecast_raw_scale_names_origin(self, trained, tmp_path,
+                                             capsys):
+        # finite in the model's scale, past float64 once de-normalised
+        params, cfg, meta = checkpoint_load(trained["out"] / "checkpoint.dct")
+        params.head_bias.data[:] = 1e12
+        ckpt = tmp_path / "checkpoint.dct"
+        checkpoint_save(params, cfg, ckpt,
+                        metadata=dict(meta, norm_std=[1e300, 1.0]))
+        code, stdout, err = self._run(
+            ["forecast", "--checkpoint", str(ckpt),
+             "--data", str(trained["root"] / "data.csv")], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: forecast from row 388: raw-scale")
+
+    def test_json_output_is_strict(self):
+        with pytest.raises(ValueError):
+            _emit_json({"mse": float("inf")})
 
 
 class TestForecast:
@@ -412,6 +451,16 @@ class TestBadSettings:
         assert stdout == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    def test_int_past_parse_digit_limit_exit_2(self, workdir, tmp_path,
+                                               capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"seed": ' + "1" * 5000 + "}")
+        code, stdout = run(["train", "--config", str(cfg_path),
+                            "--data", str(workdir / "data.csv"),
+                            "--out", str(tmp_path / "out"), "--quiet"])
+        assert (code, stdout) == (2, "")
+        assert "not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("batch_size", ["0", "-1"])
     def test_eval_exit_2(self, trained, capsys, batch_size):

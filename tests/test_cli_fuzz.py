@@ -1,0 +1,196 @@
+"""Property tests over ``cli.main``: whatever config file or checkpoint a
+user hands it, a run ends with exit 0, 1 or 2 and a named error, never an
+escaped exception or an "internal error", and its JSON output is strict.
+
+Runs are in process on a micro model and a few hundred synthetic rows, so
+a case takes milliseconds; shape settings that would ask for large
+allocations or long training are kept small.
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, event, example, given, settings, \
+    strategies as st
+
+from dctnet.cli import main
+from dctnet.data_io import checkpoint_load, checkpoint_save, load_csv, \
+    save_csv
+from dctnet.model import ModelConfig, init_params
+
+from helpers import BAD_METADATA, LACKS_STATS, rewrite_header
+
+MICRO = {"model": {"seq_len": 16, "pred_len": 4, "patch_len": 8,
+                   "stride": 4, "latent_dim": 4, "heads": 2},
+         "train": {"epochs": 1, "batch_size": 16}}
+
+# data variants: the synth series, its test split's ch0 at 1e300 (the
+# forecast overflows there), and ch1 held at 1e200 (every forecast does)
+DATA_EDITS = {
+    "sine": lambda v: None,
+    "huge_tail": lambda v: v.__setitem__((slice(-20, None), 0), 1e300),
+    "const_huge": lambda v: v.__setitem__((slice(None), 1), 1e200),
+}
+
+# (section, key): real keys, plus misspellings of some; section None is
+# the top level
+KEYS = [(section, key) for section, keys in {
+    "model": ["seq_len", "pred_len", "patch_len", "stride", "latent_dim",
+              "heads", "depth", "dropout", "revin_eps", "correction",
+              "channels", "disable_fsc", "seq_lne", "dropuot"],
+    "train": ["lr", "epochs", "batch_size", "patience", "clip_norm", "lrr",
+              "epoch"],
+    "data": ["ratios", "preset", "window_stride", "path", "ratio",
+             "windowstride"],
+}.items() for key in keys] + [(None, "seed"), (None, "sed")]
+# the largest value each of these may take: more trains longer or
+# allocates more, which is a cost, not a contract question
+CAPS = {"epochs": 2, "latent_dim": 16, "depth": 2, "heads": 16}
+
+VALUES = st.one_of(
+    st.sampled_from(["x", "", "2", [], [1], [1, 1], [6, 2, 2], {},
+                     {"eps": -1.0}, {"eps": float("nan")}, True, None,
+                     "ett", "standard"]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.integers(-3, 24),
+    st.floats(-10.0, 10.0, allow_nan=False),
+    st.sampled_from([1e300, -1e300, 2**63, -2**63 - 1, 10**400,
+                     -10**400]),
+)
+
+
+def _within_caps(entry) -> bool:
+    (_section, key), value = entry
+    return not (key in CAPS and isinstance(value, int)
+                and value > CAPS[key])
+
+
+@st.composite
+def config_files(draw):
+    """The micro config with up to three keys set to drawn values."""
+    cfg = json.loads(json.dumps(MICRO))
+    edits = draw(st.lists(st.tuples(st.sampled_from(KEYS), VALUES)
+                          .filter(_within_caps), max_size=3))
+    for (section, key), value in edits:
+        (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    return cfg
+
+
+def _strict(text: str):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def check_run(argv):
+    """Run ``main`` and assert the CLI contract; returns the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with np.errstate(all="ignore"), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(argv + ["--quiet"])
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2)
+    assert not err.getvalue().startswith("internal error"), err.getvalue()
+    if code != 0:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("error: ", "training failed: "))
+    elif argv[0] in ("train", "eval"):
+        _strict(out.getvalue())
+    return code
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory):
+    """Synth data variants and a micro checkpoint trained on the plain one."""
+    root = tmp_path_factory.mktemp("fuzz")
+    sine = root / "sine.csv"
+    assert main(["synth", "--kind", "sine", "--rows", "160", "--channels",
+                 "2", "--noise", "0.1", "--out", str(sine), "--quiet"]) == 0
+    for name, edit in DATA_EDITS.items():
+        table = load_csv(sine)
+        edit(table.values)
+        save_csv(table, root / f"{name}.csv")
+    (root / "micro.json").write_text(json.dumps(MICRO))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", str(root / "micro.json"),
+                     "--data", str(sine), "--out", str(root / "run"),
+                     "--quiet"]) == 0
+    return root
+
+
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestConfigFuzz:
+    @FUZZ
+    @given(cfg=config_files(), data=st.sampled_from(sorted(DATA_EDITS)))
+    @example(cfg=MICRO, data="huge_tail")
+    @example(cfg={**MICRO, "train": {"lr": 10**400}}, data="sine")
+    @example(cfg={**MICRO, "model": {**MICRO["model"], "stride": 2**63}},
+             data="sine")
+    @example(cfg={**MICRO, "model": {**MICRO["model"], "heads": True}},
+             data="sine")
+    @example(cfg={**MICRO, "model": {**MICRO["model"],
+                                     "disable_fsc": float("nan")}},
+             data="sine")
+    def test_train_contract(self, fuzzdir, cfg, data):
+        path = fuzzdir / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        check_run(["train", "--config", str(path),
+                   "--data", str(fuzzdir / f"{data}.csv"),
+                   "--out", str(fuzzdir / "out")])
+
+
+TENSORS = list(init_params(ModelConfig(channels=2, **MICRO["model"]))
+               .named_parameters())
+
+
+def _huge_spread(header):
+    header["metadata"]["norm_std"] = [1e300, 1.0]
+    return header
+
+
+# header edits that leave the metadata valid but extreme
+EXTREME_METADATA = {"huge_spread": _huge_spread}
+METADATA_EDITS = {**BAD_METADATA, **LACKS_STATS, **EXTREME_METADATA}
+
+
+class TestCheckpointFuzz:
+    @FUZZ
+    @given(command=st.sampled_from(["eval", "forecast"]),
+           data=st.one_of(st.just("sine"), st.sampled_from(sorted(DATA_EDITS))),
+           metadata=st.one_of(st.none(), st.sampled_from(
+               sorted(METADATA_EDITS))),
+           scale=st.one_of(st.none(), st.tuples(
+               st.sampled_from(TENSORS),
+               st.sampled_from([-1.0, 1e10, 1e100, 1e200, 1e300]))),
+           zero_gains=st.one_of(st.just([]), st.lists(
+               st.integers(0, 1), min_size=1, max_size=2)))
+    @example(command="eval", data="const_huge", metadata=None, scale=None,
+             zero_gains=[])
+    @example(command="forecast", data="const_huge", metadata=None,
+             scale=None, zero_gains=[])
+    @example(command="eval", data="sine", metadata=None,
+             scale=("head.bias", 1e300), zero_gains=[])
+    @example(command="forecast", data="sine", metadata="huge_spread",
+             scale=("head.bias", 1e13), zero_gains=[])
+    def test_eval_and_forecast_contract(self, fuzzdir, command, data,
+                                        metadata, scale, zero_gains):
+        params, cfg, meta = checkpoint_load(fuzzdir / "run" / "checkpoint.dct")
+        registry = params.named_parameters()
+        if scale is not None:
+            with np.errstate(over="ignore"):
+                registry[scale[0]].data = registry[scale[0]].data * scale[1]
+        registry["revin.gamma"].data[zero_gains] = 0.0
+        ckpt = fuzzdir / "fuzzed.dct"
+        checkpoint_save(params, cfg, ckpt, metadata=meta)
+        if metadata is not None:
+            rewrite_header(ckpt, METADATA_EDITS[metadata])
+        code = check_run([command, "--checkpoint", str(ckpt),
+                          "--data", str(fuzzdir / f"{data}.csv")])
+        if metadata not in (None, *EXTREME_METADATA) or zero_gains:
+            assert code == 2

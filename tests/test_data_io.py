@@ -10,17 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dctnet.data_io import (SPLIT_PRESETS, SYNTH_KINDS, NormStats,
-                            SeriesTable, SynthParams, atomic_write,
-                            checkpoint_load,
-                            checkpoint_save, compute_stats, load_csv,
-                            make_windows, save_csv, split_chronological,
-                            synth_series)
+from dctnet.data_io import (SPLIT_PRESETS, SYNTH_KINDS, DataSettings,
+                            NormStats, SeriesTable, SynthParams, atomic_write,
+                            checkpoint_load, checkpoint_save, compute_stats,
+                            load_csv, make_windows, run_record, run_settings,
+                            save_csv, split_chronological, synth_series)
 from dctnet.errors import CheckpointError, ConfigError, DataError
 from dctnet.fft import dft
 from dctnet.model import ModelConfig, forward, init_params
 
-from helpers import rewrite_header, tiny_configs
+from helpers import (BAD_METADATA, LACKS_STATS, RECORD_KEY, rewrite_header,
+                     tiny_configs)
 
 
 class TestLoadCsv:
@@ -512,6 +512,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="header"):
             checkpoint_load(p)
 
+    def test_int_past_parse_digit_limit(self, tmp_path):
+        cfg = micro_config()
+        p = tmp_path / "x.dct"
+        checkpoint_save(init_params(cfg), cfg, p, metadata={"n": 7})
+        raw = p.read_bytes()
+        n = struct.unpack("<Q", raw[8:16])[0]
+        blob = raw[16:16 + n].replace(b'"n":7', b'"n":' + b"1" * 5000)
+        p.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                      + raw[16 + n:])
+        with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
+            checkpoint_load(p)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_tensor_named(self, tmp_path, bad):
         cfg = micro_config()
@@ -575,6 +587,60 @@ class TestGoldenCheckpoint:
         assert list(loaded) == list(fresh)
         for name, t in loaded.items():
             assert t.data.tobytes() == fresh[name].data.tobytes(), name
+
+
+class TestRunRecord:
+    """The metadata a run stores beside its weights, checked on load."""
+
+    CFG = micro_config()
+
+    def _saved(self, tmp_path, metadata):
+        path = tmp_path / "m.dct"
+        checkpoint_save(init_params(self.CFG), self.CFG, path,
+                        metadata=metadata)
+        return path
+
+    @staticmethod
+    def _record():
+        stats = NormStats(mean=np.array([0.5, -1.0]),
+                          std=np.array([2.0, 0.25]))
+        return run_record(stats, DataSettings(preset="standard",
+                                              window_stride=3),
+                          dataset="unit", best_epoch=0)
+
+    def test_round_trip(self, tmp_path):
+        record = self._record()
+        meta = checkpoint_load(self._saved(tmp_path, record))[2]
+        assert meta == record
+        stats, split = run_settings(meta, self.CFG.channels)
+        assert stats.mean.tolist() == [0.5, -1.0]
+        assert stats.std.tolist() == [2.0, 0.25]
+        assert split.split_ratios == (7.0, 1.0, 2.0)
+        assert split.window_stride == 3
+
+    @pytest.mark.parametrize("name", list(BAD_METADATA))
+    def test_bad_record_refused_on_load(self, tmp_path, name):
+        path = self._saved(tmp_path, self._record())
+        rewrite_header(path, BAD_METADATA[name])
+        with pytest.raises(CheckpointError) as err:
+            checkpoint_load(path)
+        assert "metadata" in str(err.value)
+        assert RECORD_KEY[name.split("_")[0]] in str(err.value)
+
+    @pytest.mark.parametrize("name", list(LACKS_STATS))
+    def test_missing_statistics_load_but_read_as_none(self, tmp_path, name):
+        path = self._saved(tmp_path, self._record())
+        rewrite_header(path, LACKS_STATS[name])
+        _params, cfg, meta = checkpoint_load(path)
+        assert run_settings(meta, cfg.channels)[0] is None
+
+    @pytest.mark.parametrize("metadata", [
+        TestGoldenCheckpoint.META,
+        {"seed": 7, "norm_mean": [0.5, 0.5]},
+        {"norm_mean": [0.25, -2.0], "norm_std": [1.5, 3.0]},
+    ], ids=["golden", "mean_only", "forecast_benchmark_setup"])
+    def test_partial_records_load_unchanged(self, tmp_path, metadata):
+        assert checkpoint_load(self._saved(tmp_path, metadata))[2] == metadata
 
 
 class TestCheckpointFuzz:

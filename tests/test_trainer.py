@@ -258,6 +258,19 @@ class TestFit:
                 fit(init_params(cfg), cfg, train, val, settings,
                     log=lambda m: None)
 
+    def test_nonfinite_validation_mse_names_epoch(self):
+        cfg = micro_config()
+        train = tiny_dataset(4, cfg=cfg)
+        val = tiny_dataset(2, seed=1, cfg=cfg)
+        val.targets[:] = 1e200          # finite forecasts, overflowing error
+        settings = TrainSettings(lr=1e-4, epochs=2, batch_size=2,
+                                 patience=5, seed=0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingError,
+                               match="epoch 0, validation: .*mse overflows"):
+                fit(init_params(cfg), cfg, train, val, settings,
+                    log=lambda m: None)
+
     def test_nonfinite_gradient_norm_stops_before_adam(self, monkeypatch):
         cfg = micro_config()
         train = tiny_dataset(4, cfg=cfg)
@@ -336,6 +349,23 @@ class TestEvaluate:
                                 "test", stats)
         with pytest.raises(DataError):
             evaluate(init_params(cfg), cfg, empty)
+
+    def test_overflowing_forecast_names_split_and_windows(self):
+        cfg = micro_config()
+        params = init_params(cfg)
+        params.head_weight.data[:] = 1e308
+        with np.errstate(all="ignore"):
+            with pytest.raises(DataError, match="train split, windows 0-1: "
+                                                "forecast contains NaN/Inf"):
+                evaluate(params, cfg, tiny_dataset(4, cfg=cfg), batch_size=2)
+
+    def test_overflowing_score_names_split_and_metric(self):
+        cfg = micro_config()
+        ds = tiny_dataset(3, cfg=cfg)
+        ds.targets[:] = 1e200
+        with np.errstate(all="ignore"):
+            with pytest.raises(DataError, match="train split: mse overflows"):
+                evaluate(init_params(cfg), cfg, ds)
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_rejected(self, batch_size):
