@@ -422,8 +422,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _setup_logging(args)
     try:
-        return args.func(args)
-    except (ConfigError, DataError, CheckpointError, OSError) as exc:
+        with np.errstate(all="ignore"):     # overflows are named by the checks
+            return args.func(args)
+    except (ConfigError, DataError, CheckpointError, OSError,
+            MemoryError) as exc:           # a size too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

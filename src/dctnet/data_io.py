@@ -329,6 +329,9 @@ def synth_series(kind: str, rows: int, channels: int, seed: int,
         raise ConfigError(f"rows must be >= 1, got {rows}")
     if channels < 1:
         raise ConfigError(f"channels must be >= 1, got {channels}")
+    if rows * channels > np.iinfo(np.intp).max // 8:    # np.arange would wrap
+        raise ConfigError(f"{rows} rows x {channels} channels exceed "
+                          f"numpy's array size limit")
     p = params or SynthParams()
     shift = p.shift_row if p.shift_row is not None else rows // 2
     t = np.arange(rows, dtype=np.float64)[:, None]

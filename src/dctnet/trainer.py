@@ -26,6 +26,7 @@ from .rng import make_rng
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+_EVAL_BLOCK_BYTES = 512 * 1024    # a quarter of a 2 MB L2: eval stays in cache
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
@@ -155,6 +156,10 @@ def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
              batch_size: int = 64) -> EvalResult:
     """MSE/MAE over every window of the dataset, plus the mean correction factor.
 
+    Errors are summed per batch of ``batch_size`` windows.  Each batch runs in
+    blocks of windows whose widest intermediate (the C·N·D token grid or the
+    H·N·C² and H·C·N² attention probabilities) fits ``_EVAL_BLOCK_BYTES``; a
+    window's forecast does not depend on its block, so neither do the scores.
     A forecast or a score that overflows float64 is a ``DataError`` naming
     the split.
     """
@@ -162,30 +167,35 @@ def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if len(dataset) == 0:
         raise DataError(f"{dataset.split} dataset has no windows")
-    sq_sum = 0.0
-    abs_sum = 0.0
-    count = 0
-    alpha_sum = 0.0
-    alpha_count = 0
+    c, n, h = cfg.channels, cfg.num_patches, cfg.heads
+    widest = max(c * n * cfg.latent_dim, h * n * c * c, h * c * n * n)
+    rows = max(1, min(batch_size, _EVAL_BLOCK_BYTES // (8 * widest)))
+    if c * n == 1:      # a 1-window block's projections would be GEMVs, which
+        rows = batch_size       # sum in another order than the batch's GEMM
+    sq_sum = abs_sum = alpha_sum = 0.0
     for start in range(0, len(dataset), batch_size):
         xb = dataset.inputs[start:start + batch_size]
         yb = dataset.targets[start:start + batch_size]
         try:
-            fc = forward(Tensor(xb), params, cfg, training=False)
+            blocks = [forward(Tensor(xb[lo:lo + rows]), params, cfg)
+                      for lo in range(0, len(xb), rows)]
         except DataError as exc:
             raise DataError(f"{dataset.split} split, windows {start}-"
                             f"{start + len(xb) - 1}: {exc}") from exc
-        err = fc.values.data - yb
+        values = np.concatenate([fc.values.data for fc in blocks])
+        # named: numpy would reuse a temporary's buffer, and its layout, for
+        # ``err``, and the sums below would then run in another order
+        err = values - yb
         sq_sum += float((err * err).sum())
         abs_sum += float(np.abs(err).sum())
-        count += err.size
-        a = fc.diagnostics.alpha.data
-        alpha_sum += float(np.sum(a))
-        alpha_count += a.size
+        alpha_sum += float(np.sum(np.concatenate(
+            [fc.diagnostics.alpha.data for fc in blocks])))
     if not np.isfinite(sq_sum):         # mae overflows only if mse does
         raise DataError(f"{dataset.split} split: mse overflows float64")
+    count = dataset.targets.size
     return EvalResult(mse=sq_sum / count, mae=abs_sum / count,
-                      alpha_mean=alpha_sum / alpha_count, num_windows=len(dataset))
+                      alpha_mean=alpha_sum / (len(dataset) * cfg.channels),
+                      num_windows=len(dataset))
 
 
 def _snapshot(params: DCTNetParams) -> dict[str, np.ndarray]:

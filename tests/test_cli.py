@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,23 @@ class TestOverflow:
              "--data", data], capsys)
         assert (code, stdout) == (2, "")
         assert err.startswith(where)
+
+    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    def test_no_numpy_warning_reaches_stderr(self, trained, tmp_path, capsys,
+                                             command):
+        data = self._edited_data(
+            trained, tmp_path, lambda v: v.__setitem__((slice(None), 1),
+                                                       1e200))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout = run(
+                [command, "--checkpoint",
+                 str(trained["out"] / "checkpoint.dct"), "--data", data,
+                 "--quiet"])
+        err = capsys.readouterr().err
+        assert (code, stdout, caught) == (2, "", [])
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Warning" not in err
 
     def test_eval_score_names_mse(self, trained, tmp_path, capsys):
         params, cfg, meta = checkpoint_load(trained["out"] / "checkpoint.dct")

@@ -1,6 +1,7 @@
-"""Property tests over ``cli.main``: whatever config file or checkpoint a
-user hands it, a run ends with exit 0, 1 or 2 and a named error, never an
-escaped exception or an "internal error", and its JSON output is strict.
+"""Property tests over ``cli.main``: whatever config file, checkpoint or
+command line a user hands it, a run ends with exit 0, 1 or 2 and a named
+error, never an escaped exception, a numpy warning or an "internal error",
+and its JSON output is strict.
 
 Runs are in process on a micro model and a few hundred synthetic rows, so
 a case takes milliseconds; shape settings that would ask for large
@@ -17,8 +18,8 @@ from hypothesis import HealthCheck, event, example, given, settings, \
     strategies as st
 
 from dctnet.cli import main
-from dctnet.data_io import checkpoint_load, checkpoint_save, load_csv, \
-    save_csv
+from dctnet.data_io import SYNTH_KINDS, checkpoint_load, checkpoint_save, \
+    load_csv, save_csv
 from dctnet.model import ModelConfig, init_params
 
 from helpers import BAD_METADATA, LACKS_STATS, rewrite_header
@@ -86,18 +87,24 @@ def _strict(text: str):
 
 
 def check_run(argv):
-    """Run ``main`` and assert the CLI contract; returns the exit code."""
+    """Run ``main`` as a user would, with numpy's warnings at their defaults
+    (pytest turns a ``RuntimeWarning`` into a failure), and assert the CLI
+    contract; returns the exit code."""
     out, err = io.StringIO(), io.StringIO()
-    with np.errstate(all="ignore"), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        code = main(argv + ["--quiet"])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--quiet"])
+        except SystemExit as exc:           # argparse refused the arguments
+            assert exc.code == 2 and ": error: " in err.getvalue()
+            event(f"{argv[0]} usage error")
+            return 2
     event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2)
     assert not err.getvalue().startswith("internal error"), err.getvalue()
     if code != 0:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("error: ", "training failed: "))
-    elif argv[0] in ("train", "eval"):
+    elif argv[0] in ("train", "eval", "ablate"):
         _strict(out.getvalue())
     return code
 
@@ -194,3 +201,81 @@ class TestCheckpointFuzz:
                           "--data", str(fuzzdir / f"{data}.csv")])
         if metadata not in (None, *EXTREME_METADATA) or zero_gains:
             assert code == 2
+
+
+# --variants lists: real stages, repeats, blanks, wrong case and typos
+VARIANT_LISTS = st.lists(st.sampled_from(
+    ["dbct", "gpaf", "fsc", " fsc ", "", "FSC", "dcbt"]), max_size=3).map(
+        ",".join)
+
+
+class TestAblateFuzz:
+    @settings(FUZZ, max_examples=60)
+    @given(cfg=st.one_of(st.just(MICRO), config_files()),
+           variants=VARIANT_LISTS,
+           data=st.sampled_from(sorted(DATA_EDITS)))
+    @example(cfg=MICRO, variants="fsc,fsc", data="sine")
+    @example(cfg=MICRO, variants=",", data="huge_tail")
+    def test_ablate_contract(self, fuzzdir, cfg, variants, data):
+        path = fuzzdir / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = fuzzdir / "ablate.json"
+        out.unlink(missing_ok=True)
+        code = check_run(["ablate", "--config", str(path),
+                          "--data", str(fuzzdir / f"{data}.csv"),
+                          "--variants", variants, "--out", str(out)])
+        if code == 0:
+            rows = _strict(out.read_text())["variants"]
+            assert rows[0]["name"] == "full"
+            assert len(rows) == 1 + sum(1 for v in variants.split(",")
+                                        if v.strip())
+        else:
+            assert not out.exists()
+
+
+# sizes past the address space fail to allocate at once, whatever the
+# machine; sizes between a few hundred and those are left out, since they
+# could allocate for real
+HUGE_SIZES = st.sampled_from([2**50, 2**62, 2**63 - 1, 2**63, 10**400,
+                              -2**63])
+SYNTH_FLOATS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-320", "1e308",
+                     "x"]),
+    st.floats(-100.0, 100.0).map(repr))
+SYNTH_FLAGS = {
+    "--channels": st.one_of(st.integers(-1, 4), HUGE_SIZES),
+    "--seed": st.sampled_from([-1, 0, 7, 2**64, -10**30]),
+    "--shift-row": st.sampled_from([-5, 0, 10, 2**63]),
+    **{flag: SYNTH_FLOATS for flag in (
+        "--period", "--period2", "--amplitude", "--noise", "--slope",
+        "--magnitude")},
+}
+
+
+class TestSynthFuzz:
+    @settings(FUZZ, max_examples=150)
+    @given(kind=st.sampled_from([*SYNTH_KINDS, "sawtooth"]),
+           rows=st.one_of(st.integers(-1, 200), HUGE_SIZES),
+           flags=st.dictionaries(st.sampled_from(sorted(SYNTH_FLAGS)),
+                                 st.just(None), max_size=2).flatmap(
+               lambda d: st.fixed_dictionaries(
+                   {k: SYNTH_FLAGS[k] for k in d})))
+    @example(kind="sine", rows=2**63 - 1, flags={})
+    @example(kind="sine", rows=5, flags={"--channels": 2**63 - 1})
+    @example(kind="sine", rows=10**400, flags={})
+    @example(kind="sine", rows=2**50, flags={})
+    @example(kind="sine", rows=10, flags={"--period": "0"})
+    @example(kind="sine", rows=10, flags={"--noise": "nan"})
+    def test_synth_contract(self, fuzzdir, kind, rows, flags):
+        out = fuzzdir / "synth.csv"
+        out.unlink(missing_ok=True)
+        argv = ["synth", "--kind", kind, "--rows", str(rows),
+                "--out", str(out)]
+        for flag, value in flags.items():
+            argv += [flag, str(value)]
+        if check_run(argv) == 0:
+            table = load_csv(out)
+            assert table.rows == rows
+            assert table.channels == int(flags.get("--channels", 1))
+        else:
+            assert not out.exists()

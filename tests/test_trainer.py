@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dctnet import trainer
 from dctnet.numeric_engine import Tape, Tensor, backward
@@ -33,6 +33,23 @@ def tiny_dataset(n_windows, seed=0, cfg=None):
     stats = compute_stats(table)
     return make_windows(table, cfg.seq_len, cfg.pred_len, stats,
                         split_tag="train")
+
+
+def whole_batch_result(params, cfg, ds, batch_size):
+    """``evaluate`` as one forward per batch: the reference its cache-sized
+    blocks must match bit for bit."""
+    sq_sum = abs_sum = alpha_sum = 0.0
+    count = alpha_count = 0
+    for start in range(0, len(ds), batch_size):
+        fc = forward(Tensor(ds.inputs[start:start + batch_size]), params, cfg)
+        err = fc.values.data - ds.targets[start:start + batch_size]
+        sq_sum += float((err * err).sum())
+        abs_sum += float(np.abs(err).sum())
+        count += err.size
+        alpha_sum += float(np.sum(fc.diagnostics.alpha.data))
+        alpha_count += fc.diagnostics.alpha.data.size
+    return trainer.EvalResult(sq_sum / count, abs_sum / count,
+                              alpha_sum / alpha_count, len(ds))
 
 
 class TestLosses:
@@ -385,6 +402,62 @@ class TestEvaluate:
         assert result.mae == pytest.approx(float(np.mean(np.abs(err))))
         assert result.num_windows == 5
         assert np.isfinite(result.alpha_mean)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=tiny_configs(), batch_size=st.sampled_from([1, 2, 7, 64]),
+           n_windows=st.integers(1, 20), seed=st.integers(0, 99))
+    @example(cfg=ModelConfig(channels=1, seq_len=1, pred_len=1, patch_len=1,
+                             stride=1, latent_dim=4, heads=2, depth=2,
+                             dropout=0.0),
+             batch_size=2, n_windows=2, seed=0)     # one token per window
+    def test_block_size_leaves_result_bitwise(self, cfg, batch_size,
+                                              n_windows, seed):
+        ds = tiny_dataset(n_windows, seed=seed, cfg=cfg)
+        params = init_params(cfg)
+        want = whole_batch_result(params, cfg, ds, batch_size)
+        for block_bytes in (1, 2**62):      # 1-window blocks, whole batches
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(trainer, "_EVAL_BLOCK_BYTES", block_bytes)
+                assert evaluate(params, cfg, ds, batch_size) == want
+
+    @pytest.mark.parametrize("channels, batch_size, seed", [
+        (7, 64, 0), (21, 5, 0)] + [(21, 64, seed) for seed in range(6)])
+    def test_full_size_result_bitwise(self, channels, batch_size, seed):
+        # 20 windows at C=21 outgrow numpy's 256 KiB threshold for reusing a
+        # temporary's buffer, whose layout would change the order of the
+        # sums; seeds 2, 4 and 5 show it in the mse's last bit
+        cfg = ModelConfig(channels=channels)
+        rng = np.random.default_rng(seed)
+        ds = WindowedDataset(rng.standard_normal((20, 96, channels)),
+                             rng.standard_normal((20, 96, channels)), "test",
+                             NormStats(np.zeros(channels), np.ones(channels)))
+        params = init_params(cfg)
+        assert evaluate(params, cfg, ds, batch_size) == \
+            whole_batch_result(params, cfg, ds, batch_size)
+
+    @pytest.mark.parametrize("model, n_windows, batch_size, calls", [
+        (dict(channels=21), 7, 64, [3, 3, 1]),
+        (dict(channels=21), 7, 5, [3, 2, 2]),
+        (dict(channels=7), 20, 64, [13, 7]),
+        (dict(channels=2, pred_len=24, latent_dim=16, heads=2), 40, 32,
+         [32, 8]),                                  # train_small's shape
+    ])
+    def test_forwards_cache_sized_blocks_in_order(self, monkeypatch, model,
+                                                  n_windows, batch_size,
+                                                  calls):
+        cfg = ModelConfig(**model)
+        ds = tiny_dataset(n_windows, cfg=cfg)
+        seen = []
+
+        def spy(x, params, cfg, training=False, rng=None):
+            assert not training
+            seen.append(x.data)
+            return forward(x, params, cfg, training=training, rng=rng)
+
+        monkeypatch.setattr(trainer, "forward", spy)
+        evaluate(init_params(cfg), cfg, ds, batch_size=batch_size)
+        assert [len(x) for x in seen] == calls
+        np.testing.assert_array_equal(np.concatenate(seen), ds.inputs)
 
     def test_batching_invariant(self):
         cfg = micro_config()
