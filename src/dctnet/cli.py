@@ -37,7 +37,6 @@ from .errors import (CheckpointError, ConfigError, DataError, DCTNetError,
                      TrainingError, from_fields, whole_number)
 from .model import ABLATION_STAGES, ModelConfig, ablation_variant, forward, \
     init_params
-from .numeric_engine import Tensor
 from .trainer import TrainSettings, evaluate, fit
 
 logger = logging.getLogger("dctnet")
@@ -252,7 +251,7 @@ def cmd_forecast(args) -> int:
         )
     window = stats.apply(table.values[origin - cfg.seq_len:origin])
     try:
-        fc = forward(Tensor(window[None]), params, cfg, training=False)
+        fc = forward(window[None], params, cfg, training=False)
         pred = stats.invert(fc.values.data[0])              # [T, C] raw scale
         if not np.all(np.isfinite(pred)):
             raise DataError("raw-scale forecast overflows float64")
@@ -274,9 +273,8 @@ def cmd_forecast(args) -> int:
         row += [repr(float(v)) for v in pred[t]]
         lines.append(row)
 
-    alpha = fc.diagnostics.alpha.data
     logger.info("forecast from row %d over %d steps; mean alpha %.4f",
-                origin, cfg.pred_len, float(np.mean(alpha)))
+                origin, cfg.pred_len, float(np.mean(fc.alpha.data)))
     if args.out is not None:
         with atomic_write(args.out, newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(lines)

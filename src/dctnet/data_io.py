@@ -268,7 +268,11 @@ def compute_stats(table: SeriesTable) -> NormStats:
 def make_windows(split: SeriesTable, seq_len: int, pred_len: int,
                  stats: NormStats, stride: int = 1,
                  split_tag: str = "train") -> WindowedDataset:
-    """Standardise, then slide (L history, T target) pairs across the split."""
+    """Standardise, then slide (L history, T target) pairs across the split.
+
+    A channel that does not standardise to finite values, because its
+    statistics or its values overflow float64, is a ``DataError``.
+    """
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
     n = split.rows
@@ -279,6 +283,13 @@ def make_windows(split: SeriesTable, seq_len: int, pred_len: int,
             f"for one window"
         )
     values = stats.apply(split.values)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=0))
+    if bad.size:
+        c = bad[0]
+        raise DataError(
+            f"{split_tag} split: channel {split.channel_names[c]!r} does not "
+            f"standardise to finite values (mean {stats.mean[c]:g}, std "
+            f"{stats.std[c]:g})")
     count = (n - need) // stride + 1
     inputs = np.stack([values[i * stride:i * stride + seq_len]
                        for i in range(count)])

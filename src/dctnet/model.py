@@ -26,8 +26,7 @@ from .global_fusion import global_patch_attention
 from .patch_embed import PatchEmbedParams, embed_patches, segment_patches
 from .revin import RevINParams, revin_denormalize, revin_normalize
 from .rng import make_rng
-from .spectral_correction import CorrectionConfig, SpectralDiagnostics, \
-    apply_correction
+from .spectral_correction import CorrectionConfig, apply_correction
 
 ABLATION_STAGES = ("dbct", "gpaf", "fsc")
 
@@ -220,11 +219,12 @@ def init_params(cfg: ModelConfig) -> DCTNetParams:
 
 @dataclass
 class Forecast:
-    """Horizon values in the data's own scale, plus correction diagnostics;
-    one that overflows float64 is a ``DataError``, as its inputs are."""
+    """Horizon values [B, T, C] in the data's own scale and the correction
+    factor alpha [B, C, 1, 1]; values that overflow float64 are a
+    ``DataError``, as such inputs are."""
 
     values: Tensor
-    diagnostics: SpectralDiagnostics
+    alpha: Tensor
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values.data)):
@@ -253,8 +253,8 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
         h = global_patch_attention(h, blk.global_fusion, training=training,
                                    disabled=cfg.disable_gpaf, rng=rng)
 
-    h_final, diag = apply_correction(h, x_patch, cfg.correction,
-                                     enabled=not cfg.disable_fsc)
+    h_final, alpha = apply_correction(h, x_patch, cfg.correction,
+                                      enabled=not cfg.disable_fsc)
 
     b = h_final.shape[0]
     flat = engine.reshape(h_final, (b, cfg.channels,
@@ -263,7 +263,7 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
                              params.head_bias)           # [B, C, T]
     pred = engine.swapaxes(per_channel, 1, 2)            # [B, T, C]
     values = revin_denormalize(pred, params.revin, state)
-    return Forecast(values=values, diagnostics=diag)
+    return Forecast(values=values, alpha=alpha)
 
 
 def ablation_variant(cfg: ModelConfig, which: str) -> ModelConfig:

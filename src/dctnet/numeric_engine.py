@@ -462,16 +462,13 @@ def _dropout_mask(shape: tuple, p: float, training: bool,
 def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
                          token_axis: int = -2, dropout_p: float = 0.0,
                          training: bool = False,
-                         rng: Optional[np.random.Generator] = None,
-                         return_weights: bool = False):
+                         rng: Optional[np.random.Generator] = None) -> Tensor:
     """Scaled dot-product attention over the ``token_axis`` of ``x``.
 
     ``x`` is [..., D] with its S tokens along ``token_axis``; the other
     axes but the last are batch, and the output keeps the input's layout.
     Dropout, when active, masks the attention probabilities, then the
-    output with the next draw, taken with the tokens second-to-last.  With
-    ``return_weights`` the pre-dropout weights [..., heads, S, S] come back
-    as a plain array alongside the output.
+    output with the next draw, taken with the tokens second-to-last.
 
     One tape node over ``x`` and the eight projections, which are row GEMMs
     on ``x`` as laid out.  With p the probabilities, pd their dropped-out
@@ -511,7 +508,6 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    weights = p.copy() if return_weights else None
     keep = _dropout_mask(p.shape, dropout_p, training, rng)
     pd = p
     if keep is not None:
@@ -560,6 +556,4 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
                 x.accumulate_grad((gh @ w.data.T).reshape(shape))
 
     _record((x, wq, bq, wk, bk, wv, bv, wo, bo), out, bw)
-    if return_weights:
-        return out, weights
     return out

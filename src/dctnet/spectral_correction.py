@@ -19,8 +19,7 @@ differentiable, so the correction shapes training too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,19 +43,6 @@ class CorrectionConfig:
             raise ConfigError(f"correction eps must be > 0, got {self.eps}")
 
 
-@dataclass
-class SpectralDiagnostics:
-    """Correction factor and the autocorrelations it was computed from.
-
-    The autocorrelation fields stay None when the correction is bypassed,
-    since nothing is computed then.
-    """
-
-    alpha: Tensor
-    pred_autocorr: Optional[Tensor] = field(default=None)
-    input_autocorr: Optional[Tensor] = field(default=None)
-
-
 def power_autocorrelation(x: Tensor) -> Tensor:
     """Clamped circular autocorrelation along the patch axis of [B, C, N, D].
 
@@ -65,8 +51,9 @@ def power_autocorrelation(x: Tensor) -> Tensor:
     return engine.relu(engine.circular_autocorr(x, axis=_PATCH_AXIS))
 
 
-def _diagnose(h_global: Tensor, x_patch: Tensor,
-              cfg: CorrectionConfig) -> SpectralDiagnostics:
+def correction_factor(h_global: Tensor, x_patch: Tensor,
+                      cfg: CorrectionConfig) -> Tensor:
+    """alpha per series: [B, C, 1, 1]."""
     if h_global.shape != x_patch.shape:
         raise ConfigError(
             f"feature shapes differ: {h_global.shape} vs {x_patch.shape}"
@@ -77,21 +64,14 @@ def _diagnose(h_global: Tensor, x_patch: Tensor,
     energy = engine.reduce_sum(engine.mul(s_input, s_input),
                                axis=_SERIES_AXES)
     den = engine.add(engine.mul(energy, 1.0 + cfg.eps), _TINY)
-    return SpectralDiagnostics(alpha=engine.sqrt(engine.div(num, den)),
-                               pred_autocorr=s_pred, input_autocorr=s_input)
-
-
-def correction_factor(h_global: Tensor, x_patch: Tensor,
-                      cfg: CorrectionConfig) -> Tensor:
-    """alpha per series: [B, C, 1, 1]."""
-    return _diagnose(h_global, x_patch, cfg).alpha
+    return engine.sqrt(engine.div(num, den))
 
 
 def apply_correction(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig,
-                     enabled: bool = True) -> tuple[Tensor, SpectralDiagnostics]:
-    """Scale prediction features by alpha; identity with alpha=1 when bypassed."""
+                     enabled: bool = True) -> tuple[Tensor, Tensor]:
+    """(h_global scaled by alpha, alpha); ``h_global`` itself and alpha
+    exactly 1 when bypassed."""
     if not enabled:
-        ones = np.ones(h_global.shape[:2] + (1, 1))
-        return h_global, SpectralDiagnostics(alpha=Tensor(ones))
-    diag = _diagnose(h_global, x_patch, cfg)
-    return engine.mul(h_global, diag.alpha), diag
+        return h_global, Tensor(np.ones(h_global.shape[:2] + (1, 1)))
+    alpha = correction_factor(h_global, x_patch, cfg)
+    return engine.mul(h_global, alpha), alpha

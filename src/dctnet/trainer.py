@@ -93,14 +93,14 @@ def clip_global_norm(grads: dict[str, np.ndarray],
 
 @dataclass
 class TrainSettings:
-    """Loop hyperparameters; the run seed defaults to the model config's."""
+    """Loop hyperparameters; shuffling and dropout draw from the model
+    config's seed, the one run seed."""
 
     lr: float = 1e-4
     epochs: int = 10
     batch_size: int = 32
     patience: int = 3
     clip_norm: Optional[float] = 5.0
-    seed: Optional[int] = None
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "patience"):
@@ -117,8 +117,6 @@ class TrainSettings:
                 finite_number("clip_norm", self.clip_norm) <= 0:
             raise ConfigError(
                 f"clip_norm must be > 0 or null, got {self.clip_norm}")
-        if self.seed is not None:
-            whole_number("seed", self.seed)
 
 
 @dataclass
@@ -177,7 +175,7 @@ def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
         xb = dataset.inputs[start:start + batch_size]
         yb = dataset.targets[start:start + batch_size]
         try:
-            blocks = [forward(Tensor(xb[lo:lo + rows]), params, cfg)
+            blocks = [forward(xb[lo:lo + rows], params, cfg)
                       for lo in range(0, len(xb), rows)]
         except DataError as exc:
             raise DataError(f"{dataset.split} split, windows {start}-"
@@ -189,7 +187,7 @@ def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
         sq_sum += float((err * err).sum())
         abs_sum += float(np.abs(err).sum())
         alpha_sum += float(np.sum(np.concatenate(
-            [fc.diagnostics.alpha.data for fc in blocks])))
+            [fc.alpha.data for fc in blocks])))
     if not np.isfinite(sq_sum):         # mae overflows only if mse does
         raise DataError(f"{dataset.split} split: mse overflows float64")
     count = dataset.targets.size
@@ -233,7 +231,6 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
         if got != want:
             raise DataError(f"{ds.split} windows are {got[0]} -> {got[1]}, "
                             f"config needs {want[0]} -> {want[1]}")
-    seed = settings.seed if settings.seed is not None else cfg.seed
     registry = params.named_parameters()
     opt = OptimizerState.for_params(registry, settings.lr)
     emit = log if log is not None else (lambda _msg: None)
@@ -248,7 +245,7 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
     stale = 0
 
     for epoch in range(settings.epochs):
-        order = make_rng(seed, "shuffle", epoch).permutation(len(train))
+        order = make_rng(cfg.seed, "shuffle", epoch).permutation(len(train))
         loss_sum = 0.0
         seen = 0
         for step, start in enumerate(range(0, len(order), settings.batch_size)):
@@ -260,8 +257,8 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
             where = f"epoch {epoch}, step {step}"
             with Tape() as tape:
                 try:
-                    fc = forward(Tensor(xb), params, cfg, training=True,
-                                 rng=make_rng(seed, "dropout", epoch, step))
+                    fc = forward(xb, params, cfg, training=True, rng=make_rng(
+                        cfg.seed, "dropout", epoch, step))
                 except (DataError, SingularityError) as exc:
                     raise TrainingError(f"{where}: {exc}") from exc
                 loss = mse_loss(fc.values, yb)
@@ -306,5 +303,5 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
         train_loss=train_losses, val_mse=val_mses, val_mae=val_maes,
         best_epoch=best_epoch, epochs_run=len(train_losses),
         wall_clock_seconds=time.monotonic() - started,
-        seed=seed, config=cfg.to_dict())
+        seed=cfg.seed, config=cfg.to_dict())
     return params, report

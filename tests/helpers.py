@@ -4,6 +4,7 @@ random tiny model configs."""
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import struct
 
@@ -46,6 +47,36 @@ def oracle_attention(x: np.ndarray, p, heads: int) -> np.ndarray:
         w = e / e.sum(axis=1, keepdims=True)
         merged[:, sl] = w @ v[:, sl]
     return merged @ p.wo.data + p.bo.data
+
+
+def assert_rows_stochastic(x: np.ndarray, p, heads: int,
+                           token_axis: int = -2, atol: float = 1e-12) -> None:
+    """Check through the output that attention weighs each row's values by
+    non-negative weights summing to 1.
+
+    With an identity output projection, each output row is its heads'
+    weighted sums of the value rows.  Such weights keep it within each
+    feature's range over the tokens, and give back the value itself when
+    every token has the same one.
+    """
+    d = x.shape[-1]
+    ident = dataclasses.replace(p, wo=engine.Tensor(np.eye(d)),
+                                bo=engine.Tensor(np.zeros(d)))
+
+    def attend(q):
+        out = engine.multi_head_attention(engine.Tensor(x), q, heads,
+                                          token_axis=token_axis).data
+        assert np.all(np.isfinite(out))
+        return np.moveaxis(out, token_axis, -2)
+
+    values = np.moveaxis(x @ p.wv.data + p.bv.data, token_axis, -2)
+    got = attend(ident)
+    assert np.all(got >= values.min(axis=-2, keepdims=True) - atol)
+    assert np.all(got <= values.max(axis=-2, keepdims=True) + atol)
+    shared = attend(dataclasses.replace(ident,
+                                        wv=engine.Tensor(np.zeros((d, d)))))
+    np.testing.assert_allclose(shared, np.broadcast_to(p.bv.data, got.shape),
+                               rtol=0, atol=atol)
 
 
 def oracle_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from dctnet.cli import _emit_json, main
-from dctnet.data_io import checkpoint_load, checkpoint_save, load_csv, \
-    save_csv
+from dctnet.data_io import SeriesTable, checkpoint_load, checkpoint_save, \
+    load_csv, save_csv
 
 from helpers import BAD_METADATA, LACKS_STATS, rewrite_header
 
@@ -250,6 +250,18 @@ class TestOverflow:
         return code, stdout, capsys.readouterr().err
 
     @staticmethod
+    def _run_unguarded(argv, capsys):
+        """``run`` with numpy's warnings at their defaults: none may be
+        raised, and stderr holds one ``error:`` line."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout = run(argv + ["--quiet"])
+        err = capsys.readouterr().err
+        assert caught == []
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        return code, stdout, err
+
+    @staticmethod
     def _edited_data(trained, tmp_path, edit):
         table = load_csv(trained["root"] / "data.csv")
         edit(table.values)
@@ -288,16 +300,42 @@ class TestOverflow:
         data = self._edited_data(
             trained, tmp_path, lambda v: v.__setitem__((slice(None), 1),
                                                        1e200))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, stdout = run(
-                [command, "--checkpoint",
-                 str(trained["out"] / "checkpoint.dct"), "--data", data,
-                 "--quiet"])
-        err = capsys.readouterr().err
-        assert (code, stdout, caught) == (2, "", [])
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        code, stdout, err = self._run_unguarded(
+            [command, "--checkpoint", str(trained["out"] / "checkpoint.dct"),
+             "--data", data], capsys)
+        assert (code, stdout) == (2, "")
         assert "Warning" not in err
+
+    def test_overflowing_train_statistics_name_channel(self, tmp_path,
+                                                       capsys):
+        # finite values whose mean overflows float64: the windows would be NaN
+        t = np.arange(400.0)
+        values = np.column_stack([np.full(400, 1.7e308),
+                                  1.5e308 * np.sin(t / 5.0)])
+        save_csv(SeriesTable(values, ["huge", "wave"]), tmp_path / "huge.csv")
+        code, stdout, err = self._run_unguarded(
+            ["train", "--data", str(tmp_path / "huge.csv"),
+             "--out", str(tmp_path / "run"), "--epochs", "1",
+             "--seq-len", "24", "--horizon", "8"], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: train split: channel 'huge' does not "
+                              "standardise to finite values")
+
+    @pytest.mark.parametrize("command, where", [
+        ("eval", "error: test split: channel 'ch0' does not standardise"),
+        ("forecast", "error: forecast from row 388: input window contains"),
+    ], ids=["eval", "forecast"])
+    def test_subnormal_stored_std(self, trained, tmp_path, capsys, command,
+                                  where):
+        params, cfg, meta = checkpoint_load(trained["out"] / "checkpoint.dct")
+        ckpt = tmp_path / "checkpoint.dct"
+        checkpoint_save(params, cfg, ckpt,
+                        metadata=dict(meta, norm_std=[1e-310, 1.0]))
+        code, stdout, err = self._run_unguarded(
+            [command, "--checkpoint", str(ckpt),
+             "--data", str(trained["root"] / "data.csv")], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(where)
 
     def test_eval_score_names_mse(self, trained, tmp_path, capsys):
         params, cfg, meta = checkpoint_load(trained["out"] / "checkpoint.dct")

@@ -35,6 +35,33 @@ DATA_EDITS = {
     "huge_tail": lambda v: v.__setitem__((slice(-20, None), 0), 1e300),
     "const_huge": lambda v: v.__setitem__((slice(None), 1), 1e200),
 }
+FINITE_EXTREMES = st.one_of(
+    st.sampled_from([1.7e308, -1.7e308, 1.5e308, 1e308, -1e300, 5e-324]),
+    st.floats(-1.7e308, 1.7e308))
+
+
+@st.composite
+def extreme_data(draw):
+    """(channel, first row, value, wave): the synth series with one
+    channel's rows from the first on set to a finite value up to +-1.7e308,
+    or to that value times sin(t / 5) when ``wave``."""
+    return (draw(st.integers(0, 1)), draw(st.integers(0, 159)),
+            draw(FINITE_EXTREMES), draw(st.booleans()))
+
+
+def data_path(root, data) -> str:
+    """The CSV of a ``DATA_EDITS`` name, or one written for an
+    ``extreme_data`` draw."""
+    if isinstance(data, str):
+        return str(root / f"{data}.csv")
+    channel, first, value, wave = data
+    table = load_csv(root / "sine.csv")
+    rows = np.arange(table.rows - first)
+    table.values[first:, channel] = value * np.sin(rows / 5.0) if wave \
+        else value
+    save_csv(table, root / "extreme.csv")
+    return str(root / "extreme.csv")
+
 
 # (section, key): real keys, plus misspellings of some; section None is
 # the top level
@@ -134,8 +161,10 @@ FUZZ = settings(max_examples=300, deadline=None,
 
 class TestConfigFuzz:
     @FUZZ
-    @given(cfg=config_files(), data=st.sampled_from(sorted(DATA_EDITS)))
+    @given(cfg=config_files(), data=st.one_of(
+        st.sampled_from(sorted(DATA_EDITS)), extreme_data()))
     @example(cfg=MICRO, data="huge_tail")
+    @example(cfg=MICRO, data=(0, 0, 1.7e308, False))
     @example(cfg={**MICRO, "train": {"lr": 10**400}}, data="sine")
     @example(cfg={**MICRO, "model": {**MICRO["model"], "stride": 2**63}},
              data="sine")
@@ -148,7 +177,7 @@ class TestConfigFuzz:
         path = fuzzdir / "cfg.json"
         path.write_text(json.dumps(cfg))
         check_run(["train", "--config", str(path),
-                   "--data", str(fuzzdir / f"{data}.csv"),
+                   "--data", data_path(fuzzdir, data),
                    "--out", str(fuzzdir / "out")])
 
 
@@ -164,14 +193,30 @@ def _huge_spread(header):
 # header edits that leave the metadata valid but extreme
 EXTREME_METADATA = {"huge_spread": _huge_spread}
 METADATA_EDITS = {**BAD_METADATA, **LACKS_STATS, **EXTREME_METADATA}
+# (key, channel, value) stored in place of one statistic: a positive
+# subnormal or huge spread, or a huge mean
+EXTREME_STATS = st.one_of(
+    st.tuples(st.just("norm_std"), st.integers(0, 1), st.one_of(
+        st.sampled_from([5e-324, 1e-310, 1e300, 1.7e308]),
+        st.floats(5e-324, 2.2e-308), st.floats(1e300, 1.7e308))),
+    st.tuples(st.just("norm_mean"), st.integers(0, 1), st.one_of(
+        st.sampled_from([1.7e308, -1.7e308]), st.floats(-1.7e308, 1.7e308))))
+
+
+def _store(key, channel, value):
+    def edit(header):
+        header["metadata"][key][channel] = value
+        return header
+    return edit
 
 
 class TestCheckpointFuzz:
     @FUZZ
     @given(command=st.sampled_from(["eval", "forecast"]),
-           data=st.one_of(st.just("sine"), st.sampled_from(sorted(DATA_EDITS))),
+           data=st.one_of(st.just("sine"), st.sampled_from(sorted(DATA_EDITS)),
+                          extreme_data()),
            metadata=st.one_of(st.none(), st.sampled_from(
-               sorted(METADATA_EDITS))),
+               sorted(METADATA_EDITS)), EXTREME_STATS),
            scale=st.one_of(st.none(), st.tuples(
                st.sampled_from(TENSORS),
                st.sampled_from([-1.0, 1e10, 1e100, 1e200, 1e300]))),
@@ -185,6 +230,12 @@ class TestCheckpointFuzz:
              scale=("head.bias", 1e300), zero_gains=[])
     @example(command="forecast", data="sine", metadata="huge_spread",
              scale=("head.bias", 1e13), zero_gains=[])
+    @example(command="eval", data="sine", metadata=("norm_std", 0, 1e-310),
+             scale=None, zero_gains=[])
+    @example(command="forecast", data="sine",
+             metadata=("norm_std", 0, 1e-310), scale=None, zero_gains=[])
+    @example(command="eval", data=(1, 0, 1.7e308, True), metadata=None,
+             scale=None, zero_gains=[])
     def test_eval_and_forecast_contract(self, fuzzdir, command, data,
                                         metadata, scale, zero_gains):
         params, cfg, meta = checkpoint_load(fuzzdir / "run" / "checkpoint.dct")
@@ -195,11 +246,13 @@ class TestCheckpointFuzz:
         registry["revin.gamma"].data[zero_gains] = 0.0
         ckpt = fuzzdir / "fuzzed.dct"
         checkpoint_save(params, cfg, ckpt, metadata=meta)
-        if metadata is not None:
+        if isinstance(metadata, str):
             rewrite_header(ckpt, METADATA_EDITS[metadata])
+        elif metadata is not None:
+            rewrite_header(ckpt, _store(*metadata))
         code = check_run([command, "--checkpoint", str(ckpt),
-                          "--data", str(fuzzdir / f"{data}.csv")])
-        if metadata not in (None, *EXTREME_METADATA) or zero_gains:
+                          "--data", data_path(fuzzdir, data)])
+        if metadata in (*BAD_METADATA, *LACKS_STATS) or zero_gains:
             assert code == 2
 
 
@@ -213,7 +266,8 @@ class TestAblateFuzz:
     @settings(FUZZ, max_examples=60)
     @given(cfg=st.one_of(st.just(MICRO), config_files()),
            variants=VARIANT_LISTS,
-           data=st.sampled_from(sorted(DATA_EDITS)))
+           data=st.one_of(st.sampled_from(sorted(DATA_EDITS)),
+                          extreme_data()))
     @example(cfg=MICRO, variants="fsc,fsc", data="sine")
     @example(cfg=MICRO, variants=",", data="huge_tail")
     def test_ablate_contract(self, fuzzdir, cfg, variants, data):
@@ -222,7 +276,7 @@ class TestAblateFuzz:
         out = fuzzdir / "ablate.json"
         out.unlink(missing_ok=True)
         code = check_run(["ablate", "--config", str(path),
-                          "--data", str(fuzzdir / f"{data}.csv"),
+                          "--data", data_path(fuzzdir, data),
                           "--variants", variants, "--out", str(out)])
         if code == 0:
             rows = _strict(out.read_text())["variants"]

@@ -224,6 +224,18 @@ class TestWindows:
         for i in range(len(ds)):
             np.testing.assert_allclose(ds.targets[i], z[i + 8:i + 12])
 
+    @pytest.mark.parametrize("mean, std", [
+        ([0.0, 0.0], [1.0, 1e-310]),        # subnormal spread
+        ([0.0, np.inf], [1.0, np.inf]),     # statistics that overflowed
+    ], ids=["subnormal_std", "overflowed_stats"])
+    def test_nonfinite_standardised_values_name_channel(self, mean, std):
+        table = synth_series("sine", 30, 2, seed=8)
+        stats = NormStats(np.array(mean), np.array(std))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match="val split: channel 'ch1' "
+                                                "does not standardise"):
+                make_windows(table, 8, 4, stats, split_tag="val")
+
 
 class TestSynth:
     def test_sine_known_points(self):

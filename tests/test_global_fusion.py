@@ -8,7 +8,8 @@ from dctnet.numeric_engine import AttentionParams, Tensor
 from dctnet.dual_branch import AttentionSublayerParams
 from dctnet.global_fusion import global_patch_attention
 
-from helpers import check_gradients, oracle_attention, oracle_layer_norm
+from helpers import (assert_rows_stochastic, check_gradients, oracle_attention,
+                     oracle_layer_norm)
 
 
 def make_params(d, rng, heads=2, dropout_p=0.0, scale=0.4):
@@ -86,12 +87,8 @@ class TestStructure:
     def test_weights_row_stochastic(self):
         rng = np.random.default_rng(6)
         params = make_params(4, rng, heads=2)
-        h = Tensor(rng.standard_normal((2, 3, 5, 4)))
-        _, w = engine.multi_head_attention(h, params.attn, heads=2,
-                                           return_weights=True)
-        assert w.shape == (2, 3, 2, 5, 5)
-        assert np.all(w >= 0)
-        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
+        h = rng.standard_normal((2, 3, 5, 4))
+        assert_rows_stochastic(h, params.attn, heads=2)
 
     def test_dropout_active_only_in_training(self):
         rng = np.random.default_rng(7)

@@ -215,7 +215,7 @@ class TestForward:
         params = init_params(cfg)
         fc = forward(np.full((2, 8, 2), 3.25), params, cfg)
         assert np.all(np.isfinite(fc.values.data))
-        assert np.all(np.isfinite(fc.diagnostics.alpha.data))
+        assert np.all(np.isfinite(fc.alpha.data))
 
     def test_nan_input_rejected(self):
         cfg = micro_config()
@@ -300,7 +300,7 @@ class TestAblationVariant:
         params = init_params(cfg)
         fc = forward(np.random.default_rng(8).standard_normal((2, 8, 2)),
                      params, cfg)
-        np.testing.assert_allclose(fc.diagnostics.alpha.data, 1.0)
+        np.testing.assert_allclose(fc.alpha.data, 1.0)
 
 
 # the function in dctnet.model that each ablation switch bypasses
@@ -334,7 +334,7 @@ class TestBypassProperty:
         for given_in, returned in calls:
             assert returned is given_in
         if which == "fsc":
-            alpha = fc.diagnostics.alpha.data
+            alpha = fc.alpha.data
             assert alpha.shape == (batch, cfg.channels, 1, 1)
             np.testing.assert_array_equal(alpha, 1.0)
 

@@ -10,7 +10,8 @@ from dctnet import numeric_engine as engine
 from dctnet.numeric_engine import AttentionParams, Tape, Tensor, backward
 from dctnet.errors import ConfigError, ContractError
 
-from helpers import check_gradients, check_gradients_jointly, oracle_attention
+from helpers import (assert_rows_stochastic, check_gradients,
+                     check_gradients_jointly, oracle_attention)
 
 
 class TestTensorBasics:
@@ -490,11 +491,7 @@ class TestAttention:
     def test_weights_row_stochastic(self):
         rng = np.random.default_rng(72)
         p = self._params(8, rng)
-        x = Tensor(rng.standard_normal((2, 6, 8)))
-        _, w = engine.multi_head_attention(x, p, heads=4, return_weights=True)
-        assert w.shape == (2, 4, 6, 6)
-        assert np.all(w >= 0)
-        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
+        assert_rows_stochastic(rng.standard_normal((2, 6, 8)), p, heads=4)
 
     def test_identical_tokens_give_identical_outputs(self):
         rng = np.random.default_rng(73)
@@ -553,13 +550,18 @@ class TestAttention:
 
     def test_weights_known_row(self):
         # one head of width 1 with q = x and k = x - 1: the first token
-        # (x = 1) scores the two keys [0, log 2] and weighs them 1/3, 2/3
+        # (x = 1) scores the two keys [0, log 2] and weighs them 1/3, 2/3.
+        # Its output is w . v; values 1 and x give two equations for w.
         one, zero = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
         p = AttentionParams(one, zero, one, Tensor(-np.ones(1)), one, zero,
                             one, zero)
         x = Tensor(np.array([[1.0], [1.0 + np.log(2.0)]]))
-        _, w = engine.multi_head_attention(x, p, heads=1, return_weights=True)
-        np.testing.assert_allclose(w[0, 0], [1 / 3, 2 / 3], rtol=0, atol=1e-12)
+        ones = dataclasses.replace(p, wv=Tensor(np.zeros((1, 1))),
+                                   bv=Tensor(np.ones(1)))
+        rows = [engine.multi_head_attention(x, q, heads=1).data[0, 0]
+                for q in (ones, p)]
+        w = np.linalg.solve(np.hstack([np.ones((2, 1)), x.data]).T, rows)
+        np.testing.assert_allclose(w, [1 / 3, 2 / 3], rtol=0, atol=1e-12)
 
     def test_weights_stochastic_at_large_scores(self):
         rng = np.random.default_rng(78)
@@ -575,24 +577,19 @@ class TestAttention:
         # with no query or key bias the scores scale as the square of x
         x *= np.sqrt(500.0 / peak_score(x))
         assert peak_score(x) == pytest.approx(500.0)
-        _, w = engine.multi_head_attention(Tensor(x), p, heads=2,
-                                           return_weights=True)
-        assert np.all(np.isfinite(w))
-        assert np.all(w >= 0)
-        np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert_rows_stochastic(x, p, heads=2)
 
     @settings(max_examples=50, deadline=None)
     @given(shift=st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8))
     def test_weights_invariant_to_key_bias(self, shift):
-        # q . (k + shift) moves every score of one query row by q . shift
+        # q . (k + shift) moves every score of one query row by q . shift,
+        # so the weights, and with the values unchanged the output, stay
         rng = np.random.default_rng(79)
         p = self._params(8, rng)
         x = Tensor(rng.standard_normal((2, 5, 8)))
-        _, before = engine.multi_head_attention(x, p, heads=2,
-                                                return_weights=True)
+        before = engine.multi_head_attention(x, p, heads=2).data
         shifted = dataclasses.replace(p, bk=Tensor(p.bk.data + np.array(shift)))
-        _, after = engine.multi_head_attention(x, shifted, heads=2,
-                                               return_weights=True)
+        after = engine.multi_head_attention(x, shifted, heads=2).data
         np.testing.assert_allclose(after, before, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -619,16 +616,22 @@ class TestAttention:
         p = self._params(4, rng)
         x = rng.standard_normal((3, 5, 2, 4))
         for axis in (-2, -3):
-            out, w = engine.multi_head_attention(
+            out = engine.multi_head_attention(
                 Tensor(x), p, heads=2, token_axis=axis, dropout_p=0.4,
-                training=True, rng=np.random.default_rng(9),
-                return_weights=True)
+                training=True, rng=np.random.default_rng(9))
             tokens = np.moveaxis(x, axis, -2)
+
+            def heads(w, b):                    # [..., S, D] -> [..., 2, S, 2]
+                return (tokens @ w.data + b.data).reshape(
+                    *tokens.shape[:-1], 2, 2).swapaxes(-3, -2)
+
+            q, k, v = heads(p.wq, p.bq), heads(p.wk, p.bk), heads(p.wv, p.bv)
+            scores = q @ k.swapaxes(-1, -2) / np.sqrt(2.0)
+            w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            w /= w.sum(axis=-1, keepdims=True)
             draws = np.random.default_rng(9)
             keep = draws.random(w.shape) >= 0.4
             keep_out = draws.random(tokens.shape) >= 0.4
-            v = (tokens @ p.wv.data + p.bv.data).reshape(
-                *tokens.shape[:-1], 2, 2).swapaxes(-3, -2)
             ctx = ((w * keep / 0.6) @ v).swapaxes(-3, -2).reshape(tokens.shape)
             expected = (ctx @ p.wo.data + p.bo.data) * keep_out / 0.6
             np.testing.assert_allclose(out.data,

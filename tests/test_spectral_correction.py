@@ -98,9 +98,9 @@ class TestCorrectionFactor:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with Tape() as tape:
-                out, diag = apply_correction(h, x, CorrectionConfig())
+                out, alpha = apply_correction(h, x, CorrectionConfig())
                 backward(engine.reduce_sum(out), tape)
-        np.testing.assert_array_equal(diag.alpha.data, 0.0)
+        np.testing.assert_array_equal(alpha.data, 0.0)
         np.testing.assert_array_equal(h.grad, 0.0)
         np.testing.assert_array_equal(x.grad, 0.0)
 
@@ -179,18 +179,17 @@ class TestApplyCorrection:
         rng = np.random.default_rng(20)
         h = Tensor(rng.standard_normal((2, 2, 4, 3)))
         x = Tensor(rng.standard_normal((2, 2, 4, 3)))
-        out, diag = apply_correction(h, x, CorrectionConfig(), enabled=False)
+        out, alpha = apply_correction(h, x, CorrectionConfig(), enabled=False)
         assert out is h
-        np.testing.assert_allclose(diag.alpha.data, 1.0)
-        assert diag.pred_autocorr is None
-        assert diag.input_autocorr is None
+        assert alpha.shape == (2, 2, 1, 1)
+        assert np.all(alpha.data == 1.0)
 
     def test_fixed_point_when_spectra_match(self):
         rng = np.random.default_rng(21)
         h = Tensor(rng.standard_normal((1, 2, 8, 3)))
-        out, diag = apply_correction(h, h, CorrectionConfig())
+        out, alpha = apply_correction(h, h, CorrectionConfig())
         np.testing.assert_allclose(out.data, h.data, rtol=1e-6)
-        assert diag.pred_autocorr is not None
+        np.testing.assert_allclose(alpha.data, 1.0, rtol=1e-6)
 
     def test_doubled_features_quadruple(self):
         rng = np.random.default_rng(22)
@@ -200,14 +199,20 @@ class TestApplyCorrection:
         np.testing.assert_allclose(out.data, 4.0 * x.data, rtol=1e-6)
 
     def test_diagnostics_are_clamped_autocorrs(self):
+        # alpha^2 (1 + eps) is the ratio of the clamped autocorrelations'
+        # inner products, and the output is h scaled by that alpha
         rng = np.random.default_rng(23)
         h = Tensor(rng.standard_normal((1, 2, 4, 2)))
         x = Tensor(rng.standard_normal((1, 2, 4, 2)))
-        _, diag = apply_correction(h, x, CorrectionConfig())
-        assert np.all(diag.pred_autocorr.data >= 0)
-        assert np.all(diag.input_autocorr.data >= 0)
-        np.testing.assert_allclose(diag.input_autocorr.data,
-                                   power_autocorrelation(x).data, atol=1e-12)
+        out, alpha = apply_correction(h, x, CorrectionConfig())
+        s_pred = power_autocorrelation(h).data
+        s_input = power_autocorrelation(x).data
+        assert np.all(s_pred >= 0) and np.all(s_input >= 0)
+        ratio = ((s_pred * s_input).sum(axis=(2, 3), keepdims=True)
+                 / (s_input * s_input).sum(axis=(2, 3), keepdims=True))
+        np.testing.assert_allclose(alpha.data ** 2 * (1 + 1e-8), ratio,
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(out.data, h.data * alpha.data)
 
     def test_gradients_flow_into_both_inputs(self):
         rng = np.random.default_rng(24)
