@@ -258,9 +258,14 @@ class DataSettings:
 
 
 def compute_stats(table: SeriesTable) -> NormStats:
-    """Per-channel mean/std of one split; zero spread falls back to std 1."""
-    mean = table.values.mean(axis=0)
-    std = table.values.std(axis=0)
+    """Per-channel mean/std of one split; zero spread falls back to std 1.
+
+    Statistics that overflow float64 come out non-finite, without a numpy
+    warning; ``make_windows`` names the channel.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = table.values.mean(axis=0)
+        std = table.values.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
     return NormStats(mean=mean, std=std)
 
@@ -282,7 +287,8 @@ def make_windows(split: SeriesTable, seq_len: int, pred_len: int,
             f"{split_tag} split has {n} rows, needs at least {need} "
             f"for one window"
         )
-    values = stats.apply(split.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = stats.apply(split.values)
     bad = np.flatnonzero(~np.isfinite(values).all(axis=0))
     if bad.size:
         c = bad[0]

@@ -21,6 +21,7 @@ from . import fft
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LN_EPS = 1e-5          # layer_norm's variance floor
 
 
 class Tensor:
@@ -87,18 +88,18 @@ def active_tape() -> Optional[Tape]:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _wrap(data: np.ndarray, requires_grad: bool) -> Tensor:
+def _wrap(data: np.ndarray) -> Tensor:
     t = Tensor.__new__(Tensor)
     t.data = data
     t.grad = None
-    t.requires_grad = requires_grad
+    t.requires_grad = False
     return t
 
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return _wrap(np.asarray(x, dtype=np.float64), False)
+    return _wrap(np.asarray(x, dtype=np.float64))
 
 
 def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn) -> None:
@@ -141,7 +142,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _wrap(a.data + b.data, False)
+    out = _wrap(a.data + b.data)
 
     def bw():
         g = out.grad
@@ -156,7 +157,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _wrap(a.data - b.data, False)
+    out = _wrap(a.data - b.data)
 
     def bw():
         g = out.grad
@@ -171,7 +172,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _wrap(a.data * b.data, False)
+    out = _wrap(a.data * b.data)
 
     def bw():
         g = out.grad
@@ -186,7 +187,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _wrap(a.data / b.data, False)
+    out = _wrap(a.data / b.data)
 
     def bw():
         g = out.grad
@@ -201,28 +202,14 @@ def div(a, b) -> Tensor:
 
 def sqrt(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = _wrap(np.sqrt(a.data), False)
+    out = _wrap(np.sqrt(a.data))
 
     def bw():
         # d sqrt(a) is unbounded at a = 0; take 0 there, so a zero output
         # passes no gradient instead of NaN
-        if a.requires_grad:
-            g = np.zeros_like(out.data)
-            np.divide(out.grad * 0.5, out.data, out=g, where=out.data != 0.0)
-            a.accumulate_grad(g)
-
-    _record((a,), out, bw)
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(x, 0); the clamp used on autocorrelations."""
-    a = _as_tensor(a)
-    out = _wrap(np.maximum(a.data, 0.0), False)
-
-    def bw():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * (a.data > 0.0))
+        g = np.zeros_like(out.data)
+        np.divide(out.grad * 0.5, out.data, out=g, where=out.data != 0.0)
+        a.accumulate_grad(g)
 
     _record((a,), out, bw)
     return out
@@ -232,12 +219,11 @@ def gelu(a: Tensor) -> Tensor:
     """x * Phi(x) with the exact Gaussian CDF (erf form)."""
     a = _as_tensor(a)
     phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out = _wrap(a.data * phi, False)
+    out = _wrap(a.data * phi)
 
     def bw():
-        if a.requires_grad:
-            pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-            a.accumulate_grad(out.grad * (phi + a.data * pdf))
+        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
+        a.accumulate_grad(out.grad * (phi + a.data * pdf))
 
     _record((a,), out, bw)
     return out
@@ -250,11 +236,10 @@ def gelu(a: Tensor) -> Tensor:
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
     """Sum over ``axis``, which stays as extent 1; over everything when None."""
     a = _as_tensor(a)
-    out = _wrap(a.data.sum(axis=axis, keepdims=axis is not None), False)
+    out = _wrap(a.data.sum(axis=axis, keepdims=axis is not None))
 
     def bw():
-        if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(out.grad, a.data.shape))
+        a.accumulate_grad(np.broadcast_to(out.grad, a.data.shape))
 
     _record((a,), out, bw)
     return out
@@ -269,11 +254,10 @@ def reduce_mean(a: Tensor, axis=None) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
-    out = _wrap(a.data.reshape(shape), False)
+    out = _wrap(a.data.reshape(shape))
 
     def bw():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad.reshape(a.data.shape))
+        a.accumulate_grad(out.grad.reshape(a.data.shape))
 
     _record((a,), out, bw)
     return out
@@ -281,11 +265,10 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     a = _as_tensor(a)
-    out = _wrap(np.swapaxes(a.data, ax1, ax2), False)
+    out = _wrap(np.swapaxes(a.data, ax1, ax2))
 
     def bw():
-        if a.requires_grad:
-            a.accumulate_grad(np.swapaxes(out.grad, ax1, ax2))
+        a.accumulate_grad(np.swapaxes(out.grad, ax1, ax2))
 
     _record((a,), out, bw)
     return out
@@ -299,7 +282,7 @@ def matmul(a: Tensor, w: Tensor) -> Tensor:
             f"matmul expects [..., K] @ [K, M], got {a.data.shape} and "
             f"{w.data.shape}"
         )
-    out = _wrap(np.matmul(a.data, w.data), False)
+    out = _wrap(np.matmul(a.data, w.data))
 
     def bw():
         g = out.grad
@@ -331,11 +314,9 @@ def extract_patches(x: Tensor, patch_len: int, stride: int) -> Tensor:
     n = (length - patch_len) // stride + 1
     idx = stride * np.arange(n)[:, None] + np.arange(patch_len)[None, :]
     windows = x.data[:, idx, :]                       # [B, N, P, C]
-    out = _wrap(np.ascontiguousarray(windows.transpose(0, 3, 1, 2)), False)
+    out = _wrap(np.ascontiguousarray(windows.transpose(0, 3, 1, 2)))
 
     def bw():
-        if not x.requires_grad:
-            return
         g = out.grad.transpose(0, 2, 3, 1)            # [B, N, P, C]
         gx = np.zeros_like(x.data)
         np.add.at(gx, (slice(None), idx), g)
@@ -349,7 +330,7 @@ def extract_patches(x: Tensor, patch_len: int, stride: int) -> Tensor:
 # normalisation
 # ---------------------------------------------------------------------------
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-last-axis standardisation (biased variance) with affine gain/bias.
 
     One tape node.  With xhat = (x - mean) * rstd and gy = g * gain, the
@@ -357,15 +338,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     sum(g * xhat) for gain and sum(g) for bias.  ``gain`` and ``bias`` must
     broadcast to the shape of ``x``.
     """
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=-1, keepdims=True) + eps)
+    rstd = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=-1, keepdims=True) + _LN_EPS)
     xhat *= rstd
     y = xhat * gain.data
     y += bias.data
-    out = _wrap(y, False)
+    out = _wrap(y)
 
     def bw():
         g = out.grad
@@ -389,41 +368,33 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # spectral primitives
 # ---------------------------------------------------------------------------
 
-def circular_autocorr(x: Tensor, axis: int = -1) -> Tensor:
-    """Circular autocorrelation along ``axis`` via Wiener-Khinchin.
+def power_autocorrelation(x: Tensor) -> Tensor:
+    """Clamped circular autocorrelation along axis -2 of [..., N, D].
 
-    out[m] = N^(-1/2) * sum_n x[n] * x[(n+m) mod N] = Re IDFT(|DFT x|^2)[m]
-    under the orthonormal transforms of ``fft``.  With the symmetric DFT
-    matrix written Mr + i*Mi, that is Mr((Mr x)^2 + (Mi x)^2), so both
-    directions are real matrix products; the adjoint is
-    Mr(gp * Mr x) + Mi(gp * Mi x) with gp = 2 * Mr g.
+    out[m] = max(0, N^(-1/2) * sum_n x[n] * x[(n+m) mod N]), and the
+    unclamped sum is Re IDFT(|DFT x|^2)[m] under the orthonormal transforms
+    of ``fft``.  With the symmetric DFT matrix written Mr + i*Mi, that is
+    Mr((Mr x)^2 + (Mi x)^2): real left-multiplications on ``x`` as it lies.
+    With gk the upstream grad zeroed on the clamped lags, the adjoint is
+    Mr(gp * Mr x) + Mi(gp * Mi x) with gp = 2 * Mr gk.
     """
     x = _as_tensor(x)
-    mr, mi = fft.real_dft_matrices(x.data.shape[axis])
-    axis %= x.data.ndim
-    last = axis == x.data.ndim - 1
-
-    def to_rows(a):
-        # view with ``axis`` at -2, so left-multiplication transforms it
-        return a[..., None] if last else np.moveaxis(a, axis, -2)
-
-    def from_rows(a):
-        return a[..., 0] if last else np.moveaxis(a, -2, axis)
-
-    xv = to_rows(x.data)
-    re = mr @ xv
-    im = mi @ xv
+    mr, mi = fft.real_dft_matrices(x.data.shape[-2])
+    re = mr @ x.data
+    im = mi @ x.data
     power = re * re
     power += im * im
-    out = _wrap(np.ascontiguousarray(from_rows(mr @ power)), False)
+    acf = mr @ power
+    keep = acf > 0.0
+    np.maximum(acf, 0.0, out=acf)
+    out = _wrap(acf)
 
     def bw():
-        if x.requires_grad:
-            gp = mr @ to_rows(out.grad)
-            gp *= 2.0
-            gx = mr @ (gp * re)
-            gx += mi @ (gp * im)
-            x.accumulate_grad(from_rows(gx))
+        gp = mr @ (out.grad * keep)
+        gp *= 2.0
+        gx = mr @ (gp * re)
+        gx += mi @ (gp * im)
+        x.accumulate_grad(gx)
 
     _record((x,), out, bw)
     return out
@@ -523,7 +494,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
             -2, token_axis))
         y *= keep_out
         y *= rescale
-    out = _wrap(y, False)
+    out = _wrap(y)
 
     def bw():
         g = out.grad

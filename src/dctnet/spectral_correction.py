@@ -2,8 +2,9 @@
 
 The clamped circular autocorrelation of a feature map along the patch axis
 summarises its spectral energy distribution.  By Wiener-Khinchin it is the
-inverse transform of the power spectrum; the single engine primitive
-``numeric_engine.circular_autocorr`` computes it in one differentiable step.
+inverse transform of the power spectrum; the engine primitive
+``numeric_engine.power_autocorrelation`` computes it, clamp included, in
+one differentiable step.
 One factor per series (instance and channel), with the sums running over
 the patch and feature axes,
 
@@ -24,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric_engine as engine
-from .numeric_engine import Tensor
+from .numeric_engine import Tensor, power_autocorrelation
 from .errors import ConfigError, finite_number
 
-_PATCH_AXIS = 2          # the N axis of [B, C, N, D]
-_SERIES_AXES = (_PATCH_AXIS, 3)   # energy sums run over N and D
+_SERIES_AXES = (2, 3)   # energy sums run over N and D of [B, C, N, D]
 _TINY = float(np.finfo(np.float64).tiny)
 
 
@@ -41,14 +41,6 @@ class CorrectionConfig:
     def __post_init__(self):
         if finite_number("correction eps", self.eps) <= 0:
             raise ConfigError(f"correction eps must be > 0, got {self.eps}")
-
-
-def power_autocorrelation(x: Tensor) -> Tensor:
-    """Clamped circular autocorrelation along the patch axis of [B, C, N, D].
-
-    Re IDFT(|DFT x|^2) with negatives clipped to zero.
-    """
-    return engine.relu(engine.circular_autocorr(x, axis=_PATCH_AXIS))
 
 
 def correction_factor(h_global: Tensor, x_patch: Tensor,

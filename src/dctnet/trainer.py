@@ -51,7 +51,7 @@ class OptimizerState:
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor], lr: float) -> "OptimizerState":
-        if lr < 0:
+        if finite_number("learning rate", lr) < 0:
             raise ConfigError(f"learning rate must be >= 0, got {lr}")
         return cls(lr=lr,
                    m={k: np.zeros_like(t.data) for k, t in params.items()},
@@ -161,7 +161,7 @@ def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
     A forecast or a score that overflows float64 is a ``DataError`` naming
     the split.
     """
-    if batch_size < 1:
+    if whole_number("batch_size", batch_size) < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if len(dataset) == 0:
         raise DataError(f"{dataset.split} dataset has no windows")

@@ -4,6 +4,7 @@ and the binary checkpoint format."""
 import dataclasses
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,18 @@ class TestWindows:
             with pytest.raises(DataError, match="val split: channel 'ch1' "
                                                 "does not standardise"):
                 make_windows(table, 8, 4, stats, split_tag="val")
+
+    def test_overflowing_statistics_raise_without_warnings(self):
+        # finite data whose mean and spread overflow float64
+        t = np.arange(400.0)
+        table = SeriesTable(np.column_stack(
+            [np.full(400, 1.7e308), 1.5e308 * np.sin(t / 5)]), ["huge", "wave"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = compute_stats(table)
+            assert not np.all(np.isfinite(stats.mean))
+            with pytest.raises(DataError, match="channel 'huge'"):
+                make_windows(table, 24, 8, stats, split_tag="train")
 
 
 class TestSynth:

@@ -132,6 +132,12 @@ class TestAdam:
         with pytest.raises(ContractError, match="b"):
             adam_step(params, {"w": np.array([1.0])}, state)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1, "0.1"])
+    def test_bad_lr_rejected(self, lr):
+        params = {"w": Tensor(np.array([0.0]), requires_grad=True)}
+        with pytest.raises(ConfigError, match="learning rate"):
+            OptimizerState.for_params(params, lr)
+
 
 class TestClip:
     def test_scales_when_over_limit(self):
@@ -469,3 +475,10 @@ class TestEvaluate:
         b = evaluate(params, cfg, ds, batch_size=64)
         assert a.mse == pytest.approx(b.mse, rel=1e-12)
         assert a.mae == pytest.approx(b.mae, rel=1e-12)
+
+    @pytest.mark.parametrize("batch_size", [2.5, 2.0, True, 0])
+    def test_bad_batch_size_rejected(self, batch_size):
+        cfg = micro_config()
+        with pytest.raises(ConfigError, match="batch_size"):
+            evaluate(init_params(cfg), cfg, tiny_dataset(3, cfg=cfg),
+                     batch_size=batch_size)
