@@ -2,18 +2,18 @@
 
 Subcommands: train, eval, forecast, ablate, synth.  Machine-readable
 output (reports as JSON, forecasts as CSV) goes to standard output or the
---out target; progress and diagnostics go to standard error.  Exit codes:
-0 success, 1 internal or training failure, 2 usage or data errors.
+--out target; progress and diagnostics go to standard error, errors only
+under --quiet.  Exit codes: 0 success, 1 internal or training failure, 2
+usage or data errors.
 
 The config file has optional sections "model", "train" and "data", and a
 "seed" key; every field is optional.  A section's flags (``_FLAGS``) are
 laid over its file values, and the section is then built and checked by
 its own dataclass: ``ModelConfig``, ``TrainSettings``, ``DataSettings``.
-So a setting resolves from its flag, then DCTNET_SEED (the seed only),
-then the file, then the dataclass default.  --preset drops the file's
-"ratios"; in the file, "ratios" beat "preset".  The top-level "seed" (or
---seed) is the one run seed: it seeds initialisation, shuffling and
-dropout alike.
+So a setting resolves from its flag, then the file, then the dataclass
+default.  --preset drops the file's "ratios"; in the file, "ratios" beat
+"preset".  The top-level "seed" (or --seed) is the one run seed: it seeds
+initialisation, shuffling and dropout alike.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -61,19 +60,11 @@ def _emit_json(payload: dict, out_path: Optional[Path] = None) -> None:
 
 
 def _setup_logging(args) -> None:
-    env = os.environ.get("DCTNET_LOG", "info").lower()
-    level = {"debug": logging.DEBUG, "info": logging.INFO,
-             "warning": logging.WARNING, "quiet": logging.ERROR}.get(
-                 env, logging.INFO)
-    if getattr(args, "verbose", False):
-        level = logging.DEBUG
-    if getattr(args, "quiet", False):
-        level = logging.ERROR
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(message)s"))
     logger.handlers.clear()
     logger.addHandler(handler)
-    logger.setLevel(level)
+    logger.setLevel(logging.ERROR if args.quiet else logging.INFO)
 
 
 def _load_config_file(path: Optional[str]) -> dict:
@@ -109,12 +100,6 @@ def _load_config_file(path: Optional[str]) -> dict:
 def _resolve_seed(args, file_cfg: dict) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("DCTNET_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"DCTNET_SEED must be an integer, got {env!r}")
     return whole_number("seed", file_cfg.get("seed", 0))
 
 
@@ -283,23 +268,14 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-_VARIANT_LABELS = {"dbct": "w/o-DBCT", "gpaf": "w/o-GPAF", "fsc": "w/o-FSC"}
-
-
 def cmd_ablate(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    unknown = [v for v in variants if v not in ABLATION_STAGES]
-    if unknown:
-        raise ConfigError(
-            f"unknown variant {unknown[0]!r}; choose from "
-            f"{','.join(ABLATION_STAGES)}"
-        )
     data, _table, cfg, settings, windows = _resolve_run(args)
 
     rows = []
-    runs = [("full", cfg)] + [(_VARIANT_LABELS[v], ablation_variant(cfg, v))
+    runs = [(cfg, "full")] + [(ablation_variant(cfg, v), f"w/o-{v.upper()}")
                               for v in variants]
-    for label, variant_cfg in runs:
+    for variant_cfg, label in runs:
         logger.info("=== training %s ===", label)
         _params, report, score = _train_once(variant_cfg, settings, windows,
                                              label=label)
@@ -345,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, evaluate, and run the dual-branch "
                     "channel-temporal forecaster.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--verbose", action="store_true",
-                        help="debug logging on standard error")
     common.add_argument("--quiet", action="store_true",
                         help="errors only on standard error")
     sub = parser.add_subparsers(dest="command", required=True)

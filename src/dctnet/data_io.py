@@ -126,13 +126,13 @@ def load_csv(path) -> SeriesTable:
 
     A first row with no numeric cell is a header, and a non-numeric first
     cell in the first data row marks a leading timestamp column, which is
-    skipped.
+    skipped.  A leading UTF-8 byte-order mark is not part of the first cell.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"data file not found: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot parse {path} as UTF-8 CSV: {exc}") from exc
@@ -278,8 +278,10 @@ def make_windows(split: SeriesTable, seq_len: int, pred_len: int,
     A channel that does not standardise to finite values, because its
     statistics or its values overflow float64, is a ``DataError``.
     """
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
+    for name, v in (("seq_len", seq_len), ("pred_len", pred_len),
+                    ("stride", stride)):
+        if whole_number(name, v) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {v}")
     n = split.rows
     need = seq_len + pred_len
     if n < need:

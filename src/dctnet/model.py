@@ -31,21 +31,6 @@ from .spectral_correction import CorrectionConfig, apply_correction
 ABLATION_STAGES = ("dbct", "gpaf", "fsc")
 
 
-def _drop_retired(section: dict, key: str, kept: str) -> dict:
-    """Copy of ``section`` without ``key``, a setting that older configs
-    and checkpoint headers carry; ``kept``, the value the model now always
-    uses, is the only one accepted."""
-    if key in section:
-        section = dict(section)
-        value = section.pop(key)
-        if value != kept:
-            raise ConfigError(
-                f"{key} {value!r} is no longer supported; the model always "
-                f"uses {kept!r}"
-            )
-    return section
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Shapes, regularisation, correction guard, and ablation switches.
@@ -116,12 +101,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = _drop_retired(dict(d), "fusion_mode", "residual_substitution")
+        d = dict(d)
         corr = d.get("correction")
         if isinstance(corr, dict):
-            d["correction"] = from_fields(
-                CorrectionConfig, "correction",
-                _drop_retired(corr, "reduction_scope", "per_batch_channel"))
+            d["correction"] = from_fields(CorrectionConfig, "correction", corr)
         return from_fields(cls, "config", d)
 
 

@@ -139,20 +139,6 @@ class TestTrain:
         assert code == 2
         assert "rows" in capsys.readouterr().err
 
-    def test_env_seed_respected_and_flag_wins(self, workdir, monkeypatch):
-        monkeypatch.setenv("DCTNET_SEED", "77")
-        base = ["train", "--config", str(workdir / "cfg.json"),
-                "--data", str(workdir / "data.csv"),
-                "--seq-len", "48", "--horizon", "12", "--epochs", "1",
-                "--window-stride", "16"]
-        code, stdout = run(base + ["--out", str(workdir / "env_run")])
-        assert code == 0
-        assert json.loads(stdout)["seed"] == 77
-        code, stdout = run(base + ["--out", str(workdir / "env_run2"),
-                                   "--seed", "5"])
-        assert code == 0
-        assert json.loads(stdout)["seed"] == 5
-
 
 class TestBadCheckpointMetadata:
     @pytest.mark.parametrize("command", ["eval", "forecast"])
@@ -475,6 +461,8 @@ BAD_RUN_SETTINGS = {
                            "eps"),
     "correction_unknown_key": ({"model": {"correction": {"gamma": 1.0}}}, [],
                                "gamma"),
+    "retired_fusion_mode": (
+        {"model": {"fusion_mode": "residual_substitution"}}, [], "fusion_mode"),
     "data_not_object": ({"data": [1]}, [], "section 'data'"),
     "model_not_object": ({"model": [1]}, [], "section 'model'"),
     "train_not_object": ({"train": "x"}, [], "section 'train'"),

@@ -42,6 +42,17 @@ class TestLoadCsv:
         assert table.channel_names == ["ch0", "ch1"]
         assert table.rows == 2 and table.channels == 2
 
+    @pytest.mark.parametrize("body, names", [
+        ("1.0,2.0\n3.0,4.0\n", ["ch0", "ch1"]),
+        ("a,b\n1.0,2.0\n3.0,4.0\n", ["a", "b"]),
+    ], ids=["headerless", "header"])
+    def test_byte_order_mark_is_not_a_cell(self, tmp_path, body, names):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        table = load_csv(p)
+        assert table.channel_names == names
+        np.testing.assert_array_equal(table.values, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_bad_cell_named_by_position(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,c\n1,2,3\n4,5,oops\n")
@@ -206,6 +217,16 @@ class TestWindows:
         ds = make_windows(table, 96, 96, stats, stride=4, split_tag="train")
         assert len(ds) == 3  # floor(8/4) + 1
 
+    @pytest.mark.parametrize("arg, value", [
+        ("stride", 2.0), ("stride", True), ("stride", 0),
+        ("seq_len", 8.0), ("seq_len", 0), ("pred_len", "4"), ("pred_len", -1),
+    ])
+    def test_bad_integer_argument_named(self, arg, value):
+        table = synth_series("sine", 30, 1, seed=0)
+        kwargs = dict(dict(seq_len=8, pred_len=4, stride=1), **{arg: value})
+        with pytest.raises(ConfigError, match=arg):
+            make_windows(table, stats=compute_stats(table), **kwargs)
+
     def test_windows_are_standardized_and_chronological(self):
         table = synth_series("sine_trend", 60, 2, seed=6)
         stats = compute_stats(table)
@@ -358,13 +379,6 @@ def _set_correction(key, value):
     return edit
 
 
-def _with_retired_keys(header):
-    """The two settings a header written before their removal carries."""
-    header["config"]["fusion_mode"] = "residual_substitution"
-    header["config"]["correction"]["reduction_scope"] = "per_batch_channel"
-    return header
-
-
 def _bad_tensor_entry(header):
     header["tensors"][0] = 5
     return header
@@ -514,18 +528,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="malformed checkpoint header"):
             checkpoint_load(p)
 
-    def test_retired_keys_at_surviving_values_load(self, tmp_path):
+    def test_retired_keys_refused_by_name(self, tmp_path):
+        # even at the one value the model used to accept
         cfg = micro_config()
-        plain, old = tmp_path / "plain.dct", tmp_path / "old.dct"
-        checkpoint_save(init_params(cfg), cfg, plain)
-        checkpoint_save(init_params(cfg), cfg, old)
-        rewrite_header(old, _with_retired_keys)
-        a, cfg_a, _ = checkpoint_load(plain)
-        b, cfg_b, _ = checkpoint_load(old)
-        assert cfg_b == cfg_a
-        x = np.random.default_rng(3).standard_normal((2, 8, 2))
-        np.testing.assert_array_equal(forward(x, b, cfg_b).values.data,
-                                      forward(x, a, cfg_a).values.data)
+        for key, edit in (
+                ("fusion_mode",
+                 _set_config("fusion_mode", "residual_substitution")),
+                ("reduction_scope",
+                 _set_correction("reduction_scope", "per_batch_channel"))):
+            p = tmp_path / f"{key}.dct"
+            checkpoint_save(init_params(cfg), cfg, p)
+            rewrite_header(p, edit)
+            with pytest.raises(CheckpointError, match=key):
+                checkpoint_load(p)
 
     def test_corrupt_header_json(self, tmp_path):
         cfg = micro_config()

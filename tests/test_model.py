@@ -87,17 +87,15 @@ class TestConfig:
         again = ModelConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
-    def test_retired_keys_load_only_at_their_surviving_value(self):
-        # older configs and checkpoint headers carry both settings
+    def test_retired_keys_refused_by_name(self):
+        # even at the one value the model used to accept
         d = micro_config().to_dict()
-        old = dict(d, fusion_mode="residual_substitution",
-                   correction=dict(d["correction"],
-                                   reduction_scope="per_batch_channel"))
-        assert ModelConfig.from_dict(old) == micro_config()
-        for bad in (dict(d, fusion_mode="additive"),
-                    dict(d, correction=dict(d["correction"],
-                                            reduction_scope="global_scalar"))):
-            with pytest.raises(ConfigError):
+        for key, bad in (
+                ("fusion_mode", dict(d, fusion_mode="residual_substitution")),
+                ("reduction_scope",
+                 dict(d, correction=dict(d["correction"],
+                                         reduction_scope="per_batch_channel")))):
+            with pytest.raises(ConfigError, match=key):
                 ModelConfig.from_dict(bad)
 
     def test_unknown_field_rejected(self):
