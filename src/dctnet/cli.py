@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -169,7 +170,7 @@ def cmd_train(args) -> int:
         train_ds.stats, data, dataset=data_path.stem,
         channel_names=table.channel_names, best_epoch=report.best_epoch,
         best_val_mse=report.val_mse[report.best_epoch]))
-    payload = dict(report.to_json_dict(),
+    payload = dict(dataclasses.asdict(report),
                    dataset=data_path.stem,
                    test_mse=test_score.mse, test_mae=test_score.mae,
                    checkpoint=str(ckpt_path))
@@ -197,7 +198,7 @@ def cmd_eval(args) -> int:
     params, cfg, table, stats, split = _load_eval_inputs(args)
     dataset, = split.windows(table, cfg.seq_len, cfg.pred_len, stats,
                              which=(args.split,))
-    score = evaluate(params, cfg, dataset, batch_size=args.batch_size)
+    score = evaluate(params, cfg, dataset)
     logger.info("%s split: %d windows, mse %.6f, mae %.6f, mean alpha %.4f",
                 args.split, score.num_windows, score.mse, score.mae,
                 score.alpha_mean)
@@ -299,10 +300,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    params = SynthParams(period=args.period, amplitude=args.amplitude,
-                         noise=args.noise, slope=args.slope,
-                         shift_row=args.shift_row, magnitude=args.magnitude,
-                         period2=args.period2)
+    params = from_fields(SynthParams, "synth", {
+        f.name: getattr(args, f.name) for f in dataclasses.fields(SynthParams)
+        if getattr(args, f.name) is not None})
     table = synth_series(args.kind, args.rows, args.channels, args.seed,
                          params)
     save_csv(table, args.out)
@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "val", "test"),
                    default="test")
-    p.add_argument("--batch-size", type=int, dest="batch_size", default=64)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("forecast", parents=[common],
@@ -379,13 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--period", type=float, default=24.0)
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--slope", type=float, default=0.001)
-    p.add_argument("--shift-row", type=int, dest="shift_row")
-    p.add_argument("--magnitude", type=float, default=1.0)
-    p.add_argument("--period2", type=float, default=12.0)
+    shape = SynthParams()       # a shape flag left out takes its default
+    for name in ("period", "amplitude", "noise", "slope", "magnitude",
+                 "period2"):
+        p.add_argument(f"--{name}", type=float,
+                       help=f"default {getattr(shape, name)}")
+    p.add_argument("--shift-row", type=int, dest="shift_row",
+                   help="default: half the rows")
     p.set_defaults(func=cmd_synth)
     return parser
 

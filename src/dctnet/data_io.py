@@ -183,10 +183,9 @@ def save_csv(table: SeriesTable, path) -> None:
 
 
 def _positive_ratios(name: str, r) -> tuple[float, float, float]:
-    if not (isinstance(r, (list, tuple)) and len(r) == 3 and
-            all(finite_number(name, v) > 0 for v in r)):
+    if not (isinstance(r, (list, tuple)) and len(r) == 3):
         raise ConfigError(f"{name} must be three positive numbers, got {r!r}")
-    return tuple(float(v) for v in r)
+    return tuple(finite_number(name, v, above=0.0) for v in r)
 
 
 def split_chronological(table: SeriesTable, ratios: tuple[float, float, float],
@@ -236,9 +235,8 @@ class DataSettings:
                 self.preset not in SPLIT_PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from "
                               f"{sorted(SPLIT_PRESETS)}")
-        if whole_number("window_stride", self.window_stride) < 1:
-            raise ConfigError(
-                f"window_stride must be >= 1, got {self.window_stride}")
+        object.__setattr__(self, "window_stride", whole_number(
+            "window_stride", self.window_stride, at_least=1))
 
     @property
     def split_ratios(self) -> tuple[float, float, float]:
@@ -278,10 +276,9 @@ def make_windows(split: SeriesTable, seq_len: int, pred_len: int,
     A channel that does not standardise to finite values, because its
     statistics or its values overflow float64, is a ``DataError``.
     """
-    for name, v in (("seq_len", seq_len), ("pred_len", pred_len),
-                    ("stride", stride)):
-        if whole_number(name, v) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {v}")
+    seq_len = whole_number("seq_len", seq_len, at_least=1)
+    pred_len = whole_number("pred_len", pred_len, at_least=1)
+    stride = whole_number("stride", stride, at_least=1)
     n = split.rows
     need = seq_len + pred_len
     if n < need:
@@ -320,16 +317,16 @@ class SynthParams:
     period2: float = 12.0
 
     def __post_init__(self):
-        for name in ("period", "period2"):
-            value = getattr(self, name)
-            if finite_number(name, value) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
-        for name in ("amplitude", "slope", "magnitude"):
-            finite_number(name, getattr(self, name))
-        if finite_number("noise", self.noise) < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
-        if self.shift_row is not None:
-            whole_number("shift_row", self.shift_row)
+        checked = dict(
+            {name: finite_number(name, getattr(self, name))
+             for name in ("amplitude", "slope", "magnitude")},
+            period=finite_number("period", self.period, above=0.0),
+            period2=finite_number("period2", self.period2, above=0.0),
+            noise=finite_number("noise", self.noise, at_least=0.0),
+            shift_row=None if self.shift_row is None else
+            whole_number("shift_row", self.shift_row))
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)       # the class is frozen
 
 
 def synth_series(kind: str, rows: int, channels: int, seed: int,
@@ -344,10 +341,9 @@ def synth_series(kind: str, rows: int, channels: int, seed: int,
     """
     if kind not in SYNTH_KINDS:
         raise ConfigError(f"unknown kind {kind!r}; choose from {SYNTH_KINDS}")
-    if rows < 1:
-        raise ConfigError(f"rows must be >= 1, got {rows}")
-    if channels < 1:
-        raise ConfigError(f"channels must be >= 1, got {channels}")
+    rows = whole_number("rows", rows, at_least=1)
+    channels = whole_number("channels", channels, at_least=1)
+    seed = whole_number("seed", seed)
     if rows * channels > np.iinfo(np.intp).max // 8:    # np.arange would wrap
         raise ConfigError(f"{rows} rows x {channels} channels exceed "
                           f"numpy's array size limit")
@@ -394,15 +390,14 @@ def run_settings(metadata: dict, channels: int
     settings of a run record; each key is checked on its own."""
     try:
         stats = {}
-        for key in ("norm_mean", "norm_std"):
+        for key, above in (("norm_mean", None), ("norm_std", 0.0)):
             if key in metadata:
                 v = metadata[key]
                 if not (isinstance(v, list) and len(v) == channels):
                     raise ConfigError(f"{key} must be a list of {channels} "
                                       f"finite numbers")
-                stats[key] = np.array([finite_number(key, x) for x in v])
-        if np.any(stats.get("norm_std", 1.0) <= 0.0):
-            raise ConfigError("norm_std must be > 0")
+                stats[key] = np.array([finite_number(key, x, above=above)
+                                       for x in v])
         ratios = metadata.get("split_ratios")
         split = DataSettings(
             ratios=None if ratios is None else

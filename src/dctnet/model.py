@@ -56,18 +56,19 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        for name in ("channels", "seq_len", "pred_len", "patch_len", "stride",
-                     "latent_dim", "heads", "depth"):
-            v = getattr(self, name)
-            if type(v) is not int or not 1 <= v < 2**63:      # not a bool
-                raise ConfigError(f"{name} must be a positive integer below "
-                                  f"2**63, got {v!r}")
-        if self.latent_dim < 2:
-            # a norm over one feature outputs its bias, whatever its input
-            raise ConfigError(f"latent_dim must be >= 2, got {self.latent_dim}")
+        # latent_dim >= 2: a norm over one feature outputs its bias,
+        # whatever its input
+        checked = dict(
+            {name: whole_number(name, getattr(self, name), below=2**63,
+                                at_least=2 if name == "latent_dim" else 1)
+             for name in ("channels", "seq_len", "pred_len", "patch_len",
+                          "stride", "latent_dim", "heads", "depth")},
+            dropout=finite_number("dropout", self.dropout, at_least=0.0,
+                                  below=1.0),
+            revin_eps=finite_number("revin_eps", self.revin_eps, above=0.0),
+            seed=whole_number("seed", self.seed))
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)       # the class is frozen
         if self.patch_len > self.seq_len:
             raise ConfigError(
                 f"patch_len {self.patch_len} exceeds seq_len {self.seq_len}"
@@ -81,15 +82,10 @@ class ModelConfig:
             raise ConfigError(
                 f"correction must be a CorrectionConfig, got {self.correction!r}"
             )
-        if not 0.0 <= finite_number("dropout", self.dropout) < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if finite_number("revin_eps", self.revin_eps) <= 0:
-            raise ConfigError(f"revin_eps must be > 0, got {self.revin_eps}")
         for name in ("disable_dbct", "disable_gpaf", "disable_fsc"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got "
                                   f"{getattr(self, name)!r}")
-        whole_number("seed", self.seed)
 
     @property
     def num_patches(self) -> int:

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, finite_number, whole_number
 from . import fft
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -305,12 +305,10 @@ def extract_patches(x: Tensor, patch_len: int, stride: int) -> Tensor:
     """
     x = _as_tensor(x)
     b, length, _ = x.data.shape
-    if patch_len < 1:
-        raise ConfigError(f"patch_len must be >= 1, got {patch_len}")
+    patch_len = whole_number("patch_len", patch_len, at_least=1)
     if patch_len > length:
         raise ConfigError(f"patch_len {patch_len} exceeds window length {length}")
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
+    stride = whole_number("stride", stride, at_least=1)
     n = (length - patch_len) // stride + 1
     idx = stride * np.arange(n)[:, None] + np.arange(patch_len)[None, :]
     windows = x.data[:, idx, :]                       # [B, N, P, C]
@@ -421,8 +419,7 @@ class AttentionParams:
 def _dropout_mask(shape: tuple, p: float, training: bool,
                   rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
     """Keep mask rng.random(shape) >= p, or None when dropout is off."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
+    p = finite_number("dropout probability", p, at_least=0.0, below=1.0)
     if not training or p == 0.0:
         return None
     if rng is None:

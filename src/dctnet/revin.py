@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numeric_engine as engine
 from .numeric_engine import Tensor
-from .errors import ConfigError, SingularityError
+from .errors import ConfigError, SingularityError, finite_number
 
 MIN_GAIN = 1e-12  # smallest |gain| that revin_denormalize inverts
 
@@ -48,8 +48,7 @@ def revin_normalize(x: Tensor, params: RevINParams,
     ``revin_denormalize``.  Variance is the biased estimator; the divisor is
     sqrt(var + eps), so it never vanishes.
     """
-    if eps <= 0:
-        raise ConfigError(f"revin eps must be > 0, got {eps}")
+    eps = finite_number("revin eps", eps, above=0.0)
     if x.ndim != 3:
         raise ConfigError(f"revin expects [B, L, C], got shape {x.shape}")
     mean = engine.reduce_mean(x, axis=1)

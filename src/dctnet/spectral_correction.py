@@ -39,8 +39,8 @@ class CorrectionConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if finite_number("correction eps", self.eps) <= 0:
-            raise ConfigError(f"correction eps must be > 0, got {self.eps}")
+        object.__setattr__(self, "eps", finite_number(
+            "correction eps", self.eps, above=0.0))
 
 
 def correction_factor(h_global: Tensor, x_patch: Tensor,

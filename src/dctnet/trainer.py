@@ -9,8 +9,7 @@ seed, so a rerun reproduces the loss trajectory bit for bit.
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,8 +17,8 @@ import numpy as np
 from . import numeric_engine as engine
 from .numeric_engine import Tape, Tensor, backward
 from .data_io import WindowedDataset
-from .errors import (ConfigError, ContractError, DataError, SingularityError,
-                     TrainingError, finite_number, whole_number)
+from .errors import (ContractError, DataError, SingularityError, TrainingError,
+                     finite_number, whole_number)
 from .model import DCTNetParams, ModelConfig, forward
 from .rng import make_rng
 
@@ -51,9 +50,7 @@ class OptimizerState:
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor], lr: float) -> "OptimizerState":
-        if finite_number("learning rate", lr) < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {lr}")
-        return cls(lr=lr,
+        return cls(lr=finite_number("learning rate", lr, at_least=0.0),
                    m={k: np.zeros_like(t.data) for k, t in params.items()},
                    v={k: np.zeros_like(t.data) for k, t in params.items()})
 
@@ -103,20 +100,14 @@ class TrainSettings:
     clip_norm: Optional[float] = 5.0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "patience"):
-            whole_number(name, getattr(self, name))
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        if finite_number("lr", self.lr) < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.clip_norm is not None and \
-                finite_number("clip_norm", self.clip_norm) <= 0:
-            raise ConfigError(
-                f"clip_norm must be > 0 or null, got {self.clip_norm}")
+        self.epochs = whole_number("epochs", self.epochs, at_least=1)
+        self.batch_size = whole_number("batch_size", self.batch_size,
+                                       at_least=1)
+        self.patience = whole_number("patience", self.patience, at_least=0)
+        self.lr = finite_number("lr", self.lr, at_least=0.0)
+        if self.clip_norm is not None:
+            self.clip_norm = finite_number("clip_norm", self.clip_norm,
+                                           above=0.0)
 
 
 @dataclass
@@ -128,16 +119,8 @@ class TrainReport:
     val_mae: list[float]
     best_epoch: int
     epochs_run: int
-    wall_clock_seconds: float
     seed: int
     config: dict
-
-    def to_json_dict(self) -> dict:
-        """Serializable view; wall-clock time is deliberately left out so
-        identical runs serialize to identical bytes."""
-        d = asdict(self)
-        del d["wall_clock_seconds"]
-        return d
 
 
 @dataclass
@@ -161,8 +144,7 @@ def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
     A forecast or a score that overflows float64 is a ``DataError`` naming
     the split.
     """
-    if whole_number("batch_size", batch_size) < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = whole_number("batch_size", batch_size, at_least=1)
     if len(dataset) == 0:
         raise DataError(f"{dataset.split} dataset has no windows")
     c, n, h = cfg.channels, cfg.num_patches, cfg.heads
@@ -235,7 +217,6 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
     opt = OptimizerState.for_params(registry, settings.lr)
     emit = log if log is not None else (lambda _msg: None)
 
-    started = time.monotonic()
     train_losses: list[float] = []
     val_mses: list[float] = []
     val_maes: list[float] = []
@@ -302,6 +283,5 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
     report = TrainReport(
         train_loss=train_losses, val_mse=val_mses, val_mae=val_maes,
         best_epoch=best_epoch, epochs_run=len(train_losses),
-        wall_clock_seconds=time.monotonic() - started,
         seed=cfg.seed, config=cfg.to_dict())
     return params, report

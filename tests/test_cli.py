@@ -506,17 +506,6 @@ class TestBadSettings:
         assert (code, stdout) == (2, "")
         assert "not valid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("batch_size", ["0", "-1"])
-    def test_eval_exit_2(self, trained, capsys, batch_size):
-        code, stdout = run(["eval",
-                            "--checkpoint",
-                            str(trained["out"] / "checkpoint.dct"),
-                            "--data", str(trained["root"] / "data.csv"),
-                            "--batch-size", batch_size])
-        assert code == 2
-        assert stdout == ""
-        assert "batch_size" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flags", [
         ["--period", "0"],
         ["--kind", "freq_shift", "--period2", "0"],

@@ -19,6 +19,7 @@ from dctnet.data_io import (SPLIT_PRESETS, SYNTH_KINDS, DataSettings,
 from dctnet.errors import CheckpointError, ConfigError, DataError
 from dctnet.fft import dft
 from dctnet.model import ModelConfig, forward, init_params
+from dctnet.spectral_correction import CorrectionConfig
 
 from helpers import (BAD_METADATA, LACKS_STATS, RECORD_KEY, rewrite_header,
                      tiny_configs)
@@ -324,6 +325,15 @@ class TestSynth:
         with pytest.raises(ConfigError):
             synth_series("sawtooth", 50, 1, seed=0)
 
+    @pytest.mark.parametrize("arg, value", [
+        ("rows", 10.5), ("rows", True), ("rows", 0), ("channels", 2.0),
+        ("channels", 0), ("seed", 1.5),
+    ])
+    def test_bad_integer_argument_named(self, arg, value):
+        kwargs = dict(dict(rows=10, channels=1, seed=0), **{arg: value})
+        with pytest.raises(ConfigError, match=arg):
+            synth_series("sine", **kwargs)
+
     @pytest.mark.parametrize("field,value", [
         ("period", 0.0), ("period", -24.0), ("period2", 0.0),
         ("amplitude", float("inf")), ("noise", float("nan")), ("noise", -0.1),
@@ -406,6 +416,31 @@ class TestCheckpoint:
                                       loaded.named_parameters().items()):
             assert ka == kb
             assert ta.data.tobytes() == tb.data.tobytes()
+
+    @pytest.mark.parametrize("field, as_numpy", [
+        ("seq_len", np.int64), ("seed", np.int64), ("dropout", np.float32),
+        ("eps", np.float32), ("window_stride", np.int64),
+    ])
+    def test_numpy_scalar_settings_saved_as_python_numbers(
+            self, tmp_path, field, as_numpy):
+        # 2**-27 and 0.25 are float32 values that float64 holds exactly
+        plain = dict(seq_len=8, seed=3, dropout=0.25, eps=2.0 ** -27,
+                     window_stride=2)
+
+        def save(values, name):
+            cfg = micro_config(seq_len=values["seq_len"], seed=values["seed"],
+                               dropout=values["dropout"],
+                               correction=CorrectionConfig(eps=values["eps"]))
+            path = tmp_path / name
+            checkpoint_save(init_params(cfg), cfg, path, metadata=run_record(
+                NormStats(mean=np.zeros(2), std=np.ones(2)),
+                DataSettings(window_stride=values["window_stride"])))
+            return path
+
+        want = save(plain, "plain.dct")
+        got = save(dict(plain, **{field: as_numpy(plain[field])}), "numpy.dct")
+        assert got.read_bytes() == want.read_bytes()
+        assert checkpoint_load(got)[1:] == checkpoint_load(want)[1:]
 
     def test_forward_identical_after_round_trip(self, tmp_path):
         cfg = micro_config()

@@ -82,6 +82,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             micro_config(**{field: value})
 
+    def test_numbers_stored_as_python_numbers(self):
+        cfg = micro_config(channels=np.int64(2), seed=np.int32(5), dropout=0,
+                           revin_eps=np.float32(0.5))
+        assert [type(getattr(cfg, k)) for k in
+                ("channels", "seed", "dropout", "revin_eps")] == \
+            [int, int, float, float]
+        assert repr(cfg.to_dict()) == repr(micro_config(
+            seed=5, dropout=0.0, revin_eps=0.5).to_dict())
+
     def test_dict_round_trip(self):
         cfg = micro_config(disable_fsc=True, dropout=0.2)
         again = ModelConfig.from_dict(cfg.to_dict())

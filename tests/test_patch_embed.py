@@ -30,7 +30,8 @@ class TestGeometry:
 
     def test_invalid_geometry_rejected(self):
         x = Tensor(np.zeros((1, 24, 1)))
-        for p, s in ((0, 8), (16, 0), (-1, 8), (16, -2)):
+        for p, s in ((0, 8), (16, 0), (-1, 8), (16, -2), (2.0, 8),
+                     (16, 2.5), (True, 8)):
             with pytest.raises(ConfigError):
                 segment_patches(x, p, s)
 

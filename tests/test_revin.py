@@ -45,8 +45,10 @@ class TestNormalize:
         np.testing.assert_allclose(out.data, 0.3, atol=1e-12)
 
     def test_rejects_bad_eps_and_rank(self):
-        with pytest.raises(ConfigError):
-            revin_normalize(Tensor(np.zeros((1, 4, 1))), identity_params(1), eps=0.0)
+        for eps in (0.0, float("nan"), True):
+            with pytest.raises(ConfigError, match="eps"):
+                revin_normalize(Tensor(np.zeros((1, 4, 1))),
+                                identity_params(1), eps=eps)
         with pytest.raises(ConfigError):
             revin_normalize(Tensor(np.zeros((4, 1))), identity_params(1))
 

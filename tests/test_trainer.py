@@ -1,6 +1,7 @@
 """Loss, Adam optimizer, gradient clipping, and the fit/evaluate loop."""
 
 import dataclasses
+import json
 import tempfile
 from pathlib import Path
 
@@ -359,11 +360,11 @@ class TestFit:
         train = tiny_dataset(4, cfg=cfg)
         _, report = fit(init_params(cfg), cfg, train, train,
                         TrainSettings(epochs=1), log=lambda m: None)
-        payload = report.to_json_dict()
+        payload = json.loads(json.dumps(dataclasses.asdict(report),
+                                        allow_nan=False))
         assert "wall_clock_seconds" not in payload
         assert payload["seed"] == 2
         assert payload["config"]["channels"] == 1
-        assert report.wall_clock_seconds >= 0.0
 
 
 class TestEvaluate:
