@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import os
 import secrets
@@ -127,59 +128,68 @@ def load_csv(path) -> SeriesTable:
     A first row with no numeric cell is a header, and a non-numeric first
     cell in the first data row marks a leading timestamp column, which is
     skipped.  A leading UTF-8 byte-order mark is not part of the first cell.
+    A cell is whatever ``float()`` accepts; NaN and Inf are refused.  Blank
+    lines are skipped, and an error names the file line and column.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"data file not found: {path}")
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)         # line_num: the row's file line
+            rows = [(reader.line_num, row) for row in reader if row]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot parse {path} as UTF-8 CSV: {exc}") from exc
     if not rows:
         raise DataError(f"empty data file: {path}")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
+    width = len(rows[0][1])
+    for line, row in rows:
         if len(row) != width:
             raise DataError(
-                f"ragged row {i + 1}: {len(row)} cells, expected {width}"
+                f"ragged row {line}: {len(row)} cells, expected {width}"
             )
 
-    has_header = all(_parse_cell(c) is None for c in rows[0])
+    has_header = all(_parse_cell(c) is None for c in rows[0][1])
     data_rows = rows[1:] if has_header else rows
     if not data_rows:
         raise DataError(f"no data rows in {path}")
 
-    first_channel = 1 if _parse_cell(data_rows[0][0]) is None else 0
+    first_channel = 1 if _parse_cell(data_rows[0][1][0]) is None else 0
     if width - first_channel < 1:
         raise DataError(f"no numeric columns in {path}")
 
-    values = np.empty((len(data_rows), width - first_channel))
-    header_offset = 2 if has_header else 1
-    for i, row in enumerate(data_rows):
-        for j, cell in enumerate(row[first_channel:]):
-            v = _parse_cell(cell)
-            if v is None or not np.isfinite(v):
-                raise DataError(
-                    f"non-numeric value {cell!r} at row {i + header_offset}, "
-                    f"column {first_channel + j + 1}"
-                )
-            values[i, j] = v
+    shape = (len(data_rows), width - first_channel)
+    try:
+        values = np.fromiter(map(float, itertools.chain.from_iterable(
+            row[first_channel:] for _, row in data_rows)),
+            np.float64, count=shape[0] * shape[1]).reshape(shape)
+    except ValueError:                      # a cell float() refuses
+        values = None
+    if values is None or not np.isfinite(values).all():
+        for line, row in data_rows:                 # name the first bad cell
+            for j, cell in enumerate(row[first_channel:]):
+                v = _parse_cell(cell)
+                if v is None or not np.isfinite(v):
+                    raise DataError(
+                        f"non-numeric value {cell!r} at row {line}, "
+                        f"column {first_channel + j + 1}"
+                    )
+        raise DataError(f"cannot read {path} as numbers")
 
     if has_header:
-        names = [c.strip() for c in rows[0][first_channel:]]
+        names = [c.strip() for c in rows[0][1][first_channel:]]
     else:
         names = [f"ch{j}" for j in range(width - first_channel)]
     return SeriesTable(values=values, channel_names=names)
 
 
 def save_csv(table: SeriesTable, path) -> None:
-    """Write a table with header; float cells use repr for exact round-trips."""
+    """Write a table with header; the csv module writes each float as its
+    shortest round-trip ``repr``."""
     with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.channel_names)
-        for row in table.values:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(row.tolist() for row in table.values)
 
 
 def _positive_ratios(name: str, r) -> tuple[float, float, float]:
@@ -295,11 +305,10 @@ def make_windows(split: SeriesTable, seq_len: int, pred_len: int,
             f"{split_tag} split: channel {split.channel_names[c]!r} does not "
             f"standardise to finite values (mean {stats.mean[c]:g}, std "
             f"{stats.std[c]:g})")
-    count = (n - need) // stride + 1
-    inputs = np.stack([values[i * stride:i * stride + seq_len]
-                       for i in range(count)])
-    targets = np.stack([values[i * stride + seq_len:i * stride + need]
-                        for i in range(count)])
+    windows = np.lib.stride_tricks.sliding_window_view(
+        values, need, axis=0)[::stride].swapaxes(1, 2)      # [W, L+T, C]
+    inputs = windows[:, :seq_len].copy()
+    targets = windows[:, seq_len:].copy()
     return WindowedDataset(inputs=inputs, targets=targets, split=split_tag,
                            stats=stats)
 

@@ -448,6 +448,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
     x = _as_tensor(x)
     shape = x.data.shape
     d = shape[-1]
+    heads = whole_number("heads", heads, at_least=1)
     if d % heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {heads} heads")
     dh = d // heads

@@ -1,7 +1,9 @@
 """CSV loading, chronological splits, windowing, synthetic generators,
 and the binary checkpoint format."""
 
+import csv
 import dataclasses
+import io
 import json
 import struct
 import warnings
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dctnet.data_io import (SPLIT_PRESETS, SYNTH_KINDS, DataSettings,
                             NormStats, SeriesTable, SynthParams, atomic_write,
@@ -74,6 +77,32 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="ragged"):
             load_csv(p)
 
+    def test_ragged_row_reported_before_bad_cell(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("a,b\n1,x\n2,3,4\n")
+        with pytest.raises(DataError, match="ragged row 3: 3 cells"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("body, message", [
+        ("a,b\n\n\n1,2\n3,x\n", "'x' at row 5, column 2"),
+        ("a,b\n\n1,2\n\n3\n", "ragged row 5: 1 cells"),
+        ("1,2\n\n3,inf\n", "'inf' at row 3, column 2"),
+        ('a,"b\nc"\n1,x\n', "'x' at row 3, column 2"),
+    ], ids=["bad_cell", "ragged", "headerless", "quoted_newline"])
+    def test_errors_name_file_line(self, tmp_path, body, message):
+        p = tmp_path / "lines.csv"
+        p.write_text(body)
+        with pytest.raises(DataError, match=message):
+            load_csv(p)
+
+    def test_cell_is_what_float_accepts(self, tmp_path):
+        p = tmp_path / "ws.csv"
+        p.write_text("a,b\n 1.5 ,1_000\n-0.0,\t2e3\n")
+        table = load_csv(p)
+        np.testing.assert_array_equal(table.values, [[1.5, 1000.0],
+                                                     [-0.0, 2000.0]])
+        assert np.signbit(table.values[1, 0])
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "g.csv"
         p.write_text("")
@@ -101,6 +130,47 @@ class TestLoadCsv:
         again = load_csv(p)
         np.testing.assert_array_equal(again.values, table.values)
         assert again.channel_names == table.channel_names
+
+
+def _not_a_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+_NAMES = st.text(st.characters(blacklist_categories=("Cs", "Cc"))
+                 | st.sampled_from(',"\n'), max_size=6).filter(
+    lambda name: name == name.strip() and _not_a_number(name)
+    and not name.startswith("\ufeff"))
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7e308, -1.7e308, 1.7976931348623157e308]))
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(values=arrays(np.float64, st.tuples(st.integers(1, 6),
+                                               st.integers(1, 4)),
+                         elements=_CELLS),
+           data=st.data())
+    def test_finite_table_round_trips_bitwise(self, tmp_path_factory, values,
+                                              data):
+        names = data.draw(st.lists(_NAMES, min_size=values.shape[1],
+                                   max_size=values.shape[1]))
+        p = tmp_path_factory.getbasetemp() / "rt.csv"
+        save_csv(SeriesTable(values, names), p)
+        reference = io.StringIO()
+        writer = csv.writer(reference)
+        writer.writerow(names)
+        for row in values:
+            writer.writerow([repr(float(v)) for v in row])
+        assert p.read_bytes() == reference.getvalue().encode("utf-8")
+        again = load_csv(p)
+        assert again.values.tobytes() == values.tobytes()
+        assert again.channel_names == names
 
 
 _CSV_TEXT = st.text(alphabet='0123456789.,-+e\n\r" ;aE\xe9\x00', max_size=300)
@@ -246,6 +316,27 @@ class TestWindows:
         z = stats.apply(table.values)
         for i in range(len(ds)):
             np.testing.assert_allclose(ds.targets[i], z[i + 8:i + 12])
+
+    @settings(max_examples=100)
+    @given(seq_len=st.integers(1, 12), pred_len=st.integers(1, 12),
+           extra=st.integers(0, 30), stride=st.integers(1, 8),
+           channels=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_matches_stacked_slices(self, seq_len, pred_len, extra, stride,
+                                    channels, seed):
+        rows = seq_len + pred_len + extra
+        table = SeriesTable(np.random.default_rng(seed).standard_normal(
+            (rows, channels)), [f"c{j}" for j in range(channels)])
+        stats = compute_stats(table)
+        ds = make_windows(table, seq_len, pred_len, stats, stride=stride)
+        z = stats.apply(table.values)
+        starts = range(0, rows - seq_len - pred_len + 1, stride)
+        for got, want in ((ds.inputs, [z[i:i + seq_len] for i in starts]),
+                          (ds.targets, [z[i + seq_len:i + seq_len + pred_len]
+                                        for i in starts])):
+            want = np.stack(want)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous
 
     @pytest.mark.parametrize("mean, std", [
         ([0.0, 0.0], [1.0, 1e-310]),        # subnormal spread

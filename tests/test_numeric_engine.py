@@ -488,6 +488,14 @@ class TestAttention:
         with pytest.raises(ConfigError):
             engine.multi_head_attention(x, p, heads=3)
 
+    @pytest.mark.parametrize("heads", [0, 2.0, True])
+    def test_bad_heads_rejected(self, heads):
+        rng = np.random.default_rng(71)
+        p = self._params(8, rng)
+        x = Tensor(rng.standard_normal((1, 3, 8)))
+        with pytest.raises(ConfigError, match="heads"):
+            engine.multi_head_attention(x, p, heads=heads)
+
     def test_weights_row_stochastic(self):
         rng = np.random.default_rng(72)
         p = self._params(8, rng)
