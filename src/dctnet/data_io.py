@@ -184,12 +184,17 @@ def load_csv(path) -> SeriesTable:
 
 
 def save_csv(table: SeriesTable, path) -> None:
-    """Write a table with header; the csv module writes each float as its
-    shortest round-trip ``repr``."""
+    """Write a table with header; each float as its shortest round-trip
+    ``repr``, the bytes the csv module writes for it.
+
+    Only the header, whose names may need quoting, goes through
+    ``csv.writer``; a float's ``repr`` never needs quoting, so the data rows
+    are joined directly, one row at a time.
+    """
     with atomic_write(path, newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.channel_names)
-        writer.writerows(row.tolist() for row in table.values)
+        csv.writer(fh).writerow(table.channel_names)
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n"
+                      for row in table.values)
 
 
 def _positive_ratios(name: str, r) -> tuple[float, float, float]:

@@ -53,10 +53,9 @@ def temporal_branch_forward(x_patch: Tensor, params: TemporalBranchParams) -> Te
         raise ConfigError(
             f"w_time is {params.w_time.shape}, input has {n} patches"
         )
-    xt = engine.swapaxes(x_patch, -1, -2)                 # [B, C, D, N]
-    mixed = engine.swapaxes(engine.matmul(xt, params.w_time), -1, -2)
-    pre = engine.add(engine.gelu(mixed), x_patch)
-    return engine.layer_norm(pre, params.gain, params.bias)
+    mixed = engine.patch_mix(x_patch, params.w_time)
+    return engine.layer_norm(engine.gelu(mixed), params.gain, params.bias,
+                             residual=x_patch)
 
 
 def attention_sublayer(x: Tensor, residual: Tensor,
@@ -75,8 +74,8 @@ def attention_sublayer(x: Tensor, residual: Tensor,
     attended = engine.multi_head_attention(
         x, params.attn, params.heads, token_axis=token_axis,
         dropout_p=params.dropout_p, training=training, rng=rng)
-    return engine.layer_norm(engine.add(attended, residual),
-                             params.gain, params.bias)
+    return engine.layer_norm(attended, params.gain, params.bias,
+                             residual=residual)
 
 
 def fuse_branches(x_patch: Tensor, temporal_params: TemporalBranchParams,

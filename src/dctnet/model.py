@@ -238,8 +238,8 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
     b = h_final.shape[0]
     flat = engine.reshape(h_final, (b, cfg.channels,
                                     cfg.num_patches * cfg.latent_dim))
-    per_channel = engine.add(engine.matmul(flat, params.head_weight),
-                             params.head_bias)           # [B, C, T]
+    per_channel = engine.matmul(flat, params.head_weight,
+                                params.head_bias)        # [B, C, T]
     pred = engine.swapaxes(per_channel, 1, 2)            # [B, T, C]
     values = revin_denormalize(pred, params.revin, state)
     return Forecast(values=values, alpha=alpha)

@@ -45,15 +45,20 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add ``g`` into ``grad``, copying on the first write.
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` into ``grad``; later writes add in place.
 
-        VJPs may hand over an upstream grad itself or a view of it, and one
-        upstream grad can reach several inputs, so the first write must own
-        its buffer; later writes add in place.
+        The first write stores ``g`` itself when ``owned`` and a copy
+        otherwise.  Only a VJP that has just allocated ``g`` as a float64
+        array of this tensor's shape, and hands it to no other input, may
+        pass ``owned=True``.  An upstream grad, a view or broadcast of one,
+        or an array that also reaches another input is copied, since later
+        writes add into the stored buffer.
         """
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            # 0-d arithmetic returns numpy scalars, which are stored as arrays
+            self.grad = (g if owned and isinstance(g, np.ndarray)
+                         else np.array(g, dtype=np.float64))
         else:
             self.grad += g
 
@@ -102,12 +107,17 @@ def _as_tensor(x) -> Tensor:
     return _wrap(np.asarray(x, dtype=np.float64))
 
 
+def _records(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` is recorded: a tape is active and some
+    input requires grad."""
+    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
+
+
 def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn) -> None:
     """Append a node when a tape is active and some input requires grad."""
-    tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _records(inputs):
         out.requires_grad = True
-        tape._nodes.append((out, backward_fn))
+        _TAPE_STACK[-1]._nodes.append((out, backward_fn))
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -136,6 +146,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _accumulate_unbroadcast(t: Tensor, g: np.ndarray, owned: bool) -> None:
+    """Add ``g`` summed down to ``t``'s shape; a sum is a fresh array."""
+    r = _unbroadcast(g, t.data.shape)
+    t.accumulate_grad(r, owned=owned or r is not g)
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
@@ -147,9 +163,9 @@ def add(a, b) -> Tensor:
     def bw():
         g = out.grad
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
+            _accumulate_unbroadcast(a, g, owned=False)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
+            _accumulate_unbroadcast(b, g, owned=False)
 
     _record((a, b), out, bw)
     return out
@@ -162,9 +178,9 @@ def sub(a, b) -> Tensor:
     def bw():
         g = out.grad
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
+            _accumulate_unbroadcast(a, g, owned=False)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.data.shape))
+            _accumulate_unbroadcast(b, -g, owned=True)
 
     _record((a, b), out, bw)
     return out
@@ -177,9 +193,9 @@ def mul(a, b) -> Tensor:
     def bw():
         g = out.grad
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
+            _accumulate_unbroadcast(a, g * b.data, owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
+            _accumulate_unbroadcast(b, g * a.data, owned=True)
 
     _record((a, b), out, bw)
     return out
@@ -192,9 +208,10 @@ def div(a, b) -> Tensor:
     def bw():
         g = out.grad
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.data.shape))
+            _accumulate_unbroadcast(a, g / b.data, owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+            _accumulate_unbroadcast(b, -g * a.data / (b.data * b.data),
+                                    owned=True)
 
     _record((a, b), out, bw)
     return out
@@ -209,7 +226,7 @@ def sqrt(a: Tensor) -> Tensor:
         # passes no gradient instead of NaN
         g = np.zeros_like(out.data)
         np.divide(out.grad * 0.5, out.data, out=g, where=out.data != 0.0)
-        a.accumulate_grad(g)
+        a.accumulate_grad(g, owned=True)
 
     _record((a,), out, bw)
     return out
@@ -223,7 +240,7 @@ def gelu(a: Tensor) -> Tensor:
 
     def bw():
         pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        a.accumulate_grad(out.grad * (phi + a.data * pdf))
+        a.accumulate_grad(out.grad * (phi + a.data * pdf), owned=True)
 
     _record((a,), out, bw)
     return out
@@ -274,26 +291,71 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, w: Tensor) -> Tensor:
-    """[..., K] @ [K, M]: every leading axis of ``a`` is batch, ``w`` is shared."""
+def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """[..., K] @ [K, M] (+ bias [M]): every leading axis of ``a`` is batch,
+    ``w`` and ``bias`` are shared.  One tape node with the bias."""
     a, w = _as_tensor(a), _as_tensor(w)
     if w.data.ndim != 2 or a.data.shape[-1:] != w.data.shape[:1]:
         raise ContractError(
             f"matmul expects [..., K] @ [K, M], got {a.data.shape} and "
             f"{w.data.shape}"
         )
-    out = _wrap(np.matmul(a.data, w.data))
+    y = np.matmul(a.data, w.data)
+    inputs = (a, w)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.data.shape != w.data.shape[1:]:
+            raise ContractError(f"matmul bias is {bias.data.shape}, expected "
+                                f"{w.data.shape[1:]}")
+        # a new array, not +=: the in-place add changed glibc's heap
+        # placement in a B=64 eval forward and raised its peak RSS 3.4 MB
+        y = y + bias.data
+        inputs = (a, w, bias)
+    out = _wrap(y)
 
     def bw():
         g = out.grad
         if a.requires_grad:
-            a.accumulate_grad(g @ w.data.T)
+            a.accumulate_grad(g @ w.data.T, owned=True)
         if w.requires_grad:
             # one GEMM over the collapsed leading axes
             k, m = w.data.shape
-            w.accumulate_grad(a.data.reshape(-1, k).T @ g.reshape(-1, m))
+            w.accumulate_grad(a.data.reshape(-1, k).T @ g.reshape(-1, m),
+                              owned=True)
+        if bias is not None and bias.requires_grad:
+            _accumulate_unbroadcast(bias, g, owned=False)
 
-    _record((a, w), out, bw)
+    _record(inputs, out, bw)
+    return out
+
+
+def patch_mix(x: Tensor, w: Tensor) -> Tensor:
+    """wᵀ applied over the patch axis of [..., N, D]:
+    out[..., n, d] = sum_m x[..., m, d] * w[m, n].
+
+    One left-multiply on ``x`` as it lies, with no transpose around it.  The
+    adjoints are w @ g for ``x`` and, for ``w``, one GEMM over the
+    patch-major reshapes of ``x`` and the upstream grad.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    n = x.data.shape[-2]
+    if w.data.shape != (n, n):
+        raise ContractError(
+            f"patch_mix expects an [N, N] weight for {n} patches, got "
+            f"{w.data.shape}"
+        )
+    out = _wrap(np.matmul(w.data.T, x.data))
+
+    def bw():
+        g = out.grad
+        if x.requires_grad:
+            x.accumulate_grad(np.matmul(w.data, g), owned=True)
+        if w.requires_grad:
+            xm = np.moveaxis(x.data, -2, 0).reshape(n, -1)
+            gm = np.moveaxis(g, -2, 0).reshape(n, -1)
+            w.accumulate_grad(xm @ gm.T, owned=True)
+
+    _record((x, w), out, bw)
     return out
 
 
@@ -315,10 +377,11 @@ def extract_patches(x: Tensor, patch_len: int, stride: int) -> Tensor:
     out = _wrap(np.ascontiguousarray(windows.transpose(0, 3, 1, 2)))
 
     def bw():
-        g = out.grad.transpose(0, 2, 3, 1)            # [B, N, P, C]
         gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), idx), g)
-        x.accumulate_grad(gx)
+        gx_t = gx.transpose(0, 2, 1)                  # [B, C, L] view
+        for i in range(n):                            # one slice-add per patch
+            gx_t[:, :, i * stride:i * stride + patch_len] += out.grad[:, :, i]
+        x.accumulate_grad(gx, owned=True)
 
     _record((x,), out, bw)
     return out
@@ -328,16 +391,28 @@ def extract_patches(x: Tensor, patch_len: int, stride: int) -> Tensor:
 # normalisation
 # ---------------------------------------------------------------------------
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-last-axis standardisation (biased variance) with affine gain/bias.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
+               residual: Optional[Tensor] = None) -> Tensor:
+    """Per-last-axis standardisation (biased variance) with affine gain/bias,
+    of ``x`` or, given a ``residual`` of the same shape, of x + residual.
 
-    One tape node.  With xhat = (x - mean) * rstd and gy = g * gain, the
-    adjoint is rstd * (gy - mean(gy) - xhat * mean(gy * xhat)) for x,
-    sum(g * xhat) for gain and sum(g) for bias.  ``gain`` and ``bias`` must
-    broadcast to the shape of ``x``.
+    One tape node.  With xhat = (s - mean) * rstd for the normalised sum s
+    and gy = g * gain, the adjoint is
+    rstd * (gy - mean(gy) - xhat * mean(gy * xhat)) for x and the residual
+    alike, sum(g * xhat) for gain and sum(g) for bias.  ``gain`` and
+    ``bias`` must broadcast to the shape of ``x``.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inputs = (x, gain, bias)
+    s = x.data
+    if residual is not None:
+        residual = _as_tensor(residual)
+        if residual.data.shape != s.shape:
+            raise ContractError(f"layer_norm residual is "
+                                f"{residual.data.shape}, input is {s.shape}")
+        s = s + residual.data
+        inputs = (x, gain, bias, residual)
+    xhat = s - s.mean(axis=-1, keepdims=True)
     rstd = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=-1, keepdims=True) + _LN_EPS)
     xhat *= rstd
     y = xhat * gain.data
@@ -346,19 +421,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def bw():
         g = out.grad
-        if x.requires_grad:
+        takers = [t for t in (x, residual) if t is not None and t.requires_grad]
+        if takers:
             gy = g * gain.data
             proj = np.mean(gy * xhat, axis=-1, keepdims=True)
             gy -= gy.mean(axis=-1, keepdims=True)
             gy -= xhat * proj
             gy *= rstd
-            x.accumulate_grad(gy)
+            for i, t in enumerate(takers):        # the last one keeps gy
+                t.accumulate_grad(gy, owned=i == len(takers) - 1)
         if gain.requires_grad:
-            gain.accumulate_grad(_unbroadcast(g * xhat, gain.data.shape))
+            _accumulate_unbroadcast(gain, g * xhat, owned=True)
         if bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
+            _accumulate_unbroadcast(bias, g, owned=False)
 
-    _record((x, gain, bias), out, bw)
+    _record(inputs, out, bw)
     return out
 
 
@@ -366,33 +443,50 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 # spectral primitives
 # ---------------------------------------------------------------------------
 
-def power_autocorrelation(x: Tensor) -> Tensor:
-    """Clamped circular autocorrelation along axis -2 of [..., N, D].
+def autocorrelation(x: np.ndarray, keep_state: bool
+                    ) -> tuple[np.ndarray, Optional[tuple]]:
+    """Clamped circular autocorrelation along axis -2 of [..., N, D], and the
+    state ``autocorrelation_vjp`` needs, or None unless ``keep_state``.
 
     out[m] = max(0, N^(-1/2) * sum_n x[n] * x[(n+m) mod N]), and the
     unclamped sum is Re IDFT(|DFT x|^2)[m] under the orthonormal transforms
     of ``fft``.  With the symmetric DFT matrix written Mr + i*Mi, that is
     Mr((Mr x)^2 + (Mi x)^2): real left-multiplications on ``x`` as it lies.
-    With gk the upstream grad zeroed on the clamped lags, the adjoint is
-    Mr(gp * Mr x) + Mi(gp * Mi x) with gp = 2 * Mr gk.
+    The state is Mr x, Mi x and the unclamped lags, three arrays of x's
+    size, so an untaped caller should not keep it.
     """
-    x = _as_tensor(x)
-    mr, mi = fft.real_dft_matrices(x.data.shape[-2])
-    re = mr @ x.data
-    im = mi @ x.data
+    mr, mi = fft.real_dft_matrices(x.shape[-2])
+    re = mr @ x
+    im = mi @ x
     power = re * re
     power += im * im
     acf = mr @ power
-    keep = acf > 0.0
+    state = (re, im, acf > 0.0) if keep_state else None
     np.maximum(acf, 0.0, out=acf)
+    return acf, state
+
+
+def autocorrelation_vjp(g: np.ndarray, state: tuple) -> np.ndarray:
+    """Adjoint of ``autocorrelation`` for the upstream grad ``g``, a fresh
+    array.  With gk = g zeroed on the clamped lags, it is
+    Mr(gp * Mr x) + Mi(gp * Mi x) with gp = 2 * Mr gk."""
+    re, im, keep = state
+    mr, mi = fft.real_dft_matrices(re.shape[-2])
+    gp = mr @ (g * keep)
+    gp *= 2.0
+    gx = mr @ (gp * re)
+    gx += mi @ (gp * im)
+    return gx
+
+
+def power_autocorrelation(x: Tensor) -> Tensor:
+    """``autocorrelation`` of ``x`` as one tape node."""
+    x = _as_tensor(x)
+    acf, state = autocorrelation(x.data, _records((x,)))
     out = _wrap(acf)
 
     def bw():
-        gp = mr @ (out.grad * keep)
-        gp *= 2.0
-        gx = mr @ (gp * re)
-        gx += mi @ (gp * im)
-        x.accumulate_grad(gx)
+        x.accumulate_grad(autocorrelation_vjp(out.grad, state), owned=True)
 
     _record((x,), out, bw)
     return out
@@ -414,6 +508,16 @@ class AttentionParams:
     bv: Tensor
     wo: Tensor
     bo: Tensor
+
+
+def _fold_last(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded over the short last axis of ``a``, keeping it with
+    extent 1: one call per column, where a reduce over that axis would make
+    one inner-loop call per row."""
+    acc = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        ufunc(acc, a[..., j], out=acc)
+    return acc[..., None]
 
 
 def _dropout_mask(shape: tuple, p: float, training: bool,
@@ -443,7 +547,9 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
     form and gc the context grad, the values get pdᵀ gc; gp = gc vᵀ, masked
     and rescaled, passes through the softmax VJP gs = p * (gp - sum(gp * p))
     and the 1/sqrt(dh) scale, and the queries and keys get gs k and gsᵀ q.
-    Each weight grad is one GEMM over the collapsed leading axes.
+    The query, key and value grads lie side by side in one [M, 3D] buffer,
+    so the input grad, the three weight grads and the three bias grads are
+    one GEMM, one GEMM and one sum.
     """
     x = _as_tensor(x)
     shape = x.data.shape
@@ -474,9 +580,9 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
     # scores, then softmax in place: [..., H, S, S]
     p = q @ k.swapaxes(-1, -2)
     p *= scale
-    p -= p.max(axis=-1, keepdims=True)
+    p -= _fold_last(np.maximum, p)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= _fold_last(np.add, p)
     keep = _dropout_mask(p.shape, dropout_p, training, rng)
     pd = p
     if keep is not None:
@@ -501,28 +607,36 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
             g *= rescale
         g2 = g.reshape(-1, d)
         if wo.requires_grad:
-            wo.accumulate_grad(merged.T @ g2)
+            wo.accumulate_grad(merged.T @ g2, owned=True)
         if bo.requires_grad:
-            bo.accumulate_grad(_unbroadcast(g, bo.data.shape))
+            _accumulate_unbroadcast(bo, g, owned=False)
         gc = split(g2 @ wo.data.T)
-        gv = pd.swapaxes(-1, -2) @ gc
         gp = gc @ v.swapaxes(-1, -2)
         if keep is not None:
             gp *= keep
             gp *= rescale
-        gp -= (gp * p).sum(axis=-1, keepdims=True)
+        gp -= _fold_last(np.add, gp * p)
         gp *= p
         gp *= scale
-        gq = gp @ k
-        gk = (q.swapaxes(-1, -2) @ gp).swapaxes(-1, -2)
-        for gh, w, b in ((gv, wv, bv), (gk, wk, bk), (gq, wq, bq)):
-            gh = merge(gh)
+        # the query, key and value grads, merged in place into column
+        # blocks of one [M, 3D] buffer
+        qkv = np.empty((x2.shape[0], 3 * d))
+        slot = qkv.reshape(*shape[:-1], 3, heads, dh)
+        np.matmul(gp, k, out=split(slot[..., 0, :, :]))
+        np.matmul(gp.swapaxes(-1, -2), q, out=split(slot[..., 1, :, :]))
+        np.matmul(pd.swapaxes(-1, -2), gc, out=split(slot[..., 2, :, :]))
+        projections = ((wq, bq), (wk, bk), (wv, bv))
+        gw = x2.T @ qkv
+        gb = _unbroadcast(qkv.reshape(*shape[:-1], 3 * d), (3 * d,))
+        for i, (w, b) in enumerate(projections):
+            cols = slice(i * d, (i + 1) * d)
             if w.requires_grad:
-                w.accumulate_grad(x2.T @ gh)
+                w.accumulate_grad(gw[:, cols])
             if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(gh.reshape(shape), b.data.shape))
-            if x.requires_grad:
-                x.accumulate_grad((gh @ w.data.T).reshape(shape))
+                b.accumulate_grad(gb[cols])
+        if x.requires_grad:
+            w_qkv = np.concatenate([w.data for w, _ in projections], axis=1)
+            x.accumulate_grad((qkv @ w_qkv.T).reshape(shape), owned=True)
 
     _record((x, wq, bq, wk, bk, wv, bv, wo, bo), out, bw)
     return out

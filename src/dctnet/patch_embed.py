@@ -36,5 +36,5 @@ def embed_patches(patches: Tensor, params: PatchEmbedParams) -> Tensor:
         raise ConfigError(
             f"position table covers {params.pos.shape[0]} patches, input has {n}"
         )
-    projected = engine.add(engine.matmul(patches, params.weight), params.bias)
+    projected = engine.matmul(patches, params.weight, params.bias)
     return engine.add(projected, params.pos)

@@ -29,14 +29,26 @@ _EVAL_BLOCK_BYTES = 512 * 1024    # a quarter of a 2 MB L2: eval stays in cache
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
-    """Mean squared error over every element; differentiable scalar."""
+    """Mean squared error over every element; a differentiable scalar
+    recorded as one tape node, whose adjoint is 2 * (pred - target) / n."""
     target = target if isinstance(target, Tensor) else Tensor(target)
     if pred.shape != target.shape:
         raise ContractError(
             f"prediction shape {pred.shape} != target shape {target.shape}"
         )
-    diff = engine.sub(pred, target)
-    return engine.reduce_mean(engine.mul(diff, diff))
+    diff = pred.data - target.data
+    scale = 1.0 / diff.size
+    loss = engine._wrap(np.asarray((diff * diff).sum() * scale))
+
+    def bw():
+        g = diff * (2.0 * (loss.grad * scale))
+        if pred.requires_grad:
+            pred.accumulate_grad(g, owned=not target.requires_grad)
+        if target.requires_grad:
+            target.accumulate_grad(-g, owned=True)
+
+    engine._record((pred, target), loss, bw)
+    return loss
 
 
 @dataclass

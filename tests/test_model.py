@@ -349,7 +349,7 @@ class TestBypassProperty:
 class TestTapeSize:
     # each attention call is one node; the count does not depend on shape
     @pytest.mark.parametrize("overrides, nodes", [
-        ({}, 41), ({"dropout": 0.0}, 41), ({"depth": 2}, 53),
+        ({}, 22), ({"dropout": 0.0}, 22), ({"depth": 2}, 29),
     ], ids=["depth1", "no_dropout", "depth2"])
     def test_train_step_records(self, overrides, nodes):
         cfg = micro_config(**overrides)

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dctnet import numeric_engine as engine
+from dctnet.model import forward, init_params
 from dctnet.numeric_engine import AttentionParams, Tape, Tensor, backward
 from dctnet.errors import ConfigError, ContractError
+from dctnet.trainer import mse_loss
 
 from helpers import (assert_rows_stochastic, check_gradients,
-                     check_gradients_jointly, oracle_attention)
+                     check_gradients_jointly, oracle_attention,
+                     tiny_configs)
 
 
 class TestTensorBasics:
@@ -266,6 +269,27 @@ class TestBackwardSemantics:
         np.testing.assert_allclose(x.grad, c.T + w.data, rtol=1e-15)
         np.testing.assert_allclose(w.grad, -c.T + x.data, rtol=1e-15)
 
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=tiny_configs(), data_seed=st.integers(0, 2**32 - 1))
+    def test_grads_share_no_memory(self, cfg, data_seed):
+        # VJPs hand fresh arrays over without a copy; no grad, of a leaf or
+        # of a tape output, may share memory with another grad or with the
+        # data of a tape output
+        params = init_params(cfg)
+        rng = np.random.default_rng(data_seed)
+        x = rng.standard_normal((2, cfg.seq_len, cfg.channels))
+        y = rng.standard_normal((2, cfg.pred_len, cfg.channels))
+        with Tape() as tape:
+            fc = forward(x, params, cfg, training=True, rng=rng)
+            backward(mse_loss(fc.values, y), tape)
+        grads = [t.grad for t in params.named_parameters().values()]
+        grads += [out.grad for out, _ in tape._nodes]
+        grads = [g for g in grads if g is not None]
+        outputs = [out.data for out, _ in tape._nodes]
+        for i, g in enumerate(grads):
+            for other in grads[i + 1:] + outputs:
+                assert not np.shares_memory(g, other)
+
 
 class TestPrimitiveGradients:
     """Finite-difference checks on every differentiable primitive."""
@@ -330,6 +354,48 @@ class TestPrimitiveGradients:
              rng.standard_normal((3, 1, 5)), rng.standard_normal((5,))],
             rtol=1e-4, atol=1e-6)
 
+    def test_layer_norm_residual(self):
+        rng = np.random.default_rng(17)
+        c = rng.standard_normal((2, 3, 5))
+        check_gradients_jointly(
+            lambda x, r, g, b: engine.reduce_sum(engine.mul(
+                engine.layer_norm(x, g, b, residual=r), Tensor(c))),
+            [rng.standard_normal((2, 3, 5)), rng.standard_normal((2, 3, 5)),
+             rng.standard_normal(5), rng.standard_normal(5)],
+            rtol=1e-4, atol=1e-6)
+
+    def test_layer_norm_residual_alone_requires_grad(self):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.standard_normal((3, 6)))
+        g = Tensor(rng.standard_normal(6))
+        b = Tensor(rng.standard_normal(6))
+        c = rng.standard_normal((3, 6))
+        r0 = rng.standard_normal((3, 6))
+        check_gradients(
+            lambda r: engine.reduce_sum(engine.mul(
+                engine.layer_norm(x, g, b, residual=r), Tensor(c))),
+            r0, rtol=1e-4, atol=1e-6)
+        # the fused sum is the two-node add + layer_norm to the bit
+        np.testing.assert_array_equal(
+            engine.layer_norm(x, g, b, residual=Tensor(r0)).data,
+            engine.layer_norm(engine.add(x, Tensor(r0)), g, b).data)
+
+    def test_layer_norm_residual_shares_one_grad(self):
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+        r = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+        c = Tensor(rng.standard_normal((3, 6)))
+        with Tape() as tape:
+            out = engine.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)),
+                                    residual=r)
+            assert len(tape) == 1
+            backward(engine.reduce_sum(engine.mul(out, c)), tape)
+        np.testing.assert_array_equal(x.grad, r.grad)
+        assert not np.shares_memory(x.grad, r.grad)
+        with pytest.raises(ContractError, match="residual"):
+            engine.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)),
+                              residual=Tensor(np.zeros((1, 6))))
+
     def test_layer_norm_records_one_node(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with Tape() as tape:
@@ -345,6 +411,49 @@ class TestPrimitiveGradients:
         a = Tensor(a0)
         check_gradients(lambda t: engine.reduce_sum(engine.matmul(a, t)),
                         rng.standard_normal((4, 2)))
+
+    def test_matmul_with_bias(self):
+        rng = np.random.default_rng(20)
+        a0 = rng.standard_normal((2, 3, 4))
+        w0 = rng.standard_normal((4, 5))
+        b0 = rng.standard_normal(5)
+        c = rng.standard_normal((2, 3, 5))
+        check_gradients_jointly(
+            lambda a, w, b: engine.reduce_sum(engine.mul(
+                engine.matmul(a, w, b), Tensor(c))), [a0, w0, b0])
+        with Tape() as tape:
+            out = engine.matmul(Tensor(a0, requires_grad=True), Tensor(w0),
+                                Tensor(b0))
+        assert len(tape) == 1
+        np.testing.assert_array_equal(out.data, a0 @ w0 + b0)
+        with pytest.raises(ContractError, match="bias"):
+            engine.matmul(Tensor(a0), Tensor(w0), Tensor(np.zeros(4)))
+
+    def test_patch_mix(self):
+        # w_time applied over the patch axis of [B, C, N, D]
+        rng = np.random.default_rng(21)
+        x0 = rng.standard_normal((2, 3, 4, 5))
+        w0 = rng.standard_normal((4, 4))
+        c = rng.standard_normal((2, 3, 4, 5))
+        np.testing.assert_allclose(
+            engine.patch_mix(Tensor(x0), Tensor(w0)).data,
+            np.einsum("bcmd,mn->bcnd", x0, w0), rtol=1e-13, atol=1e-13)
+        check_gradients_jointly(
+            lambda x, w: engine.reduce_sum(engine.mul(
+                engine.patch_mix(x, w), Tensor(c))), [x0, w0])
+        with pytest.raises(ContractError, match="patch_mix"):
+            engine.patch_mix(Tensor(x0), Tensor(np.eye(5)))
+
+    def test_mse_loss(self):
+        rng = np.random.default_rng(22)
+        p0 = rng.standard_normal((2, 4, 3))
+        t0 = rng.standard_normal((2, 4, 3))
+        check_gradients_jointly(mse_loss, [p0, t0])
+        with Tape() as tape:
+            loss = mse_loss(Tensor(p0, requires_grad=True), t0)
+        assert len(tape) == 1
+        assert float(loss.data) == pytest.approx(np.mean((p0 - t0) ** 2),
+                                                 rel=1e-15)
 
     def test_matmul_batched_broadcast(self):
         rng = np.random.default_rng(8)

@@ -13,7 +13,7 @@ from dctnet.spectral_correction import (CorrectionConfig, apply_correction,
                                         correction_factor,
                                         power_autocorrelation)
 
-from helpers import check_gradients, naive_dft
+from helpers import check_gradients, check_gradients_jointly, naive_dft
 
 
 def as_patch_tensor(values):
@@ -245,6 +245,35 @@ class TestApplyCorrection:
 
         check_gradients(loss_x, rng.standard_normal((1, 1, 4, 2)),
                         rtol=1e-3, atol=1e-6)
+
+
+class TestAlphaNode:
+    def test_one_node_gradient_with_clamped_lags_and_a_zero_series(self):
+        rng = np.random.default_rng(60)
+        n, d = 4, 2
+        alt = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+
+        def near(base):
+            return base + 0.1 * rng.standard_normal((n, d))
+
+        # series 1 of h and series 0 of x have clamped lags; h is 0 on
+        # series 2, so its alpha is 0
+        h0 = np.stack([near(2.0), near(alt), np.zeros((n, d))])[None]
+        x0 = np.stack([near(alt), near(2.0), near(1.0)])[None]
+        for v, series in ((h0, 1), (x0, 0)):
+            lag1 = np.sum(v * np.roll(v, -1, axis=-2), axis=-2)
+            assert np.all(lag1[0, series] < -1.0)
+        cfg = CorrectionConfig()
+        with Tape() as tape:
+            alpha = correction_factor(Tensor(h0, requires_grad=True),
+                                      Tensor(x0, requires_grad=True), cfg)
+        assert len(tape) == 1
+        assert alpha.data[0, 2, 0, 0] == 0.0
+        assert np.all(alpha.data[0, :2] > 0.1)
+        c = rng.standard_normal((1, 3, 1, 1))
+        check_gradients_jointly(
+            lambda h, x: engine.reduce_sum(engine.mul(
+                correction_factor(h, x, cfg), Tensor(c))), [h0, x0])
 
 
 class TestAlphaScaleLaws:
