@@ -19,7 +19,7 @@ from .data_io import (NormStats, SeriesTable, SynthParams, WindowedDataset,
                       load_csv, make_windows, save_csv, split_chronological,
                       synth_series)
 from .trainer import (EvalResult, OptimizerState, TrainReport, TrainSettings,
-                      adam_step, evaluate, fit, mse_loss)
+                      adam_step, evaluate, fit, flatten_grads, mse_loss)
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,8 @@ __all__ = [
     "TrainReport", "TrainSettings", "TrainingError", "WindowedDataset",
     "ablation_variant", "adam_step", "apply_correction", "backward",
     "checkpoint_load", "checkpoint_save", "compute_stats",
-    "correction_factor", "evaluate", "fit", "forward", "init_params",
-    "load_csv", "make_windows", "mse_loss", "power_autocorrelation",
-    "save_csv", "split_chronological", "synth_series",
+    "correction_factor", "evaluate", "fit", "flatten_grads", "forward",
+    "init_params", "load_csv", "make_windows", "mse_loss",
+    "power_autocorrelation", "save_csv", "split_chronological",
+    "synth_series",
 ]

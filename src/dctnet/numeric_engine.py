@@ -351,8 +351,10 @@ def patch_mix(x: Tensor, w: Tensor) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(np.matmul(w.data, g), owned=True)
         if w.requires_grad:
-            xm = np.moveaxis(x.data, -2, 0).reshape(n, -1)
-            gm = np.moveaxis(g, -2, 0).reshape(n, -1)
+            nd = g.ndim
+            patch_first = (nd - 2, *range(nd - 2), nd - 1)
+            xm = x.data.transpose(patch_first).reshape(n, -1)
+            gm = g.transpose(patch_first).reshape(n, -1)
             w.accumulate_grad(xm @ gm.T, owned=True)
 
     _record((x, w), out, bw)
@@ -412,8 +414,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
                                 f"{residual.data.shape}, input is {s.shape}")
         s = s + residual.data
         inputs = (x, gain, bias, residual)
-    xhat = s - s.mean(axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=-1, keepdims=True) + _LN_EPS)
+    # row means as sum / D, the same bits as np.mean without its wrapper
+    d = s.shape[-1]
+    xhat = s - s.sum(axis=-1, keepdims=True) / d
+    rstd = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d
+                         + _LN_EPS)
     xhat *= rstd
     y = xhat * gain.data
     y += bias.data
@@ -424,8 +429,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
         takers = [t for t in (x, residual) if t is not None and t.requires_grad]
         if takers:
             gy = g * gain.data
-            proj = np.mean(gy * xhat, axis=-1, keepdims=True)
-            gy -= gy.mean(axis=-1, keepdims=True)
+            proj = (gy * xhat).sum(axis=-1, keepdims=True) / d
+            gy -= gy.sum(axis=-1, keepdims=True) / d
             gy -= xhat * proj
             gy *= rstd
             for i, t in enumerate(takers):        # the last one keeps gy
@@ -520,6 +525,20 @@ def _fold_last(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     return acc[..., None]
 
 
+def _token_axes(ndim: int, token_axis: int
+                ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose that moves ``token_axis`` of an ``ndim``-axis array to
+    second-to-last, keeping the other axes in order, and its inverse: what
+    np.moveaxis(a, token_axis, -2) and np.moveaxis(b, -2, token_axis)
+    compute, without their per-call axis checks."""
+    to_back = [a for a in range(ndim) if a != token_axis]
+    to_back.insert(ndim - 2, token_axis)
+    back = [0] * ndim
+    for i, a in enumerate(to_back):
+        back[a] = i
+    return tuple(to_back), tuple(back)
+
+
 def _dropout_mask(shape: tuple, p: float, training: bool,
                   rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
     """Keep mask rng.random(shape) >= p, or None when dropout is off."""
@@ -560,16 +579,21 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
     token_axis %= x.data.ndim
+    if token_axis == x.data.ndim - 1:
+        raise ContractError("attention tokens cannot lie along the feature "
+                            "axis")
     wq, bq, wk, bk = params.wq, params.bq, params.wk, params.bk
     wv, bv, wo, bo = params.wv, params.bv, params.wo, params.bo
     x2 = x.data.reshape(-1, d)
 
+    # [..., H, dh] with the tokens moved second-to-last is [..., H, S, dh]
+    to_heads, from_heads = _token_axes(len(shape) + 1, token_axis)
+
     def split(a):                                     # [M, D] -> [..., H, S, dh]
-        return np.moveaxis(a.reshape(*shape[:-1], heads, dh),
-                           (token_axis, -2), (-2, -3))
+        return a.reshape(*shape[:-1], heads, dh).transpose(to_heads)
 
     def merge(a):                                     # [..., H, S, dh] -> [M, D]
-        return np.moveaxis(a, (-2, -3), (token_axis, -2)).reshape(-1, d)
+        return a.transpose(from_heads).reshape(-1, d)
 
     def project(w, b):
         a = x2 @ w.data
@@ -593,9 +617,10 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
     y = (merged @ wo.data).reshape(shape)
     y += bo.data
     if keep is not None:
-        keep_out = np.ascontiguousarray(np.moveaxis(_dropout_mask(
-            np.moveaxis(y, token_axis, -2).shape, dropout_p, training, rng),
-            -2, token_axis))
+        to_back, back = _token_axes(len(shape), token_axis)
+        keep_out = np.ascontiguousarray(_dropout_mask(
+            tuple(shape[a] for a in to_back), dropout_p, training,
+            rng).transpose(back))
         y *= keep_out
         y *= rescale
     out = _wrap(y)

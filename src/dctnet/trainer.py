@@ -9,8 +9,9 @@ seed, so a rerun reproduces the loss trajectory bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -53,50 +54,105 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 
 @dataclass
 class OptimizerState:
-    """Adam learning rate, step count and moments, one slot per parameter name."""
+    """Adam learning rate, step count and moments.  ``m`` and ``v`` are one
+    float64 vector each, laid out like ``flatten_grads``'s vector."""
 
     lr: float
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor], lr: float) -> "OptimizerState":
+        n = sum(t.data.size for t in params.values())
         return cls(lr=finite_number("learning rate", lr, at_least=0.0),
-                   m={k: np.zeros_like(t.data) for k, t in params.items()},
-                   v={k: np.zeros_like(t.data) for k, t in params.items()})
+                   m=np.zeros(n), v=np.zeros(n))
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
+def flatten_grads(params: dict[str, Tensor],
+                  grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Each parameter's gradient raveled, concatenated in the registry order
+    of ``params``: the one vector ``clip_global_norm`` and ``adam_step``
+    take.  A missing gradient, or one whose shape is not its parameter's,
+    is a ``ContractError``, since it would shift every later slice."""
+    for name, tensor in params.items():
+        if name not in grads:
+            raise ContractError(f"no gradient supplied for {name!r}")
+        got = np.shape(grads[name])
+        if got != tensor.data.shape:
+            raise ContractError(f"gradient for {name!r} is {got}, the "
+                                f"parameter is {tensor.data.shape}")
+    return np.concatenate([grads[k] for k in params], axis=None,
+                          dtype=np.float64)
+
+
+def adam_step(params: dict[str, Tensor], grad: np.ndarray,
               state: OptimizerState) -> None:
-    """One Adam update, in place, over all parameters in registry order."""
-    missing = [k for k in params if k not in grads]
-    if missing:
-        raise ContractError(f"no gradient supplied for {missing[0]!r}")
+    """One Adam update over the flat gradient ``grad`` of ``params``.
+
+    m, v and the parameter vector are fresh arrays each step, and every
+    parameter's ``data`` is rebound to a view of its slice of the new
+    parameter vector.  Long-lived arrays allocated this late in a step keep
+    glibc from trimming the freed activations below them; updating in
+    place made every step fault those pages back in.  Elementwise, each
+    value is the per-tensor update's to the bit.
+    """
+    if grad.shape != state.m.shape:
+        raise ContractError(f"gradient vector is {grad.shape}, the "
+                            f"optimizer holds {state.m.shape}")
     state.t += 1
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    for name, tensor in params.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        tensor.data = tensor.data - state.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+    m = b1 * state.m
+    m += (1.0 - b1) * grad
+    v = grad * grad
+    v *= 1.0 - b2
+    v += b2 * state.v
+    state.m, state.v = m, v
+    den = v / (1.0 - b2 ** state.t)
+    np.sqrt(den, out=den)
+    den += _ADAM_EPS
+    step = m / (1.0 - b1 ** state.t)
+    step *= state.lr
+    step /= den
+    theta = np.concatenate([t.data for t in params.values()], axis=None)
+    theta -= step
+    off = 0
+    for tensor in params.values():
+        n = tensor.data.size
+        tensor.data = theta[off:off + n].reshape(tensor.data.shape)
+        off += n
 
 
-def clip_global_norm(grads: dict[str, np.ndarray],
+def _sum_of_squares(grad: np.ndarray, sizes: Sequence[int]) -> float:
+    """Squares summed per slice, the slice sums added left to right."""
+    sq = grad * grad
+    total = 0.0
+    off = 0
+    for n in sizes:
+        total += float(sq[off:off + n].sum())
+        off += n
+    return total
+
+
+def clip_global_norm(grad: np.ndarray, sizes: Sequence[int],
                      max_norm: Optional[float]) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm.
+    """Scale the flat gradient in place so its L2 norm is at most max_norm.
 
-    Returns the pre-clip norm.  max_norm None disables clipping.
+    ``sizes`` are the lengths of its parameter slices, in order; the squares
+    are summed per slice, as a per-tensor norm sums them.  Returns the
+    pre-clip norm, and leaves ``grad`` as it is when that norm is not
+    finite.  max_norm None disables clipping.  When the squares of
+    finite entries overflow, the norm is taken of the vector scaled by a
+    power of two that brings its largest entry below 1, and scaled back.
     """
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-    if max_norm is not None and total > max_norm and total > 0.0:
-        scale = max_norm / total
-        for name in grads:
-            grads[name] = grads[name] * scale
+    with np.errstate(over="ignore"):
+        total = math.sqrt(_sum_of_squares(grad, sizes))
+        if total == math.inf and np.isfinite(grad).all():
+            _, k = np.frexp(np.abs(grad).max())
+            total = float(np.ldexp(math.sqrt(_sum_of_squares(
+                np.ldexp(grad, -k), sizes)), k))
+    if max_norm is not None and max_norm < total < math.inf and total > 0.0:
+        grad *= max_norm / total
     return total
 
 
@@ -226,6 +282,7 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
             raise DataError(f"{ds.split} windows are {got[0]} -> {got[1]}, "
                             f"config needs {want[0]} -> {want[1]}")
     registry = params.named_parameters()
+    sizes = [t.data.size for t in registry.values()]
     opt = OptimizerState.for_params(registry, settings.lr)
     emit = log if log is not None else (lambda _msg: None)
 
@@ -259,12 +316,13 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
             if not np.isfinite(loss_val):
                 raise TrainingError(f"{where}: non-finite loss")
             backward(loss, tape)
-            grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                     for k, t in registry.items()}
-            norm = clip_global_norm(grads, settings.clip_norm)
+            grad = flatten_grads(registry, {
+                k: (t.grad if t.grad is not None else np.zeros_like(t.data))
+                for k, t in registry.items()})
+            norm = clip_global_norm(grad, sizes, settings.clip_norm)
             if not np.isfinite(norm):
                 raise TrainingError(f"{where}: non-finite gradient norm")
-            adam_step(registry, grads, opt)
+            adam_step(registry, grad, opt)
             loss_sum += loss_val * len(idx)
             seen += len(idx)
         epoch_loss = loss_sum / seen

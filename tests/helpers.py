@@ -211,3 +211,47 @@ LACKS_STATS = {
     "std_missing": lambda h: {**h, "metadata": {
         k: v for k, v in h["metadata"].items() if k != "norm_std"}},
 }
+
+
+def reference_clip(grads: dict, max_norm) -> float:
+    """Global-norm clipping one gradient array per parameter name: squares
+    summed per tensor, the tensor sums added in order, each array replaced
+    by its scaled copy when the norm exceeds ``max_norm``.  The flat
+    ``trainer.clip_global_norm`` must give the same bits."""
+    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    if max_norm is not None and total > max_norm and total > 0.0:
+        scale = max_norm / total
+        for name in grads:
+            grads[name] = grads[name] * scale
+    return total
+
+
+@dataclasses.dataclass
+class ReferenceAdam:
+    """Adam (Kingma & Ba, 2015) with one m and v array per parameter name,
+    stepping each tensor on its own.  The flat ``trainer.adam_step`` must
+    give the same bits."""
+
+    lr: float
+    m: dict
+    v: dict
+    t: int = 0
+
+    @classmethod
+    def for_params(cls, params: dict, lr: float) -> "ReferenceAdam":
+        return cls(lr, {k: np.zeros_like(t.data) for k, t in params.items()},
+                   {k: np.zeros_like(t.data) for k, t in params.items()})
+
+    def step(self, params: dict, grads: dict) -> None:
+        self.t += 1
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for name, tensor in params.items():
+            g = grads[name]
+            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            tensor.data = tensor.data - self.lr * m_hat / (np.sqrt(v_hat)
+                                                           + eps)

@@ -605,6 +605,37 @@ class TestAttention:
         with pytest.raises(ConfigError, match="heads"):
             engine.multi_head_attention(x, p, heads=heads)
 
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_tokens_on_feature_axis_rejected(self, axis):
+        rng = np.random.default_rng(71)
+        p = self._params(4, rng)
+        x = Tensor(rng.standard_normal((1, 3, 4)))
+        with pytest.raises(ContractError, match="feature axis"):
+            engine.multi_head_attention(x, p, heads=2, token_axis=axis)
+
+    @pytest.mark.parametrize("ndim", [3, 4, 5])
+    def test_head_split_is_moveaxis(self, ndim):
+        # x is [..., D] with ndim axes; heads split it to [..., H, dh]
+        for token_axis in range(ndim - 1):
+            shape = (*range(2, ndim + 1), 2, 3)    # H=2, dh=3
+            a = np.arange(float(np.prod(shape))).reshape(shape)
+            to_heads, from_heads = engine._token_axes(ndim + 1, token_axis)
+            split = a.transpose(to_heads)
+            want = np.moveaxis(a, (token_axis, -2), (-2, -3))
+            assert split.shape == want.shape
+            assert split.strides == want.strides
+            np.testing.assert_array_equal(split, want)
+            merged = split.transpose(from_heads)
+            assert merged.shape == a.shape and merged.strides == a.strides
+            np.testing.assert_array_equal(merged, a)
+            # the dropout mask's layout: tokens second-to-last of x
+            y = a[..., 0, :]
+            to_back, back = engine._token_axes(ndim, token_axis)
+            moved = y.transpose(to_back)
+            assert moved.strides == np.moveaxis(y, token_axis, -2).strides
+            assert (moved.transpose(back).strides
+                    == np.moveaxis(moved, -2, token_axis).strides == y.strides)
+
     def test_weights_row_stochastic(self):
         rng = np.random.default_rng(72)
         p = self._params(8, rng)

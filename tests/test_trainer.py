@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +18,10 @@ from dctnet.data_io import (NormStats, WindowedDataset, checkpoint_save,
 from dctnet.errors import ConfigError, ContractError, DataError, TrainingError
 from dctnet.model import ModelConfig, forward, init_params
 from dctnet.trainer import (OptimizerState, TrainSettings, adam_step,
-                            clip_global_norm, evaluate, fit, mse_loss)
+                            clip_global_norm, evaluate, fit, flatten_grads,
+                            mse_loss)
 
-from helpers import tiny_configs
+from helpers import ReferenceAdam, reference_clip, tiny_configs
 
 
 def micro_config(**overrides):
@@ -89,9 +92,8 @@ class TestAdam:
         # theta=0, g=1, lr=1e-3, defaults: theta' = -lr*g/(|g|+eps) after
         # bias correction, computed independently with plain floats
         params = {"w": Tensor(np.array([0.0]), requires_grad=True)}
-        grads = {"w": np.array([1.0])}
         state = OptimizerState.for_params(params, lr=1e-3)
-        adam_step(params, grads, state)
+        adam_step(params, np.array([1.0]), state)
         assert state.t == 1
         assert params["w"].data[0] == pytest.approx(
             -0.0009999999900000001, abs=0, rel=1e-15)
@@ -110,28 +112,68 @@ class TestAdam:
         params = {"w": Tensor(np.array([0.5]), requires_grad=True)}
         state = OptimizerState.for_params(params, lr=lr)
         for g in gs:
-            adam_step(params, {"w": np.array([g])}, state)
+            adam_step(params, np.array([g]), state)
         assert params["w"].data[0] == pytest.approx(theta, rel=1e-14)
 
     def test_zero_gradient_keeps_value(self):
         params = {"w": Tensor(np.array([3.0]), requires_grad=True)}
         state = OptimizerState.for_params(params, lr=0.1)
-        adam_step(params, {"w": np.array([0.0])}, state)
+        adam_step(params, np.array([0.0]), state)
         assert params["w"].data[0] == 3.0
-        assert state.m["w"][0] == 0.0 and state.v["w"][0] == 0.0
+        assert state.m[0] == 0.0 and state.v[0] == 0.0
 
     def test_zero_lr_keeps_value(self):
         params = {"w": Tensor(np.array([3.0]), requires_grad=True)}
         state = OptimizerState.for_params(params, lr=0.0)
-        adam_step(params, {"w": np.array([7.0])}, state)
+        adam_step(params, np.array([7.0]), state)
         assert params["w"].data[0] == 3.0
 
     def test_missing_gradient_rejected(self):
         params = {"w": Tensor(np.array([0.0]), requires_grad=True),
                   "b": Tensor(np.array([0.0]), requires_grad=True)}
+        with pytest.raises(ContractError, match="'b'"):
+            flatten_grads(params, {"w": np.array([1.0])})
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 3), (3, 1), ()])
+    def test_misshapen_gradient_rejected(self, shape):
+        # a [1] gradient would broadcast over w, and a [2, 3] one would
+        # shift every later parameter's slice of the flat vector
+        params = {"w": Tensor(np.zeros(3), requires_grad=True),
+                  "b": Tensor(np.zeros(2), requires_grad=True)}
+        with pytest.raises(ContractError,
+                           match=rf"'w' is {re.escape(str(shape))}, "
+                                 r"the parameter is \(3,\)"):
+            flatten_grads(params, {"w": np.ones(shape), "b": np.ones(2)})
+
+    def test_flat_gradient_in_registry_order(self):
+        params = {"w": Tensor(np.zeros((2, 2)), requires_grad=True),
+                  "b": Tensor(np.zeros(1), requires_grad=True)}
+        grads = {"b": np.array([9.0]),
+                 "w": np.arange(4.0).reshape(2, 2).T.copy(order="F")}
+        np.testing.assert_array_equal(flatten_grads(params, grads),
+                                      [0.0, 2.0, 1.0, 3.0, 9.0])
+
+    def test_wrong_length_vector_rejected(self):
+        params = {"w": Tensor(np.zeros(3), requires_grad=True)}
         state = OptimizerState.for_params(params, lr=0.1)
-        with pytest.raises(ContractError, match="b"):
-            adam_step(params, {"w": np.array([1.0])}, state)
+        with pytest.raises(ContractError, match=r"\(4,\)"):
+            adam_step(params, np.ones(4), state)
+        assert state.t == 0
+
+    def test_parameters_become_views_of_one_vector(self):
+        params = {"w": Tensor(np.ones((2, 3)), requires_grad=True),
+                  "b": Tensor(np.ones(2), requires_grad=True)}
+        state = OptimizerState.for_params(params, lr=0.1)
+        adam_step(params, np.ones(8), state)
+        w, b = params["w"].data, params["b"].data
+        assert w.shape == (2, 3) and b.shape == (2,)
+        assert w.base is not None and w.base is b.base
+        assert w.flags.c_contiguous and b.flags.c_contiguous
+        # a parameter rebound meanwhile is what the next step reads
+        params["b"].data = np.full(2, 5.0)
+        state.lr = 0.0
+        adam_step(params, np.zeros(8), state)
+        np.testing.assert_array_equal(params["b"].data, 5.0)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1, "0.1"])
     def test_bad_lr_rejected(self, lr):
@@ -142,23 +184,120 @@ class TestAdam:
 
 class TestClip:
     def test_scales_when_over_limit(self):
-        grads = {"a": np.array([3.0, 4.0])}
-        norm = clip_global_norm(grads, 1.0)
+        grad = np.array([3.0, 4.0])
+        norm = clip_global_norm(grad, [2], 1.0)
         assert norm == pytest.approx(5.0)
-        np.testing.assert_allclose(grads["a"], [0.6, 0.8])
+        np.testing.assert_allclose(grad, [0.6, 0.8])
 
     def test_untouched_under_limit(self):
-        grads = {"a": np.array([0.3, 0.4])}
-        norm = clip_global_norm(grads, 5.0)
+        grad = np.array([0.3, 0.4])
+        norm = clip_global_norm(grad, [2], 5.0)
         assert norm == pytest.approx(0.5)
-        np.testing.assert_allclose(grads["a"], [0.3, 0.4])
+        np.testing.assert_allclose(grad, [0.3, 0.4])
 
     def test_norm_spans_all_entries(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        norm = clip_global_norm(grads, 2.5)
+        grad = np.array([3.0, 4.0])
+        norm = clip_global_norm(grad, [1, 1], 2.5)
         assert norm == pytest.approx(5.0)
-        np.testing.assert_allclose(grads["a"], [1.5])
-        np.testing.assert_allclose(grads["b"], [2.0])
+        np.testing.assert_allclose(grad, [1.5, 2.0])
+
+    def test_norm_of_squares_past_float64(self):
+        # 9e400 + 1.6e401 overflows; the norm 5e200 does not
+        grad = np.array([3e200, 4e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = clip_global_norm(grad, [1, 1], 2.5)
+        assert norm == pytest.approx(5e200, rel=1e-15)
+        np.testing.assert_allclose(grad, [1.5, 2.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_entry_gives_nonfinite_norm(self, bad):
+        grad = np.array([1e300, bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = clip_global_norm(grad, [2], 1.0)
+        assert not np.isfinite(norm)
+
+    def test_norm_past_float64_is_infinite(self):
+        grad = np.full(4, 1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert clip_global_norm(grad, [4], None) == np.inf
+        np.testing.assert_array_equal(grad, 1.5e308)
+
+
+_SHAPES = st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3),
+                   min_size=1, max_size=6)
+
+
+class TestFlatMatchesPerTensor:
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=_SHAPES, steps=st.integers(1, 4),
+           log_scale=st.floats(-3.0, 3.0),
+           clip=st.sampled_from([None, 0.25, 4.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_reference(self, shapes, steps, log_scale, clip,
+                                    seed):
+        # clip is a multiple of the gradient's expected norm: 0.25 almost
+        # always fires, 4.0 almost never
+        rng = np.random.default_rng(seed)
+        names = [f"p{i}" for i in range(len(shapes))]
+        init = {k: rng.standard_normal(s) for k, s in zip(names, shapes)}
+        flat = {k: Tensor(a.copy(), requires_grad=True)
+                for k, a in init.items()}
+        ref = {k: Tensor(a.copy(), requires_grad=True)
+               for k, a in init.items()}
+        sizes = [a.size for a in init.values()]
+        scale = 10.0 ** log_scale
+        max_norm = None if clip is None else clip * scale * sum(sizes) ** 0.5
+        state = OptimizerState.for_params(flat, lr=1e-2)
+        ref_state = ReferenceAdam.for_params(ref, lr=1e-2)
+        for _ in range(steps):
+            grads = {k: rng.standard_normal(s) * scale
+                     for k, s in zip(names, shapes)}
+            grad = flatten_grads(flat, grads)
+            norm = clip_global_norm(grad, sizes, max_norm)
+            adam_step(flat, grad, state)
+            ref_grads = dict(grads)
+            ref_norm = reference_clip(ref_grads, max_norm)
+            ref_state.step(ref, ref_grads)
+            assert np.float64(norm).tobytes() == np.float64(ref_norm).tobytes()
+            for k in names:
+                assert flat[k].data.shape == ref[k].data.shape
+                assert flat[k].data.tobytes() == ref[k].data.tobytes()
+
+    @pytest.mark.parametrize("clip_norm", [5.0, 0.01, None])
+    def test_fit_ends_at_reference_bytes(self, monkeypatch, clip_norm):
+        cfg = micro_config(channels=2, dropout=0.1, seed=4)
+        train = tiny_dataset(10, seed=1, cfg=cfg)
+        val = tiny_dataset(4, seed=2, cfg=cfg)
+        settings = TrainSettings(lr=1e-2, epochs=3, batch_size=4,
+                                 patience=10, clip_norm=clip_norm)
+        plain, _ = fit(init_params(cfg), cfg, train, val, settings, log=None)
+
+        params = init_params(cfg)
+        registry = params.named_parameters()
+        ref_state = ReferenceAdam.for_params(registry, settings.lr)
+        step_grads, fired = {}, []
+
+        def clip(grad, sizes, max_norm):
+            step_grads.clear()
+            step_grads.update({k: t.grad for k, t in registry.items()})
+            norm = reference_clip(step_grads, max_norm)
+            fired.append(max_norm is not None and norm > max_norm)
+            return norm
+
+        def adam(params, grad, state):
+            ref_state.step(params, step_grads)
+
+        monkeypatch.setattr(trainer, "clip_global_norm", clip)
+        monkeypatch.setattr(trainer, "adam_step", adam)
+        fit(params, cfg, train, val, settings, log=None)
+        assert len(fired) == 9
+        if clip_norm == 0.01:
+            assert all(fired)
+        for k, t in plain.named_parameters().items():
+            assert t.data.tobytes() == registry[k].data.tobytes(), k
 
 
 class TestSettings:
@@ -322,6 +461,29 @@ class TestFit:
             fit(params, cfg, train, train, settings, log=lambda m: None)
         for k, t in params.named_parameters().items():
             np.testing.assert_array_equal(t.data, stepped[k])
+
+    def test_trains_on_data_scaled_to_1e100(self):
+        # the loss is on the data's scale, so the gradients' squares pass
+        # float64's range; the clipped steps match the unit-scale run's
+        cfg = micro_config(seed=3)
+        settings = TrainSettings(lr=1e-3, epochs=2, batch_size=4,
+                                 patience=5, clip_norm=1e-3)
+
+        def scaled(ds, factor):
+            stats = NormStats(ds.stats.mean * factor, ds.stats.std * factor)
+            return WindowedDataset(ds.inputs * factor, ds.targets * factor,
+                                   ds.split, stats)
+
+        train = tiny_dataset(8, seed=1, cfg=cfg)
+        val = tiny_dataset(4, seed=2, cfg=cfg)
+        _, unit = fit(init_params(cfg), cfg, train, val, settings, log=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, big = fit(init_params(cfg), cfg, scaled(train, 1e100),
+                         scaled(val, 1e100), settings, log=None)
+        assert big.epochs_run == 2
+        np.testing.assert_allclose(np.array(big.train_loss) / 1e200,
+                                   unit.train_loss, rtol=1e-4)
 
     def test_mismatched_windows_are_data_error(self):
         cfg = micro_config()
