@@ -39,6 +39,20 @@ def real_dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return parts
 
 
+@lru_cache(maxsize=64)
+def hartley_matrix(n: int) -> np.ndarray:
+    """Orthonormal discrete Hartley matrix H = Mr - Mi, with Mr and Mi the
+    ``real_dft_matrices``: H[j, k] = cas(2*pi*j*k/n) / sqrt(n), where
+    cas t = cos t + sin t.
+
+    H is symmetric and its own inverse.  The cached array is read-only.
+    """
+    mr, mi = real_dft_matrices(n)
+    h = mr - mi
+    h.flags.writeable = False
+    return h
+
+
 def dft(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Forward orthonormal DFT along ``axis``; complex in, complex out."""
     a = np.moveaxis(np.asarray(a, dtype=np.complex128), axis, -1)

@@ -152,6 +152,36 @@ def _accumulate_unbroadcast(t: Tensor, g: np.ndarray, owned: bool) -> None:
     t.accumulate_grad(r, owned=owned or r is not g)
 
 
+# Row and column reductions of [..., D] arrays, each one einsum contraction
+# over C-contiguous operands.  A row's sum runs in the same inner loop
+# whatever the number of rows, so it does not depend on the block the row
+# comes in.  A GEMV against ones blocks its sums across rows, and einsum's
+# ``optimize`` may hand a contraction to BLAS, so neither is used.
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, kept with extent 1."""
+    return np.einsum("...i->...", np.ascontiguousarray(a))[..., None]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sums of a * b over the last axis, kept with extent 1."""
+    return np.einsum("...i,...i->...", np.ascontiguousarray(a),
+                     np.ascontiguousarray(b))[..., None]
+
+
+def _col_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over every leading axis: [D]."""
+    a = np.ascontiguousarray(a)
+    return np.einsum("ri->i", a.reshape(-1, a.shape[-1]))
+
+
+def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sums of a * b over every leading axis: [D]."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    d = a.shape[-1]
+    return np.einsum("ri,ri->i", a.reshape(-1, d), b.reshape(-1, d))
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
@@ -323,7 +353,7 @@ def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             w.accumulate_grad(a.data.reshape(-1, k).T @ g.reshape(-1, m),
                               owned=True)
         if bias is not None and bias.requires_grad:
-            _accumulate_unbroadcast(bias, g, owned=False)
+            bias.accumulate_grad(_col_sums(g), owned=True)
 
     _record(inputs, out, bw)
     return out
@@ -402,9 +432,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     and gy = g * gain, the adjoint is
     rstd * (gy - mean(gy) - xhat * mean(gy * xhat)) for x and the residual
     alike, sum(g * xhat) for gain and sum(g) for bias.  ``gain`` and
-    ``bias`` must broadcast to the shape of ``x``.
+    ``bias`` are [D] for the last axis's extent D; each mean and sum is one
+    row or column kernel.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    feature = x.data.shape[-1:]
+    if not feature or gain.data.shape != feature or bias.data.shape != feature:
+        raise ContractError(f"layer_norm gain and bias must be {feature} for "
+                            f"input {x.data.shape}, got {gain.data.shape} "
+                            f"and {bias.data.shape}")
+    d = feature[0]
     inputs = (x, gain, bias)
     s = x.data
     if residual is not None:
@@ -414,11 +451,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
                                 f"{residual.data.shape}, input is {s.shape}")
         s = s + residual.data
         inputs = (x, gain, bias, residual)
-    # row means as sum / D, the same bits as np.mean without its wrapper
-    d = s.shape[-1]
-    xhat = s - s.sum(axis=-1, keepdims=True) / d
-    rstd = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d
-                         + _LN_EPS)
+    xhat = np.subtract(s, _row_sums(s) / d, order="C")
+    rstd = 1.0 / np.sqrt(_row_dots(xhat, xhat) / d + _LN_EPS)
     xhat *= rstd
     y = xhat * gain.data
     y += bias.data
@@ -428,17 +462,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
         g = out.grad
         takers = [t for t in (x, residual) if t is not None and t.requires_grad]
         if takers:
-            gy = g * gain.data
-            proj = (gy * xhat).sum(axis=-1, keepdims=True) / d
-            gy -= gy.sum(axis=-1, keepdims=True) / d
+            gy = np.multiply(g, gain.data, order="C")
+            proj = _row_dots(gy, xhat) / d
+            gy -= _row_sums(gy) / d
             gy -= xhat * proj
             gy *= rstd
             for i, t in enumerate(takers):        # the last one keeps gy
                 t.accumulate_grad(gy, owned=i == len(takers) - 1)
         if gain.requires_grad:
-            _accumulate_unbroadcast(gain, g * xhat, owned=True)
+            gain.accumulate_grad(_col_dots(g, xhat), owned=True)
         if bias.requires_grad:
-            _accumulate_unbroadcast(bias, g, owned=False)
+            bias.accumulate_grad(_col_sums(g), owned=True)
 
     _record(inputs, out, bw)
     return out
@@ -456,17 +490,17 @@ def autocorrelation(x: np.ndarray, keep_state: bool
     out[m] = max(0, N^(-1/2) * sum_n x[n] * x[(n+m) mod N]), and the
     unclamped sum is Re IDFT(|DFT x|^2)[m] under the orthonormal transforms
     of ``fft``.  With the symmetric DFT matrix written Mr + i*Mi, that is
-    Mr((Mr x)^2 + (Mi x)^2): real left-multiplications on ``x`` as it lies.
-    The state is Mr x, Mi x and the unclamped lags, three arrays of x's
-    size, so an untaped caller should not keep it.
+    Mr((Mr x)^2 + (Mi x)^2).  The Hartley transform z = Hx, H = Mr - Mi,
+    has z[k]^2 + z[-k]^2 = 2 |DFT x|^2[k], and Mr is even in k, so the lags
+    are Mr(z^2) (Bracewell, 1983): two real left-multiplications on ``x``
+    as it lies.  The state is z and the mask of unclamped lags, one array
+    of x's size and one of booleans, so an untaped caller should not keep
+    it.
     """
-    mr, mi = fft.real_dft_matrices(x.shape[-2])
-    re = mr @ x
-    im = mi @ x
-    power = re * re
-    power += im * im
-    acf = mr @ power
-    state = (re, im, acf > 0.0) if keep_state else None
+    n = x.shape[-2]
+    z = fft.hartley_matrix(n) @ x
+    acf = fft.real_dft_matrices(n)[0] @ (z * z)
+    state = (z, acf > 0.0) if keep_state else None
     np.maximum(acf, 0.0, out=acf)
     return acf, state
 
@@ -474,14 +508,13 @@ def autocorrelation(x: np.ndarray, keep_state: bool
 def autocorrelation_vjp(g: np.ndarray, state: tuple) -> np.ndarray:
     """Adjoint of ``autocorrelation`` for the upstream grad ``g``, a fresh
     array.  With gk = g zeroed on the clamped lags, it is
-    Mr(gp * Mr x) + Mi(gp * Mi x) with gp = 2 * Mr gk."""
-    re, im, keep = state
-    mr, mi = fft.real_dft_matrices(re.shape[-2])
-    gp = mr @ (g * keep)
-    gp *= 2.0
-    gx = mr @ (gp * re)
-    gx += mi @ (gp * im)
-    return gx
+    H(2z * Mr gk), since Mr and H are symmetric."""
+    z, keep = state
+    n = z.shape[-2]
+    gz = fft.real_dft_matrices(n)[0] @ (g * keep)
+    gz *= 2.0
+    gz *= z
+    return fft.hartley_matrix(n) @ gz
 
 
 def power_autocorrelation(x: Tensor) -> Tensor:
@@ -515,13 +548,13 @@ class AttentionParams:
     bo: Tensor
 
 
-def _fold_last(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """``ufunc`` folded over the short last axis of ``a``, keeping it with
-    extent 1: one call per column, where a reduce over that axis would make
-    one inner-loop call per row."""
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Maxima over the short last axis of ``a``, keeping it with extent 1:
+    one call per column, where a reduce over that axis would make one
+    inner-loop call per row."""
     acc = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
-        ufunc(acc, a[..., j], out=acc)
+        np.maximum(acc, a[..., j], out=acc)
     return acc[..., None]
 
 
@@ -604,9 +637,9 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
     # scores, then softmax in place: [..., H, S, S]
     p = q @ k.swapaxes(-1, -2)
     p *= scale
-    p -= _fold_last(np.maximum, p)
+    p -= _row_max(p)
     np.exp(p, out=p)
-    p /= _fold_last(np.add, p)
+    p /= _row_sums(p)
     keep = _dropout_mask(p.shape, dropout_p, training, rng)
     pd = p
     if keep is not None:
@@ -634,13 +667,13 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
         if wo.requires_grad:
             wo.accumulate_grad(merged.T @ g2, owned=True)
         if bo.requires_grad:
-            _accumulate_unbroadcast(bo, g, owned=False)
+            bo.accumulate_grad(_col_sums(g), owned=True)
         gc = split(g2 @ wo.data.T)
         gp = gc @ v.swapaxes(-1, -2)
         if keep is not None:
             gp *= keep
             gp *= rescale
-        gp -= _fold_last(np.add, gp * p)
+        gp -= _row_dots(gp, p)
         gp *= p
         gp *= scale
         # the query, key and value grads, merged in place into column
@@ -652,7 +685,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
         np.matmul(pd.swapaxes(-1, -2), gc, out=split(slot[..., 2, :, :]))
         projections = ((wq, bq), (wk, bk), (wv, bv))
         gw = x2.T @ qkv
-        gb = _unbroadcast(qkv.reshape(*shape[:-1], 3 * d), (3 * d,))
+        gb = _col_sums(qkv)
         for i, (w, b) in enumerate(projections):
             cols = slice(i * d, (i + 1) * d)
             if w.requires_grad:

@@ -3,9 +3,10 @@
 The clamped circular autocorrelation of a feature map along the patch axis
 summarises its spectral energy distribution.  By Wiener-Khinchin it is the
 inverse transform of the power spectrum; the engine's ``autocorrelation``
-computes it, clamp included, with its adjoint in ``autocorrelation_vjp``.
-One factor per series (instance and channel), with the sums running over
-the patch and feature axes,
+computes it, clamp included, from the squared Hartley transform, with its
+adjoint in ``autocorrelation_vjp``: two real matrix products each way.  One
+factor per series (instance and channel), with the sums running over the
+patch and feature axes as one row per series,
 
     alpha = sqrt( sum(S_pred * S_input) / ((1 + eps) * sum(S_input^2) + tiny) ),
 
@@ -31,7 +32,6 @@ from .numeric_engine import (Tensor, autocorrelation, autocorrelation_vjp,
                              power_autocorrelation)
 from .errors import ConfigError, finite_number
 
-_SERIES_AXES = (2, 3)   # energy sums run over N and D of [B, C, N, D]
 _TINY = float(np.finfo(np.float64).tiny)
 
 
@@ -66,8 +66,12 @@ def correction_factor(h_global: Tensor, x_patch: Tensor,
     taped = engine._records(inputs)
     s_pred, pred_state = autocorrelation(h_global.data, taped)
     s_input, input_state = autocorrelation(x_patch.data, taped)
-    num = (s_pred * s_input).sum(axis=_SERIES_AXES, keepdims=True)
-    den = (s_input * s_input).sum(axis=_SERIES_AXES, keepdims=True)
+    # each series' N x D lags as one row, so its sums are row kernels
+    series = h_global.shape[:2] + (-1,)
+    pred_rows = s_pred.reshape(series)
+    input_rows = s_input.reshape(series)
+    num = engine._row_dots(pred_rows, input_rows)[..., None]
+    den = engine._row_dots(input_rows, input_rows)[..., None]
     den *= 1.0 + cfg.eps
     den += _TINY
     alpha = engine._wrap(np.sqrt(num / den))

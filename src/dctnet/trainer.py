@@ -27,6 +27,7 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 _EVAL_BLOCK_BYTES = 512 * 1024    # a quarter of a 2 MB L2: eval stays in cache
+_SQRT_MAX = math.sqrt(np.finfo(np.float64).max)   # larger entries square to inf
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
@@ -265,10 +266,11 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
     mini-batch on clipped gradients, then score the validation split in
     eval mode.  The best validation MSE's parameters are kept; training
     stops early after ``patience`` consecutive epochs without improvement.
-    A non-finite forecast, loss or pre-clip gradient norm, or a revin gain
-    too small to invert, raises ``TrainingError`` naming the epoch and step
-    (or the epoch's validation), before Adam touches the parameters; so
-    does a validation score that overflows float64.
+    A non-finite forecast, loss or pre-clip gradient norm, a clipped
+    gradient entry whose square overflows float64, or a revin gain too
+    small to invert, raises ``TrainingError`` naming the epoch and step (or
+    the epoch's validation), before Adam touches the parameters or its
+    moments; so does a validation score that overflows float64.
     """
     settings = settings or TrainSettings()
     if len(train) == 0:
@@ -322,6 +324,13 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
             norm = clip_global_norm(grad, sizes, settings.clip_norm)
             if not np.isfinite(norm):
                 raise TrainingError(f"{where}: non-finite gradient norm")
+            # no entry exceeds the clipped norm, so only a norm past
+            # _SQRT_MAX needs the pass that finds the largest entry
+            if (min(norm, settings.clip_norm or math.inf) > _SQRT_MAX
+                    and np.abs(grad).max() > _SQRT_MAX):
+                raise TrainingError(
+                    f"{where}: gradient entries past {_SQRT_MAX:.3g} (norm "
+                    f"{norm:.3e}) overflow Adam's second moment")
             adam_step(registry, grad, opt)
             loss_sum += loss_val * len(idx)
             seen += len(idx)

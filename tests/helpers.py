@@ -11,7 +11,7 @@ import struct
 import numpy as np
 from hypothesis import strategies as st
 
-from dctnet import numeric_engine as engine
+from dctnet import fft, numeric_engine as engine
 from dctnet.model import ModelConfig
 
 
@@ -85,6 +85,78 @@ def oracle_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + eps) * gain + bias
+
+
+def reference_layer_norm(x, gain, bias, residual=None):
+    """``engine.layer_norm`` as numpy's sum reductions write it: row means
+    and variances by ``sum(axis=-1)``, gain and bias grads summed down one
+    leading axis at a time.  The row and column kernels must stay within
+    1e-13 relative of it."""
+    x, gain, bias = (engine._as_tensor(t) for t in (x, gain, bias))
+    inputs = (x, gain, bias)
+    s = x.data
+    if residual is not None:
+        residual = engine._as_tensor(residual)
+        s = s + residual.data
+        inputs = (x, gain, bias, residual)
+    d = s.shape[-1]
+    xhat = s - s.sum(axis=-1, keepdims=True) / d
+    rstd = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d
+                         + engine._LN_EPS)
+    xhat *= rstd
+    y = xhat * gain.data
+    y += bias.data
+    out = engine._wrap(y)
+
+    def bw():
+        g = out.grad
+        takers = [t for t in (x, residual) if t is not None and t.requires_grad]
+        if takers:
+            gy = g * gain.data
+            proj = (gy * xhat).sum(axis=-1, keepdims=True) / d
+            gy -= gy.sum(axis=-1, keepdims=True) / d
+            gy -= xhat * proj
+            gy *= rstd
+            for t in takers:
+                t.accumulate_grad(gy)
+        if gain.requires_grad:
+            engine._accumulate_unbroadcast(gain, g * xhat, owned=True)
+        if bias.requires_grad:
+            engine._accumulate_unbroadcast(bias, g, owned=False)
+
+    engine._record(inputs, out, bw)
+    return out
+
+
+def reference_autocorrelation(x: np.ndarray, keep_state: bool):
+    """``engine.autocorrelation`` through the DFT's two real parts:
+    Mr((Mr x)^2 + (Mi x)^2), clamped at 0, with the state (Mr x, Mi x,
+    unclamped lags)."""
+    mr, mi = fft.real_dft_matrices(x.shape[-2])
+    re = mr @ x
+    im = mi @ x
+    acf = mr @ (re * re + im * im)
+    state = (re, im, acf > 0.0) if keep_state else None
+    return np.maximum(acf, 0.0), state
+
+
+def reference_autocorrelation_vjp(g: np.ndarray, state) -> np.ndarray:
+    """Adjoint of ``reference_autocorrelation``:
+    Mr(gp * Mr x) + Mi(gp * Mi x) with gp = 2 Mr(g on the unclamped lags)."""
+    re, im, keep = state
+    mr, mi = fft.real_dft_matrices(re.shape[-2])
+    gp = 2.0 * (mr @ (g * keep))
+    return mr @ (gp * re) + mi @ (gp * im)
+
+
+def assert_close_to_reference(got, want, rtol: float, name: str = "") -> None:
+    """max|got - want| within ``rtol`` of max|want|: a relative bound on the
+    whole array, which elementwise bounds would not give to entries that
+    cancel to near zero."""
+    err = float(np.max(np.abs(got - want), initial=0.0))
+    scale = float(np.max(np.abs(want), initial=0.0))
+    assert err <= rtol * scale, (
+        f"{name}: max error {err:.3e} exceeds {rtol:g} x {scale:.3e}")
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -87,3 +87,25 @@ class TestRealDftMatrices:
         np.testing.assert_allclose(mr @ mr + mi @ mi, np.eye(n),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(mr @ mi, 0.0, rtol=0, atol=1e-12)
+
+
+class TestHartleyMatrix:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_symmetric_involution_from_the_dft_parts(self, n):
+        mr, mi = fft.real_dft_matrices(n)
+        h = fft.hartley_matrix(n)
+        np.testing.assert_array_equal(h, mr - mi)
+        np.testing.assert_array_equal(h, h.T)
+        assert not h.flags.writeable
+        np.testing.assert_allclose(h @ h, np.eye(n), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_squared_transform_gives_the_power_lags(self, n):
+        # z = Hx has z[k]^2 + z[-k]^2 = 2 |DFT x|^2[k], and Mr is even in k
+        rng = np.random.default_rng(200 + n)
+        x = rng.standard_normal((n, 3))
+        mr, mi = fft.real_dft_matrices(n)
+        z = fft.hartley_matrix(n) @ x
+        np.testing.assert_allclose(mr @ (z * z),
+                                   mr @ ((mr @ x) ** 2 + (mi @ x) ** 2),
+                                   rtol=0, atol=1e-12)

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dctnet import numeric_engine as engine
-from dctnet.model import forward, init_params
+from dctnet import numeric_engine as engine, spectral_correction
+from dctnet.model import ModelConfig, forward, init_params
 from dctnet.numeric_engine import AttentionParams, Tape, Tensor, backward
 from dctnet.errors import ConfigError, ContractError
 from dctnet.trainer import mse_loss
 
-from helpers import (assert_rows_stochastic, check_gradients,
-                     check_gradients_jointly, oracle_attention,
+from helpers import (assert_close_to_reference, assert_rows_stochastic,
+                     check_gradients, check_gradients_jointly,
+                     oracle_attention, reference_autocorrelation,
+                     reference_autocorrelation_vjp, reference_layer_norm,
                      tiny_configs)
 
 
@@ -245,9 +247,9 @@ class TestBackwardSemantics:
         c2 = rng.standard_normal((3, 4))
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        # full-shape bias: layer_norm's first write to it is its upstream grad
-        gain = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        bias = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        # bias also takes a second grad, added into the first write
+        gain = Tensor(rng.standard_normal(4), requires_grad=True)
+        bias = Tensor(rng.standard_normal(4), requires_grad=True)
         v = Tensor(rng.standard_normal((3, 4)))
         with Tape() as tape:
             early = engine.mul(x, w)
@@ -265,7 +267,8 @@ class TestBackwardSemantics:
         np.testing.assert_array_equal(s.grad, c.T)
         np.testing.assert_array_equal(early.grad, np.ones((3, 4)))
         np.testing.assert_array_equal(n.grad, c2)
-        np.testing.assert_array_equal(bias.grad, c2 + 2.0)
+        np.testing.assert_allclose(bias.grad, c2.sum(axis=0) + 2.0,
+                                   rtol=1e-15)
         np.testing.assert_allclose(x.grad, c.T + w.data, rtol=1e-15)
         np.testing.assert_allclose(w.grad, -c.T + x.data, rtol=1e-15)
 
@@ -345,14 +348,21 @@ class TestPrimitiveGradients:
             g0)
 
     def test_layer_norm_rank4_broadcast_affine(self):
+        # a [D] gain and bias broadcast over every leading axis of a rank-4
+        # input; any other affine shape is refused
         rng = np.random.default_rng(16)
         c = rng.standard_normal((2, 3, 4, 5))
         check_gradients_jointly(
             lambda x, g, b: engine.reduce_sum(engine.mul(
                 engine.layer_norm(x, g, b), Tensor(c))),
             [rng.standard_normal((2, 3, 4, 5)) * 3 + 1,
-             rng.standard_normal((3, 1, 5)), rng.standard_normal((5,))],
+             rng.standard_normal((5,)), rng.standard_normal((5,))],
             rtol=1e-4, atol=1e-6)
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)))
+        for gain, bias in [((3, 1, 5), (5,)), ((5,), (1, 5)), ((1,), (1,))]:
+            with pytest.raises(ContractError, match="gain and bias"):
+                engine.layer_norm(x, Tensor(np.ones(gain)),
+                                  Tensor(np.zeros(bias)))
 
     def test_layer_norm_residual(self):
         rng = np.random.default_rng(17)
@@ -810,3 +820,145 @@ class TestAttention:
             return engine.reduce_sum(engine.mul(y, c))
 
         check_gradients_jointly(loss, arrays)
+
+
+@st.composite
+def spread_rows(draw):
+    """Two [R, D] arrays, R in 1..64 and D in 1..96, of either sign with
+    magnitudes from 1e-3 to 1e3."""
+    r, d = draw(st.integers(1, 64)), draw(st.integers(1, 96))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def spread():
+        return (rng.choice([-1.0, 1.0], (r, d))
+                * 10.0 ** rng.uniform(-3.0, 3.0, (r, d)))
+    return spread(), spread()
+
+
+class TestRowKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=spread_rows())
+    def test_rows_do_not_depend_on_the_block(self, rows):
+        # evaluate's cache-sized blocks rest on this: a row's sum is the
+        # same bits whether it comes alone, in a few rows or in all of them
+        a, b = rows
+        r = a.shape[0]
+        sums, dots = engine._row_sums(a), engine._row_dots(a, b)
+        assert sums.shape == dots.shape == (r, 1)
+        for size in {1, 3, 7, r - 1} - {0}:
+            for lo in range(0, r, size):
+                part = slice(lo, lo + size)
+                assert (engine._row_sums(a[part]).tobytes()
+                        == sums[part].tobytes())
+                assert (engine._row_dots(a[part], b[part]).tobytes()
+                        == dots[part].tobytes())
+
+    def test_values_and_layouts(self):
+        rng = np.random.default_rng(50)
+        a = rng.standard_normal((3, 4, 5))
+        b = rng.standard_normal((3, 4, 5))
+        np.testing.assert_allclose(engine._row_sums(a),
+                                   a.sum(axis=-1, keepdims=True), rtol=1e-14)
+        np.testing.assert_allclose(engine._row_dots(a, b),
+                                   (a * b).sum(axis=-1, keepdims=True),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(engine._col_sums(a),
+                                   a.sum(axis=(0, 1)), rtol=1e-14)
+        np.testing.assert_allclose(engine._col_dots(a, b),
+                                   (a * b).sum(axis=(0, 1)), rtol=1e-14)
+        # a transposed operand is summed as its C-ordered copy would be
+        t = np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert not t.flags.c_contiguous
+        assert (engine._row_sums(t).tobytes()
+                == engine._row_sums(np.ascontiguousarray(t)).tobytes())
+
+
+# train_c7's and train_small's shapes, B=32
+PARITY_SHAPES = {
+    "train_c7": ModelConfig(channels=7),
+    "train_small": ModelConfig(channels=2, pred_len=24, latent_dim=16,
+                               heads=2),
+}
+
+
+class TestReferenceParity:
+    """The row and column kernels and the Hartley autocorrelation sum in
+    another order than numpy's reductions and the two-part DFT form; the
+    references in ``helpers`` keep those forms, and the new ones stay
+    within 1e-13 relative of them."""
+
+    @pytest.mark.parametrize("shape", PARITY_SHAPES)
+    def test_layer_norm(self, shape):
+        cfg = PARITY_SHAPES[shape]
+        dims = (32, cfg.channels, cfg.num_patches, cfg.latent_dim)
+        rng = np.random.default_rng(60)
+        arrays = [rng.standard_normal(dims) * 3.0 + 1.0,
+                  rng.standard_normal(dims), rng.standard_normal(dims[-1:]),
+                  rng.standard_normal(dims[-1:])]
+        c = rng.standard_normal(dims)
+        results = []
+        for norm in (engine.layer_norm, reference_layer_norm):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            x, r, g, b = leaves
+            with Tape() as tape:
+                out = norm(x, g, b, residual=r)
+                backward(engine.reduce_sum(engine.mul(out, Tensor(c))), tape)
+            results.append([out.data] + [t.grad for t in leaves])
+        for name, got, want in zip(("out", "x", "residual", "gain", "bias"),
+                                   *results):
+            assert_close_to_reference(got, want, 1e-13, name)
+
+    @pytest.mark.parametrize("shape", PARITY_SHAPES)
+    def test_autocorrelation(self, shape):
+        cfg = PARITY_SHAPES[shape]
+        dims = (32, cfg.channels, cfg.num_patches, cfg.latent_dim)
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal(dims)
+        g = rng.standard_normal(dims)
+        acf, state = engine.autocorrelation(x, True)
+        ref, ref_state = reference_autocorrelation(x, True)
+        assert len(state) == 2
+        assert_close_to_reference(acf, ref, 1e-13, "lags")
+        # the same lags clamped, so the adjoints are of the same function
+        np.testing.assert_array_equal(state[1], ref_state[2])
+        assert_close_to_reference(engine.autocorrelation_vjp(g, state),
+                                  reference_autocorrelation_vjp(g, ref_state),
+                                  1e-13, "input grad")
+
+    @pytest.mark.parametrize("shape", PARITY_SHAPES)
+    def test_train_step(self, shape, monkeypatch):
+        # a training forward and backward with the references patched in:
+        # the same forecast and parameter grads, but for the key biases,
+        # whose grads are zero in exact arithmetic (softmax ignores a shift
+        # shared by every key)
+        cfg = PARITY_SHAPES[shape]
+        rng = np.random.default_rng(62)
+        x = rng.standard_normal((32, cfg.seq_len, cfg.channels))
+        y = rng.standard_normal((32, cfg.pred_len, cfg.channels))
+
+        def step():
+            params = init_params(cfg)
+            with Tape() as tape:
+                fc = forward(x, params, cfg, training=True,
+                             rng=np.random.default_rng(63))
+                backward(mse_loss(fc.values, y), tape)
+            return fc.values.data, {k: t.grad for k, t
+                                    in params.named_parameters().items()}
+
+        values, grads = step()
+        monkeypatch.setattr(engine, "layer_norm", reference_layer_norm)
+        monkeypatch.setattr(spectral_correction, "autocorrelation",
+                            reference_autocorrelation)
+        monkeypatch.setattr(spectral_correction, "autocorrelation_vjp",
+                            reference_autocorrelation_vjp)
+        ref_values, ref_grads = step()
+        assert values.tobytes() != ref_values.tobytes()   # patched in
+        assert_close_to_reference(values, ref_values, 1e-13, "forecast")
+        for name, want in ref_grads.items():
+            if name.endswith(".bk"):
+                # zero within 1e-13 of the query biases' grads
+                bound = 1e-13 * np.max(np.abs(ref_grads[name[:-2] + "bq"]))
+                assert np.max(np.abs(grads[name])) <= bound
+                assert np.max(np.abs(want)) <= bound
+            else:
+                assert_close_to_reference(grads[name], want, 1e-13, name)

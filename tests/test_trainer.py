@@ -40,6 +40,13 @@ def tiny_dataset(n_windows, seed=0, cfg=None):
                         split_tag="train")
 
 
+def scaled(ds, factor):
+    """``ds`` with its windows and statistics multiplied by ``factor``."""
+    stats = NormStats(ds.stats.mean * factor, ds.stats.std * factor)
+    return WindowedDataset(ds.inputs * factor, ds.targets * factor, ds.split,
+                           stats)
+
+
 def whole_batch_result(params, cfg, ds, batch_size):
     """``evaluate`` as one forward per batch: the reference its cache-sized
     blocks must match bit for bit."""
@@ -468,12 +475,6 @@ class TestFit:
         cfg = micro_config(seed=3)
         settings = TrainSettings(lr=1e-3, epochs=2, batch_size=4,
                                  patience=5, clip_norm=1e-3)
-
-        def scaled(ds, factor):
-            stats = NormStats(ds.stats.mean * factor, ds.stats.std * factor)
-            return WindowedDataset(ds.inputs * factor, ds.targets * factor,
-                                   ds.split, stats)
-
         train = tiny_dataset(8, seed=1, cfg=cfg)
         val = tiny_dataset(4, seed=2, cfg=cfg)
         _, unit = fit(init_params(cfg), cfg, train, val, settings, log=None)
@@ -484,6 +485,48 @@ class TestFit:
         assert big.epochs_run == 2
         np.testing.assert_allclose(np.array(big.train_loss) / 1e200,
                                    unit.train_loss, rtol=1e-4)
+
+    def test_unclipped_overflowing_gradient_stops_before_adam(self,
+                                                             monkeypatch):
+        # with clipping off, windows scaled by 1e100 give gradients near
+        # 1e200, whose squares would make Adam's second moment inf and
+        # every update 0
+        cfg = micro_config(seq_len=24, pred_len=8, latent_dim=8)
+        settings = TrainSettings(lr=1e-3, epochs=2, batch_size=4,
+                                 patience=5, clip_norm=None)
+        params = init_params(cfg)
+        start = {k: t.data.copy() for k, t in params.named_parameters().items()}
+        calls = []
+        real_adam = trainer.adam_step
+        monkeypatch.setattr(trainer, "adam_step", lambda *args: (
+            calls.append(args), real_adam(*args)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match=r"epoch 0, step 0: "
+                               r"gradient entries past 1.34e\+154 \(norm "
+                               r".*\) overflow Adam's second moment"):
+                fit(params, cfg,
+                    scaled(tiny_dataset(8, seed=1, cfg=cfg), 1e100),
+                    scaled(tiny_dataset(4, seed=2, cfg=cfg), 1e100),
+                    settings, log=None)
+        assert calls == []
+        for k, t in params.named_parameters().items():
+            np.testing.assert_array_equal(t.data, start[k])
+
+    def test_overflow_check_makes_no_pass_on_ordinary_steps(self,
+                                                            monkeypatch):
+        # the largest entry is searched for only past the norm's bound
+        cfg = micro_config()
+        seen = []
+        real_abs = np.abs
+        monkeypatch.setattr(trainer.np, "abs", lambda a, *args, **kwargs: (
+            seen.append(np.shape(a)), real_abs(a, *args, **kwargs))[1])
+        fit(init_params(cfg), cfg, tiny_dataset(8, cfg=cfg),
+            tiny_dataset(4, seed=1, cfg=cfg),
+            TrainSettings(epochs=1, batch_size=4, clip_norm=None), log=None)
+        n = sum(t.data.size for t in init_params(cfg).named_parameters()
+                .values())
+        assert (n,) not in seen
 
     def test_mismatched_windows_are_data_error(self):
         cfg = micro_config()
