@@ -210,15 +210,35 @@ class Forecast:
             raise DataError("forecast contains NaN/Inf")
 
 
+def linear_head(h: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Each channel's flattened tokens [B, C, N, D] times ``weight``
+    [N * D, T] plus ``bias`` [T], as [B, T, C]: one tape node whose adjoint
+    is the engine's affine one in the [B, C, T] layout."""
+    b, c = h.shape[:2]
+    flat = h.data.reshape(b, c, -1)
+    out = engine._wrap(engine._affine(flat, weight, bias).swapaxes(1, 2))
+
+    def bw():
+        gh = engine._affine_vjp(out.grad.swapaxes(1, 2), flat, weight, bias,
+                                h.requires_grad)
+        if gh is not None:
+            h.accumulate_grad(gh.reshape(h.shape), owned=True)
+
+    engine._record((h, weight, bias), out, bw)
+    return out
+
+
 def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
             rng: Optional[np.random.Generator] = None) -> Forecast:
     """Run one batch of windows [B, L, C] through the whole pipeline."""
     x = engine._as_tensor(x)
     if not np.all(np.isfinite(x.data)):
         raise DataError("input window contains NaN/Inf")
-    if x.ndim != 3 or x.shape[1] != cfg.seq_len or x.shape[2] != cfg.channels:
+    if (x.ndim != 3 or x.shape[0] == 0 or x.shape[1] != cfg.seq_len
+            or x.shape[2] != cfg.channels):
         raise ContractError(
-            f"expected input [B, {cfg.seq_len}, {cfg.channels}], got {x.shape}"
+            f"expected input [B, {cfg.seq_len}, {cfg.channels}] with B >= 1, "
+            f"got {x.shape}"
         )
 
     normed, state = revin_normalize(x, params.revin, eps=cfg.revin_eps)
@@ -234,13 +254,7 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
 
     h_final, alpha = apply_correction(h, x_patch, cfg.correction,
                                       enabled=not cfg.disable_fsc)
-
-    b = h_final.shape[0]
-    flat = engine.reshape(h_final, (b, cfg.channels,
-                                    cfg.num_patches * cfg.latent_dim))
-    per_channel = engine.matmul(flat, params.head_weight,
-                                params.head_bias)        # [B, C, T]
-    pred = engine.swapaxes(per_channel, 1, 2)            # [B, T, C]
+    pred = linear_head(h_final, params.head_weight, params.head_bias)
     values = revin_denormalize(pred, params.revin, state)
     return Forecast(values=values, alpha=alpha)
 

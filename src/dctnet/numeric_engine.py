@@ -136,22 +136,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
             backward_fn()
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` along axes that were broadcast."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for i, s in enumerate(shape):
-        if s == 1 and g.shape[i] != 1:
-            g = g.sum(axis=i, keepdims=True)
-    return g
-
-
-def _accumulate_unbroadcast(t: Tensor, g: np.ndarray, owned: bool) -> None:
-    """Add ``g`` summed down to ``t``'s shape; a sum is a fresh array."""
-    r = _unbroadcast(g, t.data.shape)
-    t.accumulate_grad(r, owned=owned or r is not g)
-
-
 # Row and column reductions of [..., D] arrays, each one einsum contraction
 # over C-contiguous operands.  A row's sum runs in the same inner loop
 # whatever the number of rows, so it does not depend on the block the row
@@ -183,84 +167,8 @@ def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
+# elementwise, affine and shape primitives
 # ---------------------------------------------------------------------------
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = _wrap(a.data + b.data)
-
-    def bw():
-        g = out.grad
-        if a.requires_grad:
-            _accumulate_unbroadcast(a, g, owned=False)
-        if b.requires_grad:
-            _accumulate_unbroadcast(b, g, owned=False)
-
-    _record((a, b), out, bw)
-    return out
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = _wrap(a.data - b.data)
-
-    def bw():
-        g = out.grad
-        if a.requires_grad:
-            _accumulate_unbroadcast(a, g, owned=False)
-        if b.requires_grad:
-            _accumulate_unbroadcast(b, -g, owned=True)
-
-    _record((a, b), out, bw)
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = _wrap(a.data * b.data)
-
-    def bw():
-        g = out.grad
-        if a.requires_grad:
-            _accumulate_unbroadcast(a, g * b.data, owned=True)
-        if b.requires_grad:
-            _accumulate_unbroadcast(b, g * a.data, owned=True)
-
-    _record((a, b), out, bw)
-    return out
-
-
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = _wrap(a.data / b.data)
-
-    def bw():
-        g = out.grad
-        if a.requires_grad:
-            _accumulate_unbroadcast(a, g / b.data, owned=True)
-        if b.requires_grad:
-            _accumulate_unbroadcast(b, -g * a.data / (b.data * b.data),
-                                    owned=True)
-
-    _record((a, b), out, bw)
-    return out
-
-
-def sqrt(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = _wrap(np.sqrt(a.data))
-
-    def bw():
-        # d sqrt(a) is unbounded at a = 0; take 0 there, so a zero output
-        # passes no gradient instead of NaN
-        g = np.zeros_like(out.data)
-        np.divide(out.grad * 0.5, out.data, out=g, where=out.data != 0.0)
-        a.accumulate_grad(g, owned=True)
-
-    _record((a,), out, bw)
-    return out
-
 
 def gelu(a: Tensor) -> Tensor:
     """x * Phi(x) with the exact Gaussian CDF (erf form)."""
@@ -276,86 +184,52 @@ def gelu(a: Tensor) -> Tensor:
     return out
 
 
-# ---------------------------------------------------------------------------
-# reductions and shape ops
-# ---------------------------------------------------------------------------
-
-def reduce_sum(a: Tensor, axis=None) -> Tensor:
-    """Sum over ``axis``, which stays as extent 1; over everything when None."""
-    a = _as_tensor(a)
-    out = _wrap(a.data.sum(axis=axis, keepdims=axis is not None))
-
-    def bw():
-        a.accumulate_grad(np.broadcast_to(out.grad, a.data.shape))
-
-    _record((a,), out, bw)
-    return out
-
-
-def reduce_mean(a: Tensor, axis=None) -> Tensor:
-    """Mean over ``axis``, which stays as extent 1; over everything when None."""
-    a = _as_tensor(a)
-    total = reduce_sum(a, axis=axis)
-    return mul(total, 1.0 / (a.data.size // total.data.size))
+def _affine(a: np.ndarray, w: Tensor, bias: Optional[Tensor]) -> np.ndarray:
+    """a @ w (+ bias) for [..., K] @ [K, M] and a bias [M]; any other shape
+    is a ``ContractError`` naming both."""
+    if w.data.ndim != 2 or a.shape[-1:] != w.data.shape[:1]:
+        raise ContractError(
+            f"matmul expects [..., K] @ [K, M], got {a.shape} and "
+            f"{w.data.shape}"
+        )
+    y = np.matmul(a, w.data)
+    if bias is None:
+        return y
+    if bias.data.shape != w.data.shape[1:]:
+        raise ContractError(f"matmul bias is {bias.data.shape}, expected "
+                            f"{w.data.shape[1:]}")
+    # a new array, not +=: the in-place add changed glibc's heap placement
+    # in a B=64 eval forward and raised its peak RSS 3.4 MB
+    return y + bias.data
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-    out = _wrap(a.data.reshape(shape))
-
-    def bw():
-        a.accumulate_grad(out.grad.reshape(a.data.shape))
-
-    _record((a,), out, bw)
-    return out
-
-
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    a = _as_tensor(a)
-    out = _wrap(np.swapaxes(a.data, ax1, ax2))
-
-    def bw():
-        a.accumulate_grad(np.swapaxes(out.grad, ax1, ax2))
-
-    _record((a,), out, bw)
-    return out
+def _affine_vjp(g: np.ndarray, a: np.ndarray, w: Tensor,
+                bias: Optional[Tensor], input_grad: bool
+                ) -> Optional[np.ndarray]:
+    """Adjoint of ``_affine(a, w, bias)`` for the upstream grad ``g``: adds
+    w's grad, one GEMM over the collapsed leading axes, and bias's column
+    sums, and returns a fresh g @ wᵀ for ``a`` when ``input_grad``."""
+    if w.requires_grad:
+        k, m = w.data.shape
+        w.accumulate_grad(a.reshape(-1, k).T @ g.reshape(-1, m), owned=True)
+    if bias is not None and bias.requires_grad:
+        bias.accumulate_grad(_col_sums(g), owned=True)
+    return g @ w.data.T if input_grad else None
 
 
 def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """[..., K] @ [K, M] (+ bias [M]): every leading axis of ``a`` is batch,
     ``w`` and ``bias`` are shared.  One tape node with the bias."""
     a, w = _as_tensor(a), _as_tensor(w)
-    if w.data.ndim != 2 or a.data.shape[-1:] != w.data.shape[:1]:
-        raise ContractError(
-            f"matmul expects [..., K] @ [K, M], got {a.data.shape} and "
-            f"{w.data.shape}"
-        )
-    y = np.matmul(a.data, w.data)
-    inputs = (a, w)
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.data.shape != w.data.shape[1:]:
-            raise ContractError(f"matmul bias is {bias.data.shape}, expected "
-                                f"{w.data.shape[1:]}")
-        # a new array, not +=: the in-place add changed glibc's heap
-        # placement in a B=64 eval forward and raised its peak RSS 3.4 MB
-        y = y + bias.data
-        inputs = (a, w, bias)
-    out = _wrap(y)
+    bias = None if bias is None else _as_tensor(bias)
+    out = _wrap(_affine(a.data, w, bias))
 
     def bw():
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(g @ w.data.T, owned=True)
-        if w.requires_grad:
-            # one GEMM over the collapsed leading axes
-            k, m = w.data.shape
-            w.accumulate_grad(a.data.reshape(-1, k).T @ g.reshape(-1, m),
-                              owned=True)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(_col_sums(g), owned=True)
+        ga = _affine_vjp(out.grad, a.data, w, bias, a.requires_grad)
+        if ga is not None:
+            a.accumulate_grad(ga, owned=True)
 
-    _record(inputs, out, bw)
+    _record((a, w) if bias is None else (a, w, bias), out, bw)
     return out
 
 

@@ -30,11 +30,28 @@ def segment_patches(x: Tensor, patch_len: int, stride: int) -> Tensor:
 
 
 def embed_patches(patches: Tensor, params: PatchEmbedParams) -> Tensor:
-    """Project raw patches [B, C, N, P] to tokens [B, C, N, D] plus positions."""
-    n = patches.shape[2]
-    if params.pos.shape[0] != n:
-        raise ConfigError(
-            f"position table covers {params.pos.shape[0]} patches, input has {n}"
-        )
-    projected = engine.matmul(patches, params.weight, params.bias)
-    return engine.add(projected, params.pos)
+    """Project raw patches [B, C, N, P] to tokens [B, C, N, D] plus positions.
+
+    One tape node: the projection's adjoint is the engine's affine one, and
+    the positions take the upstream grad summed over batch and channel.
+    """
+    pos = params.pos
+    y = engine._affine(patches.data, params.weight, params.bias)
+    if pos.shape != y.shape[-2:]:
+        raise ConfigError(f"position table is {pos.shape}, tokens per "
+                          f"channel are {y.shape[-2:]}")
+    y = y + pos.data
+    out = engine._wrap(y)
+
+    def bw():
+        g = out.grad
+        gp = engine._affine_vjp(g, patches.data, params.weight, params.bias,
+                                patches.requires_grad)
+        if pos.requires_grad:
+            pos.accumulate_grad(engine._col_sums(g.reshape(-1, pos.data.size))
+                                .reshape(pos.shape), owned=True)
+        if gp is not None:
+            patches.accumulate_grad(gp, owned=True)
+
+    engine._record((patches, params.weight, params.bias, pos), out, bw)
+    return out

@@ -15,13 +15,15 @@ input's, countering distribution drift between history and forecast.
 The guard is relative, so alpha does not change when both feature maps
 are scaled together; ``tiny``, the smallest normal float64, only keeps
 an all-zero input from dividing zero by zero.  The whole path is
-differentiable, so the correction shapes training too: alpha is one tape
-node over both feature maps, and the rescaling one more.
+differentiable, so the correction shapes training too: ``correction_factor``
+records alpha as one tape node over both feature maps, and
+``apply_correction`` records the rescaled map, alpha folded in, as one node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -46,9 +48,10 @@ class CorrectionConfig:
             "correction eps", self.eps, above=0.0))
 
 
-def correction_factor(h_global: Tensor, x_patch: Tensor,
-                      cfg: CorrectionConfig) -> Tensor:
-    """alpha per series: [B, C, 1, 1], one tape node.
+def _alpha(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig):
+    """alpha per series [B, C, 1, 1] and its adjoint: a function of alpha's
+    upstream grad and of an extra grad for ``h_global``, or None, that adds
+    both feature maps' grads.
 
     With num = sum(S_pred * S_input) and den = (1 + eps) * sum(S_input^2)
     + tiny, the adjoint of alpha = sqrt(num / den) is
@@ -62,8 +65,7 @@ def correction_factor(h_global: Tensor, x_patch: Tensor,
         raise ConfigError(
             f"feature shapes differ: {h_global.shape} vs {x_patch.shape}"
         )
-    inputs = (h_global, x_patch)
-    taped = engine._records(inputs)
+    taped = engine._records((h_global, x_patch))
     s_pred, pred_state = autocorrelation(h_global.data, taped)
     s_input, input_state = autocorrelation(x_patch.data, taped)
     # each series' N x D lags as one row, so its sums are row kernels
@@ -74,16 +76,17 @@ def correction_factor(h_global: Tensor, x_patch: Tensor,
     den = engine._row_dots(input_rows, input_rows)[..., None]
     den *= 1.0 + cfg.eps
     den += _TINY
-    alpha = engine._wrap(np.sqrt(num / den))
+    alpha = np.sqrt(num / den)
 
-    def bw():
-        g_ratio = np.zeros_like(alpha.data)
-        np.divide(alpha.grad * 0.5, alpha.data, out=g_ratio,
-                  where=alpha.data != 0.0)
+    def vjp(g_alpha: np.ndarray, g_h: Optional[np.ndarray]) -> None:
+        g_ratio = np.zeros_like(alpha)
+        np.divide(g_alpha * 0.5, alpha, out=g_ratio, where=alpha != 0.0)
         g_num = g_ratio / den
         if h_global.requires_grad:
-            h_global.accumulate_grad(autocorrelation_vjp(
-                g_num * s_input, pred_state), owned=True)
+            g_pred = autocorrelation_vjp(g_num * s_input, pred_state)
+            if g_h is not None:
+                g_pred += g_h
+            h_global.accumulate_grad(g_pred, owned=True)
         if x_patch.requires_grad:
             g_energy = -g_ratio * num / (den * den) * (1.0 + cfg.eps)
             g_input = g_energy * s_input
@@ -92,15 +95,43 @@ def correction_factor(h_global: Tensor, x_patch: Tensor,
             x_patch.accumulate_grad(autocorrelation_vjp(
                 g_input, input_state), owned=True)
 
-    engine._record(inputs, alpha, bw)
-    return alpha
+    return alpha, vjp
+
+
+def correction_factor(h_global: Tensor, x_patch: Tensor,
+                      cfg: CorrectionConfig) -> Tensor:
+    """alpha per series: [B, C, 1, 1], one tape node over both feature
+    maps."""
+    alpha, vjp = _alpha(h_global, x_patch, cfg)
+    out = engine._wrap(alpha)
+
+    def bw():
+        vjp(out.grad, None)
+
+    engine._record((h_global, x_patch), out, bw)
+    return out
 
 
 def apply_correction(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig,
                      enabled: bool = True) -> tuple[Tensor, Tensor]:
     """(h_global scaled by alpha, alpha); ``h_global`` itself and alpha
-    exactly 1 when bypassed."""
+    exactly 1 when bypassed.
+
+    The rescaled map is one tape node over both feature maps: its upstream
+    grad g reaches ``h_global`` as g * alpha and alpha as the per-series
+    sum(g * h_global), which ``correction_factor``'s adjoint carries on.
+    """
     if not enabled:
         return h_global, Tensor(np.ones(h_global.shape[:2] + (1, 1)))
-    alpha = correction_factor(h_global, x_patch, cfg)
-    return engine.mul(h_global, alpha), alpha
+    alpha, vjp = _alpha(h_global, x_patch, cfg)
+    out = engine._wrap(h_global.data * alpha)
+
+    def bw():
+        g = out.grad
+        series = g.shape[:2] + (-1,)
+        g_alpha = engine._row_dots(g.reshape(series),
+                                   h_global.data.reshape(series))[..., None]
+        vjp(g_alpha, g * alpha if h_global.requires_grad else None)
+
+    engine._record((h_global, x_patch), out, bw)
+    return out, engine._wrap(alpha)

@@ -119,12 +119,27 @@ def reference_layer_norm(x, gain, bias, residual=None):
             gy *= rstd
             for t in takers:
                 t.accumulate_grad(gy)
-        if gain.requires_grad:
-            engine._accumulate_unbroadcast(gain, g * xhat, owned=True)
-        if bias.requires_grad:
-            engine._accumulate_unbroadcast(bias, g, owned=False)
+        for t, grad in ((gain, g * xhat), (bias, g)):
+            if t.requires_grad:
+                while grad.ndim > 1:
+                    grad = grad.sum(axis=0)
+                t.accumulate_grad(grad)
 
     engine._record(inputs, out, bw)
+    return out
+
+
+def weighted_sum(t, c):
+    """sum(t * c) as one tape node, c broadcast to t's shape: the scalar
+    loss the gradient checks put on a primitive's output."""
+    c = np.broadcast_to(np.asarray(c.data if isinstance(c, engine.Tensor)
+                                   else c, dtype=np.float64), t.shape)
+    out = engine._wrap(np.asarray((t.data * c).sum()))
+
+    def bw():
+        t.accumulate_grad(c * out.grad, owned=True)
+
+    engine._record((t,), out, bw)
     return out
 
 

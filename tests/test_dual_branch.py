@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from dctnet import numeric_engine as engine
 from dctnet.numeric_engine import AttentionParams, Tensor
 from dctnet.dual_branch import (AttentionSublayerParams, TemporalBranchParams,
                                 attention_sublayer, fuse_branches,
@@ -12,7 +11,7 @@ from dctnet.dual_branch import (AttentionSublayerParams, TemporalBranchParams,
 from dctnet.errors import ConfigError
 
 from helpers import (assert_rows_stochastic, check_gradients, oracle_attention,
-                     oracle_layer_norm)
+                     oracle_layer_norm, weighted_sum)
 
 
 def gelu_np(x):
@@ -102,7 +101,7 @@ class TestTemporalBranch:
 
         def loss(t):
             out = temporal_branch_forward(t, params)
-            return engine.reduce_sum(engine.mul(out, Tensor(c)))
+            return weighted_sum(out, c)
 
         check_gradients(loss, rng.standard_normal((1, 2, 3, 4)),
                         rtol=1e-3, atol=1e-6)
@@ -246,7 +245,7 @@ class TestFusion:
 
         def loss(t):
             out = fuse_branches(t, tp, cp)
-            return engine.reduce_sum(engine.mul(out, Tensor(c)))
+            return weighted_sum(out, c)
 
         check_gradients(loss, rng.standard_normal((1, 2, 2, 4)),
                         rtol=1e-3, atol=1e-6)

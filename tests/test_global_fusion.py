@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from dctnet import numeric_engine as engine
 from dctnet.numeric_engine import AttentionParams, Tensor
 from dctnet.dual_branch import AttentionSublayerParams
 from dctnet.global_fusion import global_patch_attention
 
 from helpers import (assert_rows_stochastic, check_gradients, oracle_attention,
-                     oracle_layer_norm)
+                     oracle_layer_norm, weighted_sum)
 
 
 def make_params(d, rng, heads=2, dropout_p=0.0, scale=0.4):
@@ -106,7 +105,7 @@ class TestStructure:
 
         def loss(t):
             out = global_patch_attention(t, params)
-            return engine.reduce_sum(engine.mul(out, Tensor(c)))
+            return weighted_sum(out, c)
 
         check_gradients(loss, rng.standard_normal((1, 2, 3, 4)),
                         rtol=1e-3, atol=1e-6)

@@ -240,6 +240,12 @@ class TestForward:
         with pytest.raises(ContractError):
             forward(np.zeros((1, 8, 3)), params, cfg)
 
+    def test_empty_batch_rejected(self):
+        # an empty batch has no statistics to standardise by
+        cfg = micro_config()
+        with pytest.raises(ContractError, match="B >= 1"):
+            forward(np.zeros((0, 8, 2)), init_params(cfg), cfg)
+
     def test_depth_two_runs(self):
         cfg = micro_config(depth=2)
         params = init_params(cfg)
@@ -349,7 +355,7 @@ class TestBypassProperty:
 class TestTapeSize:
     # each attention call is one node; the count does not depend on shape
     @pytest.mark.parametrize("overrides, nodes", [
-        ({}, 22), ({"dropout": 0.0}, 22), ({"depth": 2}, 29),
+        ({}, 14), ({"dropout": 0.0}, 14), ({"depth": 2}, 21),
     ], ids=["depth1", "no_dropout", "depth2"])
     def test_train_step_records(self, overrides, nodes):
         cfg = micro_config(**overrides)

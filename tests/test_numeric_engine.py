@@ -1,22 +1,24 @@
 """Differentiation engine: primitive forwards, adjoints, and tape semantics."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dctnet import numeric_engine as engine, spectral_correction
-from dctnet.model import ModelConfig, forward, init_params
+from dctnet.model import ModelConfig, forward, init_params, linear_head
 from dctnet.numeric_engine import AttentionParams, Tape, Tensor, backward
 from dctnet.errors import ConfigError, ContractError
+from dctnet.revin import RevINParams, revin_denormalize, revin_normalize
 from dctnet.trainer import mse_loss
 
 from helpers import (assert_close_to_reference, assert_rows_stochastic,
                      check_gradients, check_gradients_jointly,
                      oracle_attention, reference_autocorrelation,
-                     reference_autocorrelation_vjp, reference_layer_norm,
-                     tiny_configs)
+                     numeric_grad, reference_autocorrelation_vjp,
+                     reference_layer_norm, tiny_configs, weighted_sum)
 
 
 class TestTensorBasics:
@@ -42,12 +44,6 @@ class TestTensorBasics:
 
 
 class TestForwardValues:
-    def test_arithmetic_chain(self):
-        a = Tensor([2.0])
-        b = Tensor([3.0])
-        out = engine.sub(engine.mul(engine.add(a, b), a), engine.div(b, a))
-        np.testing.assert_allclose(out.data, [8.5])
-
     def test_matmul_known(self):
         a = Tensor([[1.0, 2.0]])
         b = Tensor([[3.0], [4.0]])
@@ -91,17 +87,6 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-4)
 
-    def test_reductions(self):
-        x = Tensor(np.arange(6, dtype=float).reshape(2, 3))
-        assert engine.reduce_sum(x).data == pytest.approx(15.0)
-        # a given axis is kept with extent 1
-        np.testing.assert_array_equal(engine.reduce_sum(x, axis=0).data,
-                                      [[3.0, 5.0, 7.0]])
-        np.testing.assert_array_equal(engine.reduce_mean(x, axis=1).data,
-                                      [[1.0], [4.0]])
-        assert engine.reduce_mean(x, axis=(0, 1)).data.shape == (1, 1)
-
-
 class TestExtractPatches:
     def test_layout_and_values(self):
         # 1 series, 8 steps, 2 channels; P=4, S=2 -> N=3
@@ -128,8 +113,7 @@ class TestExtractPatches:
         w = rng.standard_normal((2, 2, 3, 4))
 
         def loss(t):
-            p = engine.extract_patches(t, 4, 2)
-            return engine.reduce_sum(engine.mul(p, Tensor(w)))
+            return weighted_sum(engine.extract_patches(t, 4, 2), w)
 
         check_gradients(loss, x0)
 
@@ -138,35 +122,48 @@ class TestBackwardSemantics:
     def test_requires_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            y = engine.mul(x, 2.0)
+            y = engine.gelu(x)
             with pytest.raises(ContractError):
                 backward(y, tape)
 
     def test_simple_chain(self):
-        x = Tensor(3.0, requires_grad=True)
+        # 3 * gelu(x @ w) for one row: x gets 3 * gelu'(x w) wᵀ
+        x0, w0 = np.array([[0.5, -1.0]]), np.array([[2.0], [0.5]])
+        x = Tensor(x0, requires_grad=True)
         with Tape() as tape:
-            y = engine.add(engine.mul(x, x), engine.mul(2.0, x))  # 2x + 2 = 8
-            backward(y, tape)
-        assert x.grad == pytest.approx(8.0)
+            backward(weighted_sum(engine.gelu(engine.matmul(x, Tensor(w0))),
+                                  3.0), tape)
+        z = 0.5                                       # x0 @ w0
+        slope = (0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+                 + z * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+        np.testing.assert_allclose(x.grad, 3.0 * slope * w0.T, rtol=1e-15)
 
     def test_reuse_fanout(self):
-        x = Tensor(2.0, requires_grad=True)
-        with Tape() as tape:
-            y = engine.mul(engine.mul(x, x), x)   # 3x^2 = 12
-            backward(y, tape)
-        assert x.grad == pytest.approx(12.0)
+        # x as both the input and the residual of one layer norm normalises
+        # 2x, and x takes both halves of the grad
+        rng = np.random.default_rng(14)
+        x0, c = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+        gain, bias = Tensor(rng.standard_normal(5)), Tensor(rng.standard_normal(5))
+        x = Tensor(x0, requires_grad=True)
+        z = Tensor(2.0 * x0, requires_grad=True)
+        for a, r in ((x, x), (z, None)):
+            with Tape() as tape:
+                backward(weighted_sum(
+                    engine.layer_norm(a, gain, bias, residual=r), c), tape)
+        np.testing.assert_array_equal(x.grad, 2.0 * z.grad)
 
     def test_leaf_grads_accumulate_across_calls(self):
-        x = Tensor(1.0, requires_grad=True)
+        x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
         with Tape() as tape:
-            y = engine.mul(x, 5.0)
+            y = weighted_sum(engine.gelu(x), 1.0)
             backward(y, tape)
+            first = x.grad.copy()
             backward(y, tape)
-        assert x.grad == pytest.approx(10.0)
+        np.testing.assert_array_equal(x.grad, 2.0 * first)
 
     def test_no_tape_records_nothing(self):
         x = Tensor(1.0, requires_grad=True)
-        y = engine.mul(x, 3.0)
+        y = engine.gelu(x)
         assert not y.requires_grad
         tape = Tape()
         assert len(tape) == 0
@@ -174,30 +171,20 @@ class TestBackwardSemantics:
     def test_untracked_inputs_skip_nodes(self):
         a = Tensor(1.0)
         with Tape() as tape:
-            _ = engine.mul(a, 2.0)
+            _ = engine.gelu(a)
         assert len(tape) == 0
-
-    def test_broadcast_bias_grad(self):
-        x = Tensor(np.ones((4, 3)), requires_grad=True)
-        b = Tensor(np.zeros(3), requires_grad=True)
-        with Tape() as tape:
-            y = engine.reduce_sum(engine.add(x, b))
-            backward(y, tape)
-        np.testing.assert_allclose(b.grad, [4.0, 4.0, 4.0])
-        np.testing.assert_allclose(x.grad, np.ones((4, 3)))
-
 
     def test_dead_branch_skipped(self):
         # a node whose output never reaches the loss keeps grad None and
         # leaves the leaf grads as they are without it
         def run(side_branch):
-            x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
-            w = Tensor(np.array([1.5, 0.25, -2.0]), requires_grad=True)
+            x = Tensor(np.array([[0.5, -1.0, 2.0]]), requires_grad=True)
+            w = Tensor(np.array([[1.5], [0.25], [-2.0]]), requires_grad=True)
             with Tape() as tape:
-                h = engine.gelu(engine.mul(x, w))
-                side = engine.mul(engine.gelu(h), w) if side_branch else None
-                loss = engine.reduce_sum(engine.mul(h, h))
-                backward(loss, tape)
+                h = engine.gelu(engine.matmul(x, w))
+                side = (engine.gelu(engine.matmul(x, w)) if side_branch
+                        else None)
+                backward(weighted_sum(h, h.data), tape)
             return x, w, h, side
 
         x, w, h, side = run(side_branch=True)
@@ -208,69 +195,89 @@ class TestBackwardSemantics:
         np.testing.assert_array_equal(w.grad, w0.grad)
 
     def test_fanout_inputs_own_their_grads(self):
-        # add hands the same upstream grad to both inputs; a accumulates
-        # again afterwards through the mul recorded before the add
-        c = np.arange(6.0).reshape(2, 3)
-        a = Tensor(np.ones((2, 3)), requires_grad=True)
-        b = Tensor(np.ones((2, 3)), requires_grad=True)
-        with Tape() as tape:
-            early = engine.mul(a, 3.0)
-            s = engine.add(a, b)
-            loss = engine.add(engine.reduce_sum(engine.mul(s, Tensor(c))),
-                              engine.reduce_sum(early))
-            backward(loss, tape)
-        np.testing.assert_array_equal(b.grad, c)
-        np.testing.assert_array_equal(a.grad, c + 3.0)
+        # layer_norm hands one grad gy to its input and its residual: a leaf
+        # is one of them and gelu of the leaf the other, so the leaf adds
+        # gelu's grad into its own copy later and gelu's output keeps gy
+        rng = np.random.default_rng(15)
+        x0, c = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        gain, bias = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal(4))
+        for leaf_is_input in (True, False):
+            x = Tensor(x0, requires_grad=True)
+            with Tape() as tape:
+                mid = engine.gelu(x)
+                pair = (x, mid) if leaf_is_input else (mid, x)
+                backward(weighted_sum(engine.layer_norm(
+                    pair[0], gain, bias, residual=pair[1]), c), tape)
+            a, r = (Tensor(t.data, requires_grad=True) for t in pair)
+            with Tape() as tape:
+                backward(weighted_sum(engine.layer_norm(
+                    a, gain, bias, residual=r), c), tape)
+            gy = a.grad
+            leaf = Tensor(x0, requires_grad=True)
+            with Tape() as tape:
+                backward(weighted_sum(engine.gelu(leaf), gy), tape)
+            np.testing.assert_array_equal(r.grad, gy)
+            np.testing.assert_array_equal(mid.grad, gy)
+            np.testing.assert_array_equal(x.grad, gy + leaf.grad)
+            assert not np.shares_memory(x.grad, mid.grad)
 
     def test_leaf_first_grad_through_views(self):
-        # x's first grad is a view of y's (swapaxes) and of z's (reshape)
-        c = np.arange(24.0).reshape(4, 3, 2)
-        d = np.arange(24.0).reshape(24) * 0.5
-        x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
-        with Tape() as tape:
-            early = engine.mul(x, 2.0)
-            y = engine.swapaxes(x, 0, 2)
-            z = engine.reshape(x, (24,))
-            loss = engine.add(
-                engine.add(engine.reduce_sum(engine.mul(y, Tensor(c))),
-                           engine.reduce_sum(engine.mul(z, Tensor(d)))),
-                engine.reduce_sum(early))
-            backward(loss, tape)
-        np.testing.assert_array_equal(y.grad, c)
-        np.testing.assert_array_equal(z.grad, d)
+        # attention hands each projection weight a column view of one
+        # [D, 3D] grad; each is copied, so the query weight's later grad
+        # from an earlier matmul adds into its own buffer only
+        rng = np.random.default_rng(16)
+        d = 4
+        p = AttentionParams(*(Tensor(rng.standard_normal(shape) * 0.5,
+                                     requires_grad=True)
+                              for _ in range(4) for shape in ((d, d), (d,))))
+        weights = (p.wq, p.wk, p.wv)
+        x = Tensor(rng.standard_normal((2, 3, d)))
+        c = rng.standard_normal((2, 3, d))
+
+        def run(make_input):
+            for w in weights:
+                w.zero_grad()
+            with Tape() as tape:
+                backward(weighted_sum(engine.multi_head_attention(
+                    make_input(), p, heads=2), c), tape)
+            return [w.grad for w in weights]
+
+        taped = run(lambda: engine.matmul(x, p.wq))
+        h = Tensor(x.data @ p.wq.data, requires_grad=True)
+        alone = run(lambda: h)
+        np.testing.assert_array_equal(taped[1], alone[1])
+        np.testing.assert_array_equal(taped[2], alone[2])
         np.testing.assert_array_equal(
-            x.grad, np.swapaxes(c, 0, 2) + d.reshape(2, 3, 4) + 2.0)
+            taped[0], alone[0] + x.data.reshape(-1, d).T @ h.grad.reshape(-1, d))
+        for i, g in enumerate(taped):
+            assert g.flags.c_contiguous
+            assert not any(np.shares_memory(g, o) for o in taped[i + 1:])
 
     def test_upstream_grads_unchanged(self):
+        # no VJP writes into the upstream grad it reads; bias takes a second
+        # grad, added into its first write
         rng = np.random.default_rng(12)
-        c = rng.standard_normal((4, 3))
-        c2 = rng.standard_normal((3, 4))
-        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        # bias also takes a second grad, added into the first write
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         gain = Tensor(rng.standard_normal(4), requires_grad=True)
         bias = Tensor(rng.standard_normal(4), requires_grad=True)
-        v = Tensor(rng.standard_normal((3, 4)))
+        c = rng.standard_normal((3, 4))
         with Tape() as tape:
-            early = engine.mul(x, w)
-            early_bias = engine.mul(bias, 2.0)
-            s = engine.sub(x, w)
-            r = engine.swapaxes(s, 0, 1)
-            n = engine.layer_norm(v, gain, bias)
-            loss = engine.add(engine.reduce_sum(engine.mul(r, Tensor(c))),
-                              engine.reduce_sum(early))
-            loss = engine.add(loss, engine.add(
-                engine.reduce_sum(engine.mul(n, Tensor(c2))),
-                engine.reduce_sum(early_bias)))
-            backward(loss, tape)
-        np.testing.assert_array_equal(r.grad, c)
-        np.testing.assert_array_equal(s.grad, c.T)
-        np.testing.assert_array_equal(early.grad, np.ones((3, 4)))
-        np.testing.assert_array_equal(n.grad, c2)
-        np.testing.assert_allclose(bias.grad, c2.sum(axis=0) + 2.0,
+            h = engine.matmul(a, w, bias)
+            g = engine.gelu(h)
+            n = engine.layer_norm(g, gain, bias, residual=h)
+            backward(weighted_sum(n, c), tape)
+        leaves = [Tensor(t.data, requires_grad=True) for t in (g, h)]
+        with Tape() as tape:
+            backward(weighted_sum(engine.layer_norm(
+                leaves[0], Tensor(gain.data), Tensor(bias.data),
+                residual=leaves[1]), c), tape)
+        np.testing.assert_array_equal(n.grad, c)
+        np.testing.assert_array_equal(g.grad, leaves[0].grad)
+        np.testing.assert_allclose(bias.grad, c.sum(axis=0) + h.grad.sum(axis=0),
                                    rtol=1e-15)
-        np.testing.assert_allclose(x.grad, c.T + w.data, rtol=1e-15)
-        np.testing.assert_allclose(w.grad, -c.T + x.data, rtol=1e-15)
+        np.testing.assert_allclose(a.grad, h.grad @ w.data.T, rtol=1e-15)
+        np.testing.assert_allclose(w.grad, a.data.T @ h.grad, rtol=1e-15)
 
     @settings(max_examples=25, deadline=None)
     @given(cfg=tiny_configs(), data_seed=st.integers(0, 2**32 - 1))
@@ -297,34 +304,9 @@ class TestBackwardSemantics:
 class TestPrimitiveGradients:
     """Finite-difference checks on every differentiable primitive."""
 
-    def test_elementwise(self):
-        rng = np.random.default_rng(1)
-        x0 = rng.standard_normal((3, 4))
-        c = rng.standard_normal((3, 4))
-        check_gradients(lambda t: engine.reduce_sum(engine.mul(t, Tensor(c))), x0)
-        check_gradients(lambda t: engine.reduce_sum(engine.div(Tensor(c), engine.add(t, 5.0))), x0)
-        check_gradients(lambda t: engine.reduce_sum(engine.sub(t, engine.mul(t, t))), x0)
-
-    def test_sqrt(self):
-        rng = np.random.default_rng(2)
-        x0 = rng.random((5,)) + 0.5
-        check_gradients(lambda t: engine.reduce_sum(engine.sqrt(t)), x0)
-
-    def test_sqrt_grad_is_zero_at_zero(self):
-        # unbounded at 0, so the adjoint takes 0 there; elsewhere it is
-        # g * 0.5 / sqrt(x) to the bit
-        x0 = np.array([0.0, 0.25, 2.0, 0.0, 1e-300])
-        g = np.array([1.5, -2.0, 3.0, 0.0, 1.0])
-        x = Tensor(x0, requires_grad=True)
-        with Tape() as tape:
-            backward(engine.reduce_sum(engine.mul(engine.sqrt(x), g)), tape)
-        nz = x0 != 0.0
-        assert np.all(x.grad[~nz] == 0.0)
-        assert x.grad[nz].tobytes() == (g[nz] * 0.5 / np.sqrt(x0[nz])).tobytes()
-
     def test_gelu(self):
         rng = np.random.default_rng(3)
-        check_gradients(lambda t: engine.reduce_sum(engine.gelu(t)),
+        check_gradients(lambda t: weighted_sum(engine.gelu(t), 1.0),
                         rng.standard_normal((4, 4)))
 
     def test_layer_norm(self):
@@ -334,7 +316,7 @@ class TestPrimitiveGradients:
         g = Tensor(rng.standard_normal(6))
         b = Tensor(rng.standard_normal(6))
         check_gradients(
-            lambda t: engine.reduce_sum(engine.mul(engine.layer_norm(t, g, b), Tensor(c))),
+            lambda t: weighted_sum(engine.layer_norm(t, g, b), c),
             x0, rtol=1e-4, atol=1e-6)
 
     def test_layer_norm_affine_params(self):
@@ -343,8 +325,8 @@ class TestPrimitiveGradients:
         c = rng.standard_normal((3, 6))
         g0 = rng.standard_normal(6)
         check_gradients(
-            lambda t: engine.reduce_sum(
-                engine.mul(engine.layer_norm(x, t, Tensor(np.zeros(6))), Tensor(c))),
+            lambda t: weighted_sum(
+                engine.layer_norm(x, t, Tensor(np.zeros(6))), c),
             g0)
 
     def test_layer_norm_rank4_broadcast_affine(self):
@@ -353,8 +335,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(16)
         c = rng.standard_normal((2, 3, 4, 5))
         check_gradients_jointly(
-            lambda x, g, b: engine.reduce_sum(engine.mul(
-                engine.layer_norm(x, g, b), Tensor(c))),
+            lambda x, g, b: weighted_sum(engine.layer_norm(x, g, b), c),
             [rng.standard_normal((2, 3, 4, 5)) * 3 + 1,
              rng.standard_normal((5,)), rng.standard_normal((5,))],
             rtol=1e-4, atol=1e-6)
@@ -368,8 +349,8 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(17)
         c = rng.standard_normal((2, 3, 5))
         check_gradients_jointly(
-            lambda x, r, g, b: engine.reduce_sum(engine.mul(
-                engine.layer_norm(x, g, b, residual=r), Tensor(c))),
+            lambda x, r, g, b: weighted_sum(
+                engine.layer_norm(x, g, b, residual=r), c),
             [rng.standard_normal((2, 3, 5)), rng.standard_normal((2, 3, 5)),
              rng.standard_normal(5), rng.standard_normal(5)],
             rtol=1e-4, atol=1e-6)
@@ -382,13 +363,12 @@ class TestPrimitiveGradients:
         c = rng.standard_normal((3, 6))
         r0 = rng.standard_normal((3, 6))
         check_gradients(
-            lambda r: engine.reduce_sum(engine.mul(
-                engine.layer_norm(x, g, b, residual=r), Tensor(c))),
+            lambda r: weighted_sum(engine.layer_norm(x, g, b, residual=r), c),
             r0, rtol=1e-4, atol=1e-6)
-        # the fused sum is the two-node add + layer_norm to the bit
+        # the fused sum is x + residual normalised, to the bit
         np.testing.assert_array_equal(
             engine.layer_norm(x, g, b, residual=Tensor(r0)).data,
-            engine.layer_norm(engine.add(x, Tensor(r0)), g, b).data)
+            engine.layer_norm(Tensor(x.data + r0), g, b).data)
 
     def test_layer_norm_residual_shares_one_grad(self):
         rng = np.random.default_rng(19)
@@ -399,7 +379,7 @@ class TestPrimitiveGradients:
             out = engine.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)),
                                     residual=r)
             assert len(tape) == 1
-            backward(engine.reduce_sum(engine.mul(out, c)), tape)
+            backward(weighted_sum(out, c), tape)
         np.testing.assert_array_equal(x.grad, r.grad)
         assert not np.shares_memory(x.grad, r.grad)
         with pytest.raises(ContractError, match="residual"):
@@ -417,9 +397,9 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(7)
         a0 = rng.standard_normal((3, 4))
         b = Tensor(rng.standard_normal((4, 2)))
-        check_gradients(lambda t: engine.reduce_sum(engine.matmul(t, b)), a0)
+        check_gradients(lambda t: weighted_sum(engine.matmul(t, b), 1.0), a0)
         a = Tensor(a0)
-        check_gradients(lambda t: engine.reduce_sum(engine.matmul(a, t)),
+        check_gradients(lambda t: weighted_sum(engine.matmul(a, t), 1.0),
                         rng.standard_normal((4, 2)))
 
     def test_matmul_with_bias(self):
@@ -429,8 +409,8 @@ class TestPrimitiveGradients:
         b0 = rng.standard_normal(5)
         c = rng.standard_normal((2, 3, 5))
         check_gradients_jointly(
-            lambda a, w, b: engine.reduce_sum(engine.mul(
-                engine.matmul(a, w, b), Tensor(c))), [a0, w0, b0])
+            lambda a, w, b: weighted_sum(engine.matmul(a, w, b), c),
+            [a0, w0, b0])
         with Tape() as tape:
             out = engine.matmul(Tensor(a0, requires_grad=True), Tensor(w0),
                                 Tensor(b0))
@@ -449,8 +429,7 @@ class TestPrimitiveGradients:
             engine.patch_mix(Tensor(x0), Tensor(w0)).data,
             np.einsum("bcmd,mn->bcnd", x0, w0), rtol=1e-13, atol=1e-13)
         check_gradients_jointly(
-            lambda x, w: engine.reduce_sum(engine.mul(
-                engine.patch_mix(x, w), Tensor(c))), [x0, w0])
+            lambda x, w: weighted_sum(engine.patch_mix(x, w), c), [x0, w0])
         with pytest.raises(ContractError, match="patch_mix"):
             engine.patch_mix(Tensor(x0), Tensor(np.eye(5)))
 
@@ -470,44 +449,64 @@ class TestPrimitiveGradients:
         x0 = rng.standard_normal((2, 3, 4))
         w0 = rng.standard_normal((4, 5))
         w = Tensor(w0)
-        check_gradients(lambda t: engine.reduce_sum(engine.matmul(t, w)), x0)
+        check_gradients(lambda t: weighted_sum(engine.matmul(t, w), 1.0), x0)
         x = Tensor(x0)
-        check_gradients(lambda t: engine.reduce_sum(engine.matmul(x, t)), w0)
+        check_gradients(lambda t: weighted_sum(engine.matmul(x, t), 1.0), w0)
 
     def test_matmul_noncontiguous_rank4_shared_weight(self):
-        # channel attention multiplies a swapaxes view [B, N, C, D] by [D, D]
+        # a strided [B, N, C, D] view of a [B, C, N, D] array times a shared
+        # [D, M] weight; the view's grad keeps the view's shape
         rng = np.random.default_rng(13)
         x0 = rng.standard_normal((2, 3, 4, 5))
         w0 = rng.standard_normal((5, 6))
         c = rng.standard_normal((2, 4, 3, 6))
+
+        def loss(xs, ws):
+            return weighted_sum(engine.matmul(xs, ws), c)
+
+        x = Tensor(x0.swapaxes(1, 2), requires_grad=True)
         w = Tensor(w0, requires_grad=True)
-        check_gradients(
-            lambda t: engine.reduce_sum(engine.mul(
-                engine.matmul(engine.swapaxes(t, 1, 2), w), Tensor(c))), x0)
-        x = Tensor(x0, requires_grad=True)
-        check_gradients(
-            lambda t: engine.reduce_sum(engine.mul(
-                engine.matmul(engine.swapaxes(x, 1, 2), t), Tensor(c))), w0)
+        assert not x.data.flags.c_contiguous
+        with Tape() as tape:
+            backward(loss(x, w), tape)
+        np.testing.assert_allclose(x.grad, numeric_grad(
+            lambda a: float(loss(Tensor(a), Tensor(w0)).data),
+            x0.swapaxes(1, 2).copy()), rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(w.grad, numeric_grad(
+            lambda a: float(loss(Tensor(x0.swapaxes(1, 2)), Tensor(a)).data),
+            w0.copy()), rtol=1e-5, atol=1e-7)
 
     def test_reshape_swapaxes(self):
+        # the head flattens each channel's tokens, multiplies and moves the
+        # horizon before the channels, in one node
         rng = np.random.default_rng(9)
-        x0 = rng.standard_normal((2, 3, 4))
-        c = rng.standard_normal((4, 3, 2))
-        check_gradients(
-            lambda t: engine.reduce_sum(engine.mul(
-                engine.swapaxes(t, 0, 2), Tensor(c))), x0)
-        c2 = rng.standard_normal((6, 4))
-        check_gradients(
-            lambda t: engine.reduce_sum(engine.mul(
-                engine.reshape(t, (6, 4)), Tensor(c2))), x0)
+        h0 = rng.standard_normal((2, 3, 4, 5))
+        w0 = rng.standard_normal((20, 6))
+        b0 = rng.standard_normal(6)
+        c = rng.standard_normal((2, 6, 3))
+        check_gradients_jointly(
+            lambda h, w, b: weighted_sum(linear_head(h, w, b), c),
+            [h0, w0, b0])
+        with Tape() as tape:
+            out = linear_head(Tensor(h0, requires_grad=True), Tensor(w0),
+                              Tensor(b0))
+        assert len(tape) == 1
+        np.testing.assert_array_equal(
+            out.data, (h0.reshape(2, 3, 20) @ w0 + b0).swapaxes(1, 2))
 
     def test_reduce_mean_axis(self):
+        # RevIN's [B, 1, C] statistics broadcast over the forecast's time
+        # axis; the inverse's gamma and beta grads sum over batch and time
         rng = np.random.default_rng(10)
-        x0 = rng.standard_normal((3, 5))
-        c = rng.standard_normal((3, 1))
-        check_gradients(
-            lambda t: engine.reduce_sum(engine.mul(
-                engine.reduce_mean(t, axis=1), Tensor(c))), x0)
+        _, state = revin_normalize(
+            Tensor(rng.standard_normal((2, 7, 3)) * 3 + 1),
+            RevINParams(Tensor(np.ones(3)), Tensor(np.zeros(3))))
+        c = rng.standard_normal((2, 5, 3))
+        check_gradients_jointly(
+            lambda y, g, b: weighted_sum(
+                revin_denormalize(y, RevINParams(g, b), state), c),
+            [rng.standard_normal((2, 5, 3)), rng.uniform(0.5, 2.0, 3),
+             rng.standard_normal(3)])
 
 
 def oracle_power_autocorrelation(x: np.ndarray) -> np.ndarray:
@@ -547,8 +546,8 @@ class TestSpectralPrimitives:
         x0 = 2.0 + 0.3 * rng.standard_normal((2, n, 3))
         assert np.all(oracle_power_autocorrelation(x0) > 0.5)
         c = rng.standard_normal((2, n, 3))
-        check_gradients(lambda t: engine.reduce_sum(engine.mul(
-            engine.power_autocorrelation(t), Tensor(c))), x0)
+        check_gradients(lambda t: weighted_sum(
+            engine.power_autocorrelation(t), c), x0)
 
     def test_clamped_lags_pass_no_gradient(self):
         # an alternating sequence has lags +1, -1, +1, -1; only lags 0 and 2
@@ -558,7 +557,7 @@ class TestSpectralPrimitives:
         x = Tensor(x0, requires_grad=True)
         with Tape() as tape:
             out = engine.power_autocorrelation(x)
-            backward(engine.reduce_sum(engine.mul(out, Tensor(c))), tape)
+            backward(weighted_sum(out, c), tape)
         np.testing.assert_array_equal(out.data[[1, 3]], 0.0)
         assert np.all(x.grad == 0.0)
 
@@ -567,7 +566,7 @@ class TestSpectralPrimitives:
         with Tape() as tape:
             out = engine.power_autocorrelation(x)
             assert len(tape) == 1
-            backward(engine.reduce_sum(out), tape)
+            backward(weighted_sum(out, 1.0), tape)
         assert x.grad is not None and np.all(np.isfinite(x.grad))
 
     def test_nontaped_transforms(self):
@@ -668,7 +667,7 @@ class TestAttention:
 
         def loss(t):
             y = engine.multi_head_attention(t, p, heads=2)
-            return engine.reduce_sum(engine.mul(y, Tensor(c)))
+            return weighted_sum(y, c)
 
         check_gradients(loss, x0, rtol=1e-4, atol=1e-6)
 
@@ -682,7 +681,7 @@ class TestAttention:
         def loss(t):
             q = AttentionParams(t, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo)
             y = engine.multi_head_attention(x, q, heads=2)
-            return engine.reduce_sum(engine.mul(y, Tensor(c)))
+            return weighted_sum(y, c)
 
         check_gradients(loss, wq0, rtol=1e-4, atol=1e-6)
 
@@ -817,7 +816,7 @@ class TestAttention:
                 x, AttentionParams(*weights), heads, token_axis=token_axis,
                 dropout_p=0.5 if dropout else 0.0, training=True,
                 rng=np.random.default_rng(seed))
-            return engine.reduce_sum(engine.mul(y, c))
+            return weighted_sum(y, c)
 
         check_gradients_jointly(loss, arrays)
 
@@ -902,7 +901,7 @@ class TestReferenceParity:
             x, r, g, b = leaves
             with Tape() as tape:
                 out = norm(x, g, b, residual=r)
-                backward(engine.reduce_sum(engine.mul(out, Tensor(c))), tape)
+                backward(weighted_sum(out, c), tape)
             results.append([out.data] + [t.grad for t in leaves])
         for name, got, want in zip(("out", "x", "residual", "gain", "bias"),
                                    *results):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from dctnet.numeric_engine import Tensor
+from dctnet.numeric_engine import Tape, Tensor
 from dctnet.errors import ConfigError
 from dctnet.model import ModelConfig
 from dctnet.patch_embed import PatchEmbedParams, embed_patches, \
     segment_patches
+
+from helpers import check_gradients_jointly, weighted_sum
 
 
 class TestGeometry:
@@ -92,8 +94,12 @@ class TestEmbedding:
     def test_position_table_size_must_match(self):
         rng = np.random.default_rng(4)
         params = self._params(4, 8, 3, rng)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"\(3, 8\).*\(5, 8\)"):
             embed_patches(Tensor(np.zeros((1, 1, 5, 4))), params)
+        # a table of the wrong width is refused the same way
+        params.pos = Tensor(np.zeros((3, 7)))
+        with pytest.raises(ConfigError, match="position table"):
+            embed_patches(Tensor(np.zeros((1, 1, 3, 4))), params)
 
     def test_pipeline_matches_manual_composition(self):
         rng = np.random.default_rng(5)
@@ -104,3 +110,22 @@ class TestEmbedding:
         manual = x[0, 16:32, 1] @ params.weight.data + params.bias.data \
             + params.pos.data[2]
         np.testing.assert_allclose(tokens.data[0, 1, 2], manual, atol=1e-12)
+
+    def test_one_node_gradient(self):
+        # projection, bias and positions are one node; each of the four
+        # inputs matches central differences
+        rng = np.random.default_rng(6)
+        arrays = [rng.standard_normal((2, 3, 4, 5)),
+                  rng.standard_normal((5, 6)), rng.standard_normal(6),
+                  rng.standard_normal((4, 6))]
+        c = rng.standard_normal((2, 3, 4, 6))
+
+        def loss(patches, weight, bias, pos):
+            return weighted_sum(embed_patches(
+                patches, PatchEmbedParams(weight, bias, pos)), c)
+
+        check_gradients_jointly(loss, arrays)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            embed_patches(leaves[0], PatchEmbedParams(*leaves[1:]))
+        assert len(tape) == 1

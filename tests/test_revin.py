@@ -5,10 +5,10 @@ import pytest
 
 from dctnet import numeric_engine as engine
 from dctnet.numeric_engine import Tape, Tensor, backward
-from dctnet.errors import ConfigError, SingularityError
+from dctnet.errors import ConfigError, ContractError, SingularityError
 from dctnet.revin import RevINParams, revin_denormalize, revin_normalize
 
-from helpers import check_gradients
+from helpers import check_gradients_jointly, weighted_sum
 
 
 def identity_params(c):
@@ -31,6 +31,17 @@ class TestNormalize:
         _, state = revin_normalize(Tensor(x), identity_params(1), eps=eps)
         assert state.std.data[0, 0, 0] == pytest.approx(np.sqrt(1.25 + eps),
                                                         rel=1e-12)
+
+    def test_statistics_in_sum_order(self):
+        # the mean and variance are time sums times 1/L, kept as [B, 1, C]
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((3, 11, 2)) * 7 + 3
+        _, state = revin_normalize(Tensor(x), identity_params(2), eps=1e-5)
+        mean = x.sum(axis=1, keepdims=True) * (1.0 / 11)
+        centered = x - mean
+        var = (centered * centered).sum(axis=1, keepdims=True) * (1.0 / 11)
+        assert state.mean.data.tobytes() == mean.tobytes()
+        assert state.std.data.tobytes() == np.sqrt(var + 1e-5).tobytes()
 
     def test_affine_applied_after_standardisation(self):
         x = np.array([[[0.0], [2.0]]])
@@ -102,19 +113,78 @@ class TestSingularity:
             revin_denormalize(Tensor(np.ones((1, 2, 1))), params, state)
 
 
+class TestShapes:
+    @pytest.mark.parametrize("c_gain", [1, 2])
+    def test_affine_must_match_channels(self, c_gain):
+        # a (1,) gain would broadcast over all three channels, a (2,) one
+        # would end in numpy's own broadcast error
+        x = Tensor(np.ones((2, 4, 3)))
+        params = RevINParams(gamma=Tensor(np.ones(c_gain)),
+                             beta=Tensor(np.zeros(3)))
+        with pytest.raises(ContractError, match="gamma and beta"):
+            revin_normalize(x, params)
+        _, state = revin_normalize(x, identity_params(3))
+        with pytest.raises(ContractError, match="gamma and beta"):
+            revin_denormalize(Tensor(np.ones((2, 5, 3))), params, state)
+
+    def test_state_of_other_batch_rejected(self):
+        _, state = revin_normalize(Tensor(np.ones((1, 4, 3))),
+                                   identity_params(3))
+        with pytest.raises(ContractError, match="1 windows and 3 channels"):
+            revin_denormalize(Tensor(np.ones((4, 5, 3))), identity_params(3),
+                              state)
+
+    def test_state_of_other_channels_rejected(self):
+        # a [1, 5, 1] forecast would broadcast to [1, 5, 3]
+        _, state = revin_normalize(Tensor(np.ones((1, 4, 3))),
+                                   identity_params(3))
+        with pytest.raises(ContractError, match="1 windows and 3 channels"):
+            revin_denormalize(Tensor(np.ones((1, 5, 1))), identity_params(1),
+                              state)
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ConfigError, match="L >= 1"):
+            revin_normalize(Tensor(np.zeros((2, 0, 3))), identity_params(3))
+
+
 class TestGradients:
     def test_through_normalize(self):
-        rng = np.random.default_rng(4)
-        x0 = rng.standard_normal((2, 6, 2))
-        c = rng.standard_normal((2, 6, 2))
-        params = RevINParams(gamma=Tensor(rng.uniform(0.5, 1.5, 2)),
-                             beta=Tensor(rng.standard_normal(2)))
+        # the statistics are constants, so a window that asks for its own
+        # gradient on a tape is refused; off the tape it is plain data
+        x = Tensor(np.random.default_rng(4).standard_normal((2, 6, 2)),
+                   requires_grad=True)
+        untaped, _ = revin_normalize(x, identity_params(2))
+        with Tape() as tape:
+            with pytest.raises(ContractError, match="constants"):
+                revin_normalize(x, identity_params(2))
+        assert len(tape) == 0
+        assert not untaped.requires_grad
 
-        def loss(t):
-            out, _ = revin_normalize(t, params)
-            return engine.reduce_sum(engine.mul(out, Tensor(c)))
+    def test_each_direction_records_one_node(self):
+        x = Tensor(np.random.default_rng(6).standard_normal((2, 8, 3)))
+        params = identity_params(3)
+        with Tape() as tape:
+            out, state = revin_normalize(x, params)
+            assert len(tape) == 1
+            revin_denormalize(out, params, state)
+            assert len(tape) == 2
+        assert not state.mean.requires_grad and not state.std.requires_grad
 
-        check_gradients(loss, x0, rtol=1e-4, atol=1e-6)
+    def test_round_trip_affine_gradient(self):
+        # gelu between the two directions, so the round trip is not the
+        # identity and gamma and beta get gradient through both nodes
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((3, 9, 2)) * 4 + 1)
+        c = rng.standard_normal((3, 9, 2))
+
+        def loss(gamma, beta):
+            params = RevINParams(gamma=gamma, beta=beta)
+            normed, state = revin_normalize(x, params)
+            back = revin_denormalize(engine.gelu(normed), params, state)
+            return weighted_sum(back, c)
+
+        gamma0 = rng.uniform(0.5, 1.5, 2) * np.array([1.0, -1.0])
+        check_gradients_jointly(loss, [gamma0, rng.standard_normal(2)])
 
     def test_affine_params_receive_gradient(self):
         rng = np.random.default_rng(5)
@@ -124,7 +194,7 @@ class TestGradients:
         with Tape() as tape:
             out, state = revin_normalize(x, params)
             back = revin_denormalize(out, params, state)
-            backward(engine.reduce_sum(engine.mul(back, back)), tape)
+            backward(weighted_sum(back, 2.0 * back.data), tape)
         assert params.gamma.grad is not None
         assert params.beta.grad is not None
         assert np.all(np.isfinite(params.gamma.grad))

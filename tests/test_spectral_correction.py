@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dctnet import numeric_engine as engine
 from dctnet.numeric_engine import Tape, Tensor, backward
 from dctnet.errors import ConfigError
 from dctnet.spectral_correction import (CorrectionConfig, apply_correction,
                                         correction_factor,
                                         power_autocorrelation)
 
-from helpers import check_gradients, check_gradients_jointly, naive_dft
+from helpers import (check_gradients, check_gradients_jointly, naive_dft,
+                     weighted_sum)
 
 
 def as_patch_tensor(values):
@@ -99,7 +99,7 @@ class TestCorrectionFactor:
             warnings.simplefilter("error", RuntimeWarning)
             with Tape() as tape:
                 out, alpha = apply_correction(h, x, CorrectionConfig())
-                backward(engine.reduce_sum(out), tape)
+                backward(weighted_sum(out, 1.0), tape)
         np.testing.assert_array_equal(alpha.data, 0.0)
         np.testing.assert_array_equal(h.grad, 0.0)
         np.testing.assert_array_equal(x.grad, 0.0)
@@ -220,7 +220,7 @@ class TestApplyCorrection:
         x = Tensor(rng.standard_normal((1, 1, 4, 2)), requires_grad=True)
         with Tape() as tape:
             out, _ = apply_correction(h, x, CorrectionConfig())
-            backward(engine.reduce_sum(engine.mul(out, out)), tape)
+            backward(weighted_sum(out, out.data), tape)
         assert h.grad is not None and np.all(np.isfinite(h.grad))
         assert x.grad is not None and np.all(np.isfinite(x.grad))
         assert np.abs(x.grad).max() > 0.0
@@ -232,7 +232,7 @@ class TestApplyCorrection:
 
         def loss_h(t):
             out, _ = apply_correction(t, x_fixed, CorrectionConfig())
-            return engine.reduce_sum(engine.mul(out, Tensor(c)))
+            return weighted_sum(out, c)
 
         check_gradients(loss_h, rng.standard_normal((1, 1, 4, 2)),
                         rtol=1e-3, atol=1e-6)
@@ -241,10 +241,29 @@ class TestApplyCorrection:
 
         def loss_x(t):
             out, _ = apply_correction(h_fixed, t, CorrectionConfig())
-            return engine.reduce_sum(engine.mul(out, Tensor(c)))
+            return weighted_sum(out, c)
 
         check_gradients(loss_x, rng.standard_normal((1, 1, 4, 2)),
                         rtol=1e-3, atol=1e-6)
+
+    def test_one_node_over_both_maps(self):
+        # h * alpha and alpha are one node; with h the same tensor as x, as
+        # when both middle stages are bypassed, both paths reach it
+        rng = np.random.default_rng(26)
+        h0 = rng.standard_normal((2, 3, 4, 2))
+        x0 = rng.standard_normal((2, 3, 4, 2))
+        c = rng.standard_normal((2, 3, 4, 2))
+        cfg = CorrectionConfig()
+        with Tape() as tape:
+            out, alpha = apply_correction(Tensor(h0, requires_grad=True),
+                                          Tensor(x0, requires_grad=True), cfg)
+        assert len(tape) == 1 and not alpha.requires_grad
+
+        def loss(h, x):
+            return weighted_sum(apply_correction(h, x, cfg)[0], c)
+
+        check_gradients_jointly(loss, [h0, x0])
+        check_gradients(lambda x: loss(x, x), x0)
 
 
 class TestAlphaNode:
@@ -272,8 +291,8 @@ class TestAlphaNode:
         assert np.all(alpha.data[0, :2] > 0.1)
         c = rng.standard_normal((1, 3, 1, 1))
         check_gradients_jointly(
-            lambda h, x: engine.reduce_sum(engine.mul(
-                correction_factor(h, x, cfg), Tensor(c))), [h0, x0])
+            lambda h, x: weighted_sum(correction_factor(h, x, cfg), c),
+            [h0, x0])
 
 
 class TestAlphaScaleLaws:
