@@ -29,6 +29,7 @@ from .rng import make_rng
 from .spectral_correction import CorrectionConfig, apply_correction
 
 ABLATION_STAGES = ("dbct", "gpaf", "fsc")
+_BLOCK_BYTES = 512 * 1024   # a quarter of a 2 MB L2: a block stays in cache
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,15 @@ def linear_head(h: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
             rng: Optional[np.random.Generator] = None) -> Forecast:
-    """Run one batch of windows [B, L, C] through the whole pipeline."""
+    """Run one batch of windows [B, L, C] through the whole pipeline.
+
+    With no tape recording and ``training`` False, the batch runs in blocks
+    of windows whose widest intermediate (the C·N·D token grid or the H·N·C²
+    and H·C·N² attention probabilities) fits ``_BLOCK_BYTES``, so inference
+    memory is bounded by the block, not by B.  A window's forecast does not
+    depend on its block.  Taped or training calls run as one block, since
+    the tape and the dropout draws span the whole batch.
+    """
     x = engine._as_tensor(x)
     if not np.all(np.isfinite(x.data)):
         raise DataError("input window contains NaN/Inf")
@@ -240,7 +249,26 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
             f"expected input [B, {cfg.seq_len}, {cfg.channels}] with B >= 1, "
             f"got {x.shape}"
         )
+    c, n, h = cfg.channels, cfg.num_patches, cfg.heads
+    widest = max(c * n * cfg.latent_dim, h * n * c * c, h * c * n * n)
+    rows, b = max(1, _BLOCK_BYTES // (8 * widest)), x.shape[0]
+    # a 1-window block's projections would be GEMVs when C·N = 1, which sum
+    # in another order than the batch's GEMM
+    if (training or engine.active_tape() is not None or c * n == 1
+            or rows >= b):
+        return Forecast(*_forward_block(x, params, cfg, training, rng))
+    parts = [_forward_block(engine._wrap(x.data[lo:lo + rows]), params, cfg)
+             for lo in range(0, b, rows)]
+    return Forecast(*(engine._wrap(np.concatenate([t.data for t in ts]))
+                      for ts in zip(*parts)))
 
+
+def _forward_block(x: Tensor, params: DCTNetParams, cfg: ModelConfig,
+                   training: bool = False,
+                   rng: Optional[np.random.Generator] = None
+                   ) -> tuple[Tensor, Tensor]:
+    """The pipeline on checked windows [B, L, C]: forecast values and alpha.
+    Stages are called through this module's names, which tracers replace."""
     normed, state = revin_normalize(x, params.revin, eps=cfg.revin_eps)
     x_patch = embed_patches(segment_patches(normed, cfg.patch_len, cfg.stride),
                             params.embed)
@@ -255,8 +283,7 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
     h_final, alpha = apply_correction(h, x_patch, cfg.correction,
                                       enabled=not cfg.disable_fsc)
     pred = linear_head(h_final, params.head_weight, params.head_bias)
-    values = revin_denormalize(pred, params.revin, state)
-    return Forecast(values=values, alpha=alpha)
+    return revin_denormalize(pred, params.revin, state), alpha
 
 
 def ablation_variant(cfg: ModelConfig, which: str) -> ModelConfig:

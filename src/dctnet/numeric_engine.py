@@ -189,14 +189,14 @@ def _affine(a: np.ndarray, w: Tensor, bias: Optional[Tensor]) -> np.ndarray:
     is a ``ContractError`` naming both."""
     if w.data.ndim != 2 or a.shape[-1:] != w.data.shape[:1]:
         raise ContractError(
-            f"matmul expects [..., K] @ [K, M], got {a.shape} and "
+            f"affine map expects [..., K] @ [K, M], got {a.shape} and "
             f"{w.data.shape}"
         )
     y = np.matmul(a, w.data)
     if bias is None:
         return y
     if bias.data.shape != w.data.shape[1:]:
-        raise ContractError(f"matmul bias is {bias.data.shape}, expected "
+        raise ContractError(f"affine bias is {bias.data.shape}, expected "
                             f"{w.data.shape[1:]}")
     # a new array, not +=: the in-place add changed glibc's heap placement
     # in a B=64 eval forward and raised its peak RSS 3.4 MB
@@ -215,22 +215,6 @@ def _affine_vjp(g: np.ndarray, a: np.ndarray, w: Tensor,
     if bias is not None and bias.requires_grad:
         bias.accumulate_grad(_col_sums(g), owned=True)
     return g @ w.data.T if input_grad else None
-
-
-def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """[..., K] @ [K, M] (+ bias [M]): every leading axis of ``a`` is batch,
-    ``w`` and ``bias`` are shared.  One tape node with the bias."""
-    a, w = _as_tensor(a), _as_tensor(w)
-    bias = None if bias is None else _as_tensor(bias)
-    out = _wrap(_affine(a.data, w, bias))
-
-    def bw():
-        ga = _affine_vjp(out.grad, a.data, w, bias, a.requires_grad)
-        if ga is not None:
-            a.accumulate_grad(ga, owned=True)
-
-    _record((a, w) if bias is None else (a, w, bias), out, bw)
-    return out
 
 
 def patch_mix(x: Tensor, w: Tensor) -> Tensor:

@@ -26,7 +26,6 @@ from .rng import make_rng
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-_EVAL_BLOCK_BYTES = 512 * 1024    # a quarter of a 2 MB L2: eval stays in cache
 _SQRT_MAX = math.sqrt(np.finfo(np.float64).max)   # larger entries square to inf
 
 
@@ -206,39 +205,28 @@ def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
              batch_size: int = 64) -> EvalResult:
     """MSE/MAE over every window of the dataset, plus the mean correction factor.
 
-    Errors are summed per batch of ``batch_size`` windows.  Each batch runs in
-    blocks of windows whose widest intermediate (the C·N·D token grid or the
-    H·N·C² and H·C·N² attention probabilities) fits ``_EVAL_BLOCK_BYTES``; a
-    window's forecast does not depend on its block, so neither do the scores.
-    A forecast or a score that overflows float64 is a ``DataError`` naming
-    the split.
+    Errors are summed per batch of ``batch_size`` windows, each one eval-mode
+    ``forward``, which runs it in cache-sized blocks.  A forecast or a score
+    that overflows float64 is a ``DataError`` naming the split.
     """
     batch_size = whole_number("batch_size", batch_size, at_least=1)
     if len(dataset) == 0:
         raise DataError(f"{dataset.split} dataset has no windows")
-    c, n, h = cfg.channels, cfg.num_patches, cfg.heads
-    widest = max(c * n * cfg.latent_dim, h * n * c * c, h * c * n * n)
-    rows = max(1, min(batch_size, _EVAL_BLOCK_BYTES // (8 * widest)))
-    if c * n == 1:      # a 1-window block's projections would be GEMVs, which
-        rows = batch_size       # sum in another order than the batch's GEMM
     sq_sum = abs_sum = alpha_sum = 0.0
     for start in range(0, len(dataset), batch_size):
         xb = dataset.inputs[start:start + batch_size]
-        yb = dataset.targets[start:start + batch_size]
         try:
-            blocks = [forward(xb[lo:lo + rows], params, cfg)
-                      for lo in range(0, len(xb), rows)]
+            fc = forward(xb, params, cfg)
         except DataError as exc:
             raise DataError(f"{dataset.split} split, windows {start}-"
                             f"{start + len(xb) - 1}: {exc}") from exc
-        values = np.concatenate([fc.values.data for fc in blocks])
-        # named: numpy would reuse a temporary's buffer, and its layout, for
-        # ``err``, and the sums below would then run in another order
-        err = values - yb
+        # the values stay held by ``fc``: numpy would reuse a temporary's
+        # buffer, and its layout, for ``err``, and the sums below would then
+        # run in another order
+        err = fc.values.data - dataset.targets[start:start + batch_size]
         sq_sum += float((err * err).sum())
         abs_sum += float(np.abs(err).sum())
-        alpha_sum += float(np.sum(np.concatenate(
-            [fc.alpha.data for fc in blocks])))
+        alpha_sum += float(np.sum(fc.alpha.data))
     if not np.isfinite(sq_sum):         # mae overflows only if mse does
         raise DataError(f"{dataset.split} split: mse overflows float64")
     count = dataset.targets.size

@@ -129,6 +129,23 @@ def reference_layer_norm(x, gain, bias, residual=None):
     return out
 
 
+def matmul(a, w, bias=None):
+    """[..., K] @ [K, M] (+ bias [M]) as one tape node, on the affine map
+    and adjoint that the patch embedding and the head share: every leading
+    axis of ``a`` is batch, ``w`` and ``bias`` are shared."""
+    a, w = engine._as_tensor(a), engine._as_tensor(w)
+    bias = None if bias is None else engine._as_tensor(bias)
+    out = engine._wrap(engine._affine(a.data, w, bias))
+
+    def bw():
+        ga = engine._affine_vjp(out.grad, a.data, w, bias, a.requires_grad)
+        if ga is not None:
+            a.accumulate_grad(ga, owned=True)
+
+    engine._record((a, w) if bias is None else (a, w, bias), out, bw)
+    return out
+
+
 def weighted_sum(t, c):
     """sum(t * c) as one tape node, c broadcast to t's shape: the scalar
     loss the gradient checks put on a primitive's output."""

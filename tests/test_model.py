@@ -1,11 +1,13 @@
 """Model assembly: config validation, init, forward contract, ablations."""
 
+import contextlib
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dctnet.model as model_module
 from dctnet.numeric_engine import Tape, Tensor, backward
@@ -278,6 +280,63 @@ class TestForward:
             x = rng.standard_normal((2, 8, 2)) * rng.uniform(0.1, 10)
             fc = forward(x, params, cfg)
             assert np.all(np.isfinite(fc.values.data)), flags
+
+
+class TestInferenceBlocks:
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=tiny_configs(), batch=st.integers(1, 20),
+           data_seed=st.integers(0, 2**32 - 1))
+    @example(cfg=ModelConfig(channels=1, seq_len=4, pred_len=2, patch_len=4,
+                             stride=1, latent_dim=4, heads=2),
+             batch=3, data_seed=0)          # one token per window
+    def test_block_budget_leaves_forecast_bitwise(self, cfg, batch,
+                                                  data_seed):
+        x = np.random.default_rng(data_seed).standard_normal(
+            (batch, cfg.seq_len, cfg.channels))
+        params = init_params(cfg)
+        got = []
+        for block_bytes in (1, 2**62):      # 1-window blocks, whole batches
+            with mock.patch.object(model_module, "_BLOCK_BYTES", block_bytes):
+                fc = forward(x, params, cfg)
+            got.append([(t.data.shape, t.data.tobytes())
+                        for t in (fc.values, fc.alpha)])
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("taped, training, calls", [
+        (False, False, [3, 3, 1]), (True, False, [7]), (False, True, [7]),
+    ], ids=["eval", "taped", "training"])
+    def test_only_untaped_eval_forwards_split(self, taped, training, calls):
+        # C=21 blocks hold 3 windows; the tape and the dropout draws span
+        # the whole batch
+        cfg = ModelConfig(channels=21)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((7, cfg.seq_len, cfg.channels))
+        block = model_module._forward_block
+        seen = []
+
+        def spy(x, *args):
+            seen.append(len(x.data))
+            return block(x, *args)
+
+        with mock.patch.object(model_module, "_forward_block", spy), \
+                (Tape() if taped else contextlib.nullcontext()):
+            fc = forward(x, init_params(cfg), cfg, training=training, rng=rng)
+        assert seen == calls
+        assert fc.values.shape == (7, cfg.pred_len, cfg.channels)
+
+    def test_untaped_forward_memory_is_bounded_by_the_block(self):
+        # the whole batch's [256, 11, 4, 21, 21] attention probabilities
+        # alone would take 38 MiB
+        cfg = ModelConfig(channels=21)
+        params = init_params(cfg)
+        x = np.random.default_rng(0).standard_normal((256, 96, 21))
+        tracemalloc.start()
+        try:
+            forward(x, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestAblationVariant:

@@ -15,7 +15,7 @@ from dctnet.revin import RevINParams, revin_denormalize, revin_normalize
 from dctnet.trainer import mse_loss
 
 from helpers import (assert_close_to_reference, assert_rows_stochastic,
-                     check_gradients, check_gradients_jointly,
+                     check_gradients, check_gradients_jointly, matmul,
                      oracle_attention, reference_autocorrelation,
                      numeric_grad, reference_autocorrelation_vjp,
                      reference_layer_norm, tiny_configs, weighted_sum)
@@ -47,17 +47,17 @@ class TestForwardValues:
     def test_matmul_known(self):
         a = Tensor([[1.0, 2.0]])
         b = Tensor([[3.0], [4.0]])
-        np.testing.assert_allclose(engine.matmul(a, b).data, [[11.0]])
+        np.testing.assert_allclose(matmul(a, b).data, [[11.0]])
 
     def test_matmul_shape_mismatch_names_both(self):
         a = Tensor(np.zeros((2, 3)))
         b = Tensor(np.zeros((4, 2)))
         with pytest.raises(ContractError, match=r"\(2, 3\).*\(4, 2\)"):
-            engine.matmul(a, b)
+            matmul(a, b)
         # the right operand is one shared [K, M] weight, never a batch
         batched = Tensor(np.zeros((2, 3, 5)))
         with pytest.raises(ContractError, match=r"\(2, 3\).*\(2, 3, 5\)"):
-            engine.matmul(a, batched)
+            matmul(a, batched)
 
     def test_gelu_fixed_points(self):
         x = Tensor([0.0, 1.0, -1.0, 0.5, 2.0])
@@ -131,7 +131,7 @@ class TestBackwardSemantics:
         x0, w0 = np.array([[0.5, -1.0]]), np.array([[2.0], [0.5]])
         x = Tensor(x0, requires_grad=True)
         with Tape() as tape:
-            backward(weighted_sum(engine.gelu(engine.matmul(x, Tensor(w0))),
+            backward(weighted_sum(engine.gelu(matmul(x, Tensor(w0))),
                                   3.0), tape)
         z = 0.5                                       # x0 @ w0
         slope = (0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
@@ -181,8 +181,8 @@ class TestBackwardSemantics:
             x = Tensor(np.array([[0.5, -1.0, 2.0]]), requires_grad=True)
             w = Tensor(np.array([[1.5], [0.25], [-2.0]]), requires_grad=True)
             with Tape() as tape:
-                h = engine.gelu(engine.matmul(x, w))
-                side = (engine.gelu(engine.matmul(x, w)) if side_branch
+                h = engine.gelu(matmul(x, w))
+                side = (engine.gelu(matmul(x, w)) if side_branch
                         else None)
                 backward(weighted_sum(h, h.data), tape)
             return x, w, h, side
@@ -242,7 +242,7 @@ class TestBackwardSemantics:
                     make_input(), p, heads=2), c), tape)
             return [w.grad for w in weights]
 
-        taped = run(lambda: engine.matmul(x, p.wq))
+        taped = run(lambda: matmul(x, p.wq))
         h = Tensor(x.data @ p.wq.data, requires_grad=True)
         alone = run(lambda: h)
         np.testing.assert_array_equal(taped[1], alone[1])
@@ -263,7 +263,7 @@ class TestBackwardSemantics:
         bias = Tensor(rng.standard_normal(4), requires_grad=True)
         c = rng.standard_normal((3, 4))
         with Tape() as tape:
-            h = engine.matmul(a, w, bias)
+            h = matmul(a, w, bias)
             g = engine.gelu(h)
             n = engine.layer_norm(g, gain, bias, residual=h)
             backward(weighted_sum(n, c), tape)
@@ -397,9 +397,9 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(7)
         a0 = rng.standard_normal((3, 4))
         b = Tensor(rng.standard_normal((4, 2)))
-        check_gradients(lambda t: weighted_sum(engine.matmul(t, b), 1.0), a0)
+        check_gradients(lambda t: weighted_sum(matmul(t, b), 1.0), a0)
         a = Tensor(a0)
-        check_gradients(lambda t: weighted_sum(engine.matmul(a, t), 1.0),
+        check_gradients(lambda t: weighted_sum(matmul(a, t), 1.0),
                         rng.standard_normal((4, 2)))
 
     def test_matmul_with_bias(self):
@@ -409,15 +409,15 @@ class TestPrimitiveGradients:
         b0 = rng.standard_normal(5)
         c = rng.standard_normal((2, 3, 5))
         check_gradients_jointly(
-            lambda a, w, b: weighted_sum(engine.matmul(a, w, b), c),
+            lambda a, w, b: weighted_sum(matmul(a, w, b), c),
             [a0, w0, b0])
         with Tape() as tape:
-            out = engine.matmul(Tensor(a0, requires_grad=True), Tensor(w0),
-                                Tensor(b0))
+            out = matmul(Tensor(a0, requires_grad=True), Tensor(w0),
+                         Tensor(b0))
         assert len(tape) == 1
         np.testing.assert_array_equal(out.data, a0 @ w0 + b0)
         with pytest.raises(ContractError, match="bias"):
-            engine.matmul(Tensor(a0), Tensor(w0), Tensor(np.zeros(4)))
+            matmul(Tensor(a0), Tensor(w0), Tensor(np.zeros(4)))
 
     def test_patch_mix(self):
         # w_time applied over the patch axis of [B, C, N, D]
@@ -449,9 +449,9 @@ class TestPrimitiveGradients:
         x0 = rng.standard_normal((2, 3, 4))
         w0 = rng.standard_normal((4, 5))
         w = Tensor(w0)
-        check_gradients(lambda t: weighted_sum(engine.matmul(t, w), 1.0), x0)
+        check_gradients(lambda t: weighted_sum(matmul(t, w), 1.0), x0)
         x = Tensor(x0)
-        check_gradients(lambda t: weighted_sum(engine.matmul(x, t), 1.0), w0)
+        check_gradients(lambda t: weighted_sum(matmul(x, t), 1.0), w0)
 
     def test_matmul_noncontiguous_rank4_shared_weight(self):
         # a strided [B, N, C, D] view of a [B, C, N, D] array times a shared
@@ -462,7 +462,7 @@ class TestPrimitiveGradients:
         c = rng.standard_normal((2, 4, 3, 6))
 
         def loss(xs, ws):
-            return weighted_sum(engine.matmul(xs, ws), c)
+            return weighted_sum(matmul(xs, ws), c)
 
         x = Tensor(x0.swapaxes(1, 2), requires_grad=True)
         w = Tensor(w0, requires_grad=True)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dctnet.model as model_module
 from dctnet import trainer
 from dctnet.numeric_engine import Tape, Tensor, backward
 from dctnet.data_io import (NormStats, WindowedDataset, checkpoint_save,
@@ -48,18 +49,19 @@ def scaled(ds, factor):
 
 
 def whole_batch_result(params, cfg, ds, batch_size):
-    """``evaluate`` as one forward per batch: the reference its cache-sized
-    blocks must match bit for bit."""
+    """``evaluate`` as one unblocked forward per batch: the reference its
+    cache-sized blocks must match bit for bit."""
     sq_sum = abs_sum = alpha_sum = 0.0
     count = alpha_count = 0
     for start in range(0, len(ds), batch_size):
-        fc = forward(Tensor(ds.inputs[start:start + batch_size]), params, cfg)
-        err = fc.values.data - ds.targets[start:start + batch_size]
+        values, alpha = model_module._forward_block(
+            Tensor(ds.inputs[start:start + batch_size]), params, cfg)
+        err = values.data - ds.targets[start:start + batch_size]
         sq_sum += float((err * err).sum())
         abs_sum += float(np.abs(err).sum())
         count += err.size
-        alpha_sum += float(np.sum(fc.alpha.data))
-        alpha_count += fc.alpha.data.size
+        alpha_sum += float(np.sum(alpha.data))
+        alpha_count += alpha.data.size
     return trainer.EvalResult(sq_sum / count, abs_sum / count,
                               alpha_sum / alpha_count, len(ds))
 
@@ -585,10 +587,14 @@ class TestEvaluate:
         cfg = micro_config()
         params = init_params(cfg)
         params.head_weight.data[:] = 1e308
-        with np.errstate(all="ignore"):
-            with pytest.raises(DataError, match="train split, windows 0-1: "
-                                                "forecast contains NaN/Inf"):
-                evaluate(params, cfg, tiny_dataset(4, cfg=cfg), batch_size=2)
+        for block_bytes in (1, 2**62):      # 1-window blocks, whole batches
+            with pytest.MonkeyPatch.context() as mp, \
+                    np.errstate(all="ignore"):
+                mp.setattr(model_module, "_BLOCK_BYTES", block_bytes)
+                with pytest.raises(DataError, match="train split, windows "
+                                   "0-1: forecast contains NaN/Inf$"):
+                    evaluate(params, cfg, tiny_dataset(4, cfg=cfg),
+                             batch_size=2)
 
     def test_overflowing_score_names_split_and_metric(self):
         cfg = micro_config()
@@ -620,7 +626,7 @@ class TestEvaluate:
     @settings(max_examples=50, deadline=None)
     @given(cfg=tiny_configs(), batch_size=st.sampled_from([1, 2, 7, 64]),
            n_windows=st.integers(1, 20), seed=st.integers(0, 99))
-    @example(cfg=ModelConfig(channels=1, seq_len=1, pred_len=1, patch_len=1,
+    @example(cfg=ModelConfig(channels=1, seq_len=8, pred_len=1, patch_len=8,
                              stride=1, latent_dim=4, heads=2, depth=2,
                              dropout=0.0),
              batch_size=2, n_windows=2, seed=0)     # one token per window
@@ -631,7 +637,7 @@ class TestEvaluate:
         want = whole_batch_result(params, cfg, ds, batch_size)
         for block_bytes in (1, 2**62):      # 1-window blocks, whole batches
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(trainer, "_EVAL_BLOCK_BYTES", block_bytes)
+                mp.setattr(model_module, "_BLOCK_BYTES", block_bytes)
                 assert evaluate(params, cfg, ds, batch_size) == want
 
     @pytest.mark.parametrize("channels, batch_size, seed", [
@@ -662,13 +668,14 @@ class TestEvaluate:
         cfg = ModelConfig(**model)
         ds = tiny_dataset(n_windows, cfg=cfg)
         seen = []
+        block = model_module._forward_block
 
         def spy(x, params, cfg, training=False, rng=None):
             assert not training
             seen.append(x.data)
-            return forward(x, params, cfg, training=training, rng=rng)
+            return block(x, params, cfg, training, rng)
 
-        monkeypatch.setattr(trainer, "forward", spy)
+        monkeypatch.setattr(model_module, "_forward_block", spy)
         evaluate(init_params(cfg), cfg, ds, batch_size=batch_size)
         assert [len(x) for x in seen] == calls
         np.testing.assert_array_equal(np.concatenate(seen), ds.inputs)
