@@ -5,6 +5,11 @@ Operations executed while a ``Tape`` is active append adjoint closures to
 it; ``backward`` replays the tape in reverse to populate ``grad`` on every
 leaf that requires it.  With no active tape the same functions are plain
 numpy computations, which is how evaluation-mode forwards run.
+
+The stack of active tapes is one per process, not per thread: a ``Tape``
+entered on one thread records the ops of every thread.  An untaped
+``model.forward`` runs its blocks on helper threads only when no tape is
+active, so no thread may enter a tape while another runs such a forward.
 """
 
 from __future__ import annotations

@@ -2,6 +2,10 @@
 
 import contextlib
 import dataclasses
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -282,6 +286,19 @@ class TestForward:
             assert np.all(np.isfinite(fc.values.data)), flags
 
 
+def helpers(count):
+    """Patch ``forward``'s helper-thread count to ``count``, whatever the
+    machine and its BLAS."""
+    return mock.patch.object(model_module, "_helpers", lambda blocks: count)
+
+
+def forecast_bytes(fc):
+    """Shape, memory layout and bytes of a forecast's values and alpha; an
+    axis of extent 1 has no say in the layout."""
+    return [(t.shape, [st for st, n in zip(t.data.strides, t.shape) if n > 1],
+             t.data.tobytes()) for t in (fc.values, fc.alpha)]
+
+
 class TestInferenceBlocks:
     @settings(max_examples=50, deadline=None)
     @given(cfg=tiny_configs(), batch=st.integers(1, 20),
@@ -294,13 +311,12 @@ class TestInferenceBlocks:
         x = np.random.default_rng(data_seed).standard_normal(
             (batch, cfg.seq_len, cfg.channels))
         params = init_params(cfg)
-        got = []
-        for block_bytes in (1, 2**62):      # 1-window blocks, whole batches
-            with mock.patch.object(model_module, "_BLOCK_BYTES", block_bytes):
-                fc = forward(x, params, cfg)
-            got.append([(t.data.shape, t.data.tobytes())
-                        for t in (fc.values, fc.alpha)])
-        assert got[0] == got[1]
+        with mock.patch.object(model_module, "_BLOCK_BYTES", 2**62):
+            want = forecast_bytes(forward(x, params, cfg))   # whole batches
+        for count in (0, 1, 3):
+            with mock.patch.object(model_module, "_BLOCK_BYTES", 1), \
+                    helpers(count):                         # 1-window blocks
+                assert forecast_bytes(forward(x, params, cfg)) == want, count
 
     @pytest.mark.parametrize("taped, training, calls", [
         (False, False, [3, 3, 1]), (True, False, [7]), (False, True, [7]),
@@ -321,7 +337,7 @@ class TestInferenceBlocks:
         with mock.patch.object(model_module, "_forward_block", spy), \
                 (Tape() if taped else contextlib.nullcontext()):
             fc = forward(x, init_params(cfg), cfg, training=training, rng=rng)
-        assert seen == calls
+        assert sorted(seen) == sorted(calls)    # helpers finish in any order
         assert fc.values.shape == (7, cfg.pred_len, cfg.channels)
 
     def test_untaped_forward_memory_is_bounded_by_the_block(self):
@@ -337,6 +353,116 @@ class TestInferenceBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+class TestHelperThreads:
+    """Blocks of an untaped forward on the caller and helper threads."""
+
+    cfg = micro_config()
+
+    def marked_windows(self, count):
+        """``count`` windows whose first entry is the window's index."""
+        x = np.random.default_rng(0).standard_normal(
+            (count, self.cfg.seq_len, self.cfg.channels))
+        x[:, 0, 0] = np.arange(count)
+        return x
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_earliest_failing_block_is_raised(self, count):
+        block = model_module._forward_block
+        second_failed = threading.Event()
+
+        def failing(x, *args):
+            first = int(x.data[0, 0, 0])
+            if first == 1:
+                # with helpers, the 3rd block fails first; the serial loop
+                # stops at the 2nd
+                second_failed.wait(timeout=5 if count else 0)
+                raise DataError("block 1")
+            if first == 2:
+                second_failed.set()
+                raise DataError("block 2")
+            return block(x, *args)
+
+        threads = threading.active_count()
+        x, params = self.marked_windows(6), init_params(self.cfg)
+        with mock.patch.object(model_module, "_BLOCK_BYTES", 1), \
+                helpers(count):
+            with mock.patch.object(model_module, "_forward_block", failing), \
+                    pytest.raises(DataError, match="^block 1$"):
+                forward(x, params, self.cfg)
+            assert second_failed.is_set() == (count > 0)
+            assert threading.active_count() == threads
+            forward(x, params, self.cfg)
+            assert threading.active_count() == threads
+
+    def test_more_helpers_than_cores_run_each_block_once(self):
+        # a thread switch every microsecond, so a block taken twice or
+        # skipped shows in the count or in the bits
+        x, params = self.marked_windows(64), init_params(self.cfg)
+        with mock.patch.object(model_module, "_BLOCK_BYTES", 2**62):
+            want = forecast_bytes(forward(x, params, self.cfg))
+        block = model_module._forward_block
+        seen = []
+
+        def spy(x, *args):
+            seen.extend(x.data[:, 0, 0])
+            return block(x, *args)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(model_module, "_BLOCK_BYTES", 1), \
+                    mock.patch.object(model_module, "_forward_block", spy), \
+                    helpers(8):
+                got = forecast_bytes(forward(x, params, self.cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(64))
+        assert got == want
+
+    def test_no_thread_to_spare_leaves_the_caller_alone(self):
+        x, params = self.marked_windows(5), init_params(self.cfg)
+        with mock.patch.object(model_module, "_BLOCK_BYTES", 2**62):
+            want = forecast_bytes(forward(x, params, self.cfg))
+        with mock.patch.object(model_module, "_BLOCK_BYTES", 1), \
+                mock.patch.object(threading.Thread, "start",
+                                  side_effect=RuntimeError("no thread")), \
+                helpers(2):
+            assert forecast_bytes(forward(x, params, self.cfg)) == want
+
+    @pytest.mark.parametrize("blas, cores, blocks, count", [
+        (1, 4, 10, 3), (1, 4, 3, 2), (1, 4, 1, 0), (1, 1, 10, 0),
+        (2, 4, 10, 0), (None, 4, 10, 0)])
+    def test_helpers_only_beside_a_one_thread_blas(self, blas, cores,
+                                                   blocks, count):
+        with mock.patch.object(model_module, "_blas_threads",
+                               lambda: blas), \
+                mock.patch.object(os, "sched_getaffinity", create=True,
+                                  return_value=set(range(cores))):
+            assert model_module._helpers(blocks) == count
+
+    def test_helpers_count_cpus_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_blas_threads", lambda: 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert model_module._helpers(10) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert model_module._helpers(10) == 0
+
+    @pytest.mark.skipif(model_module._blas_thread_getter() is None,
+                        reason="numpy does not bundle OpenBLAS here")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_probe_reads_the_loaded_blas(self, threads):
+        code = ("from dctnet import model; "
+                "print(model._blas_threads(), model._helpers(2**31))")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=60).stdout.split()
+        cores = len(os.sched_getaffinity(0))
+        assert out == [str(threads), str(cores - 1 if threads == 1 else 0)]
 
 
 class TestAblationVariant:

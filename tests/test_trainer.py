@@ -587,10 +587,13 @@ class TestEvaluate:
         cfg = micro_config()
         params = init_params(cfg)
         params.head_weight.data[:] = 1e308
-        for block_bytes in (1, 2**62):      # 1-window blocks, whole batches
+        # 1-window blocks, on the caller alone and beside a helper thread,
+        # which must inherit the errstate; whole batches
+        for block_bytes, helpers in ((1, 0), (1, 1), (2**62, 0)):
             with pytest.MonkeyPatch.context() as mp, \
                     np.errstate(all="ignore"):
                 mp.setattr(model_module, "_BLOCK_BYTES", block_bytes)
+                mp.setattr(model_module, "_helpers", lambda blocks: helpers)
                 with pytest.raises(DataError, match="train split, windows "
                                    "0-1: forecast contains NaN/Inf$"):
                     evaluate(params, cfg, tiny_dataset(4, cfg=cfg),
@@ -676,6 +679,8 @@ class TestEvaluate:
             return block(x, params, cfg, training, rng)
 
         monkeypatch.setattr(model_module, "_forward_block", spy)
+        # the caller alone takes the blocks in window order
+        monkeypatch.setattr(model_module, "_helpers", lambda blocks: 0)
         evaluate(init_params(cfg), cfg, ds, batch_size=batch_size)
         assert [len(x) for x in seen] == calls
         np.testing.assert_array_equal(np.concatenate(seen), ds.inputs)
