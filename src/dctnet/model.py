@@ -10,7 +10,6 @@ ablation switches that bypass individual stages.
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
 import dataclasses
 import functools
@@ -37,6 +36,9 @@ from .spectral_correction import CorrectionConfig, apply_correction
 
 ABLATION_STAGES = ("dbct", "gpaf", "fsc")
 _BLOCK_BYTES = 512 * 1024   # a quarter of a 2 MB L2: a block stays in cache
+# threads beside the caller on an untaped forward's blocks: one is the count
+# measured (on 2 cores), and each adds a block in flight to its memory
+_MAX_HELPERS = 1
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
     of windows whose widest intermediate (the C·N·D token grid or the H·N·C²
     and H·C·N² attention probabilities) fits ``_BLOCK_BYTES``, so inference
     memory is bounded by the output and the blocks in flight.  The blocks
-    run on the caller and on helper threads while the loaded BLAS runs one
+    run on the caller and on a helper thread while the loaded BLAS runs one
     thread (see ``_helpers``).  A window's forecast does not depend on its
     block or its thread.  Taped or training calls run as one block on the
     caller, since the tape and the dropout draws span the whole batch.
@@ -277,38 +279,36 @@ def _forward_blocks(x: np.ndarray, rows: int, params: DCTNetParams,
 
     Every thread takes the next block from one shared queue and keeps its
     result in the block's slot; the slots are concatenated in window order.
-    The output is allocated after the blocks on purpose: it then sits above
-    the heap their temporaries used, so glibc does not trim that heap after
-    every block of the next call.  On a 2-core VM, blocks writing into an
-    output allocated first tripled the minor faults and ran 21-35% slower.
     A failing block empties the queue; once every helper has joined, the
     error of the earliest failing block, the one a serial loop meets, is
-    raised.  Each helper runs in a copy of the caller's context, which
-    carries numpy's ``errstate``.
+    raised.  Every thread runs under the caller's numpy ``errstate``, which
+    a new thread would not inherit.
     """
     starts = range(0, x.shape[0], rows)
     parts: list = [None] * len(starts)
     queue = deque(range(len(starts)))       # pops are atomic across threads
     failed: dict[int, Exception] = {}
+    errstate = dict(np.geterr(), call=np.geterrcall())
 
     def drain() -> None:
-        while True:
-            try:
-                i = queue.popleft()
-            except IndexError:
-                return
-            try:
-                parts[i] = _forward_block(
-                    engine._wrap(x[starts[i]:starts[i] + rows]), params, cfg)
-            except Exception as exc:        # raised by the caller below
-                failed[i] = exc
-                queue.clear()
+        with np.errstate(**errstate):
+            while True:
+                try:
+                    i = queue.popleft()
+                except IndexError:
+                    return
+                try:
+                    parts[i] = _forward_block(
+                        engine._wrap(x[starts[i]:starts[i] + rows]), params,
+                        cfg)
+                except Exception as exc:    # raised by the caller below
+                    failed[i] = exc
+                    queue.clear()
 
     started = []
     try:
         for _ in range(_helpers(len(queue))):
-            helper = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(drain,))
+            helper = threading.Thread(target=drain)
             try:
                 helper.start()
             except RuntimeError:            # no thread to spare
@@ -325,18 +325,21 @@ def _forward_blocks(x: np.ndarray, rows: int, params: DCTNetParams,
 
 
 def _helpers(blocks: int) -> int:
-    """Threads to run beside the caller on ``blocks`` blocks: one per usable
-    core but the caller's while the loaded BLAS runs one thread, and none
-    otherwise, since BLAS's own threads then take the other cores.
+    """Threads to run beside the caller on ``blocks`` blocks: up to
+    ``_MAX_HELPERS``, one per usable core but the caller's, while the loaded
+    BLAS runs one thread, and none otherwise, since BLAS's own threads then
+    take the other cores.
 
     numpy releases the GIL inside BLAS calls and ufunc and einsum loops,
-    which is where a block spends most of its time.
+    which is where a block spends most of its time; a block's Python work
+    stays serial.  The usable cores are the affinity mask's, which does not
+    see a container's CPU quota.
     """
     if _blas_threads() != 1:
         return 0
     cores = (len(os.sched_getaffinity(0))
              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    return max(0, min(cores - 1, blocks - 1))
+    return max(0, min(_MAX_HELPERS, cores - 1, blocks - 1))
 
 
 def _blas_threads() -> Optional[int]:

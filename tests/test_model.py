@@ -342,17 +342,25 @@ class TestInferenceBlocks:
 
     def test_untaped_forward_memory_is_bounded_by_the_block(self):
         # the whole batch's [256, 11, 4, 21, 21] attention probabilities
-        # alone would take 38 MiB
+        # alone would take 38 MiB; on a one-thread BLAS and many cores, the
+        # blocks run beside as many helpers as the library starts
         cfg = ModelConfig(channels=21)
         params = init_params(cfg)
         x = np.random.default_rng(0).standard_normal((256, 96, 21))
-        tracemalloc.start()
-        try:
-            forward(x, params, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
+        for blas in (1, 2):
+            with mock.patch.object(model_module, "_blas_threads",
+                                   lambda: blas), \
+                    mock.patch.object(os, "sched_getaffinity", create=True,
+                                      return_value=set(range(64))):
+                assert model_module._helpers(2**31) == (
+                    model_module._MAX_HELPERS if blas == 1 else 0)
+                tracemalloc.start()
+                try:
+                    forward(x, params, cfg)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < 32 * 2**20, f"{blas}: {peak / 2**20:.1f} MiB"
 
 
 class TestHelperThreads:
@@ -432,8 +440,8 @@ class TestHelperThreads:
             assert forecast_bytes(forward(x, params, self.cfg)) == want
 
     @pytest.mark.parametrize("blas, cores, blocks, count", [
-        (1, 4, 10, 3), (1, 4, 3, 2), (1, 4, 1, 0), (1, 1, 10, 0),
-        (2, 4, 10, 0), (None, 4, 10, 0)])
+        (1, 2, 10, 1), (1, 64, 10, 1), (1, 4, 2, 1), (1, 4, 1, 0),
+        (1, 1, 10, 0), (2, 4, 10, 0), (None, 4, 10, 0)])
     def test_helpers_only_beside_a_one_thread_blas(self, blas, cores,
                                                    blocks, count):
         with mock.patch.object(model_module, "_blas_threads",
@@ -445,8 +453,10 @@ class TestHelperThreads:
     def test_helpers_count_cpus_without_an_affinity_call(self, monkeypatch):
         monkeypatch.setattr(model_module, "_blas_threads", lambda: 1)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert model_module._helpers(10) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert model_module._helpers(10) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert model_module._helpers(10) == 0
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert model_module._helpers(10) == 0
 
@@ -461,8 +471,13 @@ class TestHelperThreads:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True,
                              timeout=60).stdout.split()
-        cores = len(os.sched_getaffinity(0))
-        assert out == [str(threads), str(cores - 1 if threads == 1 else 0)]
+        cores = (len(os.sched_getaffinity(0))
+                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        # OpenBLAS runs no more threads than it sees cores
+        reported = min(threads, cores)
+        count = (min(model_module._MAX_HELPERS, cores - 1) if reported == 1
+                 else 0)
+        assert out == [str(reported), str(count)]
 
 
 class TestAblationVariant:
