@@ -12,8 +12,7 @@ from .errors import (CheckpointError, ConfigError, ContractError, DataError,
 from .model import (ABLATION_STAGES, DCTNetParams, Forecast, ModelConfig,
                     ablation_variant, forward, init_params)
 from .numeric_engine import Tape, Tensor, backward
-from .spectral_correction import (CorrectionConfig, apply_correction,
-                                  correction_factor, power_autocorrelation)
+from .spectral_correction import CorrectionConfig, apply_correction
 from .data_io import (NormStats, SeriesTable, SynthParams, WindowedDataset,
                       checkpoint_load, checkpoint_save, compute_stats,
                       load_csv, make_windows, save_csv, split_chronological,
@@ -30,9 +29,7 @@ __all__ = [
     "SeriesTable", "SingularityError", "SynthParams", "Tape", "Tensor",
     "TrainReport", "TrainSettings", "TrainingError", "WindowedDataset",
     "ablation_variant", "adam_step", "apply_correction", "backward",
-    "checkpoint_load", "checkpoint_save", "compute_stats",
-    "correction_factor", "evaluate", "fit", "flatten_grads", "forward",
-    "init_params", "load_csv", "make_windows", "mse_loss",
-    "power_autocorrelation", "save_csv", "split_chronological",
-    "synth_series",
+    "checkpoint_load", "checkpoint_save", "compute_stats", "evaluate", "fit",
+    "flatten_grads", "forward", "init_params", "load_csv", "make_windows",
+    "mse_loss", "save_csv", "split_chronological", "synth_series",
 ]

@@ -242,14 +242,15 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
             rng: Optional[np.random.Generator] = None) -> Forecast:
     """Run one batch of windows [B, L, C] through the whole pipeline.
 
-    With no tape recording and ``training`` False, the batch runs in blocks
-    of windows whose widest intermediate (the C·N·D token grid or the H·N·C²
-    and H·C·N² attention probabilities) fits ``_BLOCK_BYTES``, so inference
-    memory is bounded by the output and the blocks in flight.  The blocks
-    run on the caller and on a helper thread while the loaded BLAS runs one
-    thread (see ``_helpers``).  A window's forecast does not depend on its
-    block or its thread.  Taped or training calls run as one block on the
-    caller, since the tape and the dropout draws span the whole batch.
+    With no tape recording on the calling thread and ``training`` False,
+    the batch runs in blocks of windows whose widest intermediate (the
+    C·N·D token grid or the H·N·C² and H·C·N² attention probabilities)
+    fits ``_BLOCK_BYTES``, so inference memory is bounded by the output
+    and the blocks in flight.  The blocks run on the caller and on a
+    helper thread while the loaded BLAS runs one thread (see
+    ``_helpers``).  A window's forecast does not depend on its block or
+    its thread.  Taped or training calls run as one block on the caller,
+    since the tape and the dropout draws span the whole batch.
     """
     x = engine._as_tensor(x)
     if not np.all(np.isfinite(x.data)):

@@ -4,17 +4,15 @@ A ``Tensor`` wraps a row-major numpy array plus an optional gradient slot.
 Operations executed while a ``Tape`` is active append adjoint closures to
 it; ``backward`` replays the tape in reverse to populate ``grad`` on every
 leaf that requires it.  With no active tape the same functions are plain
-numpy computations, which is how evaluation-mode forwards run.
-
-The stack of active tapes is one per process, not per thread: a ``Tape``
-entered on one thread records the ops of every thread.  An untaped
-``model.forward`` runs its blocks on helper threads only when no tape is
-active, so no thread may enter a tape while another runs such a forward.
+numpy computations, which is how evaluation-mode forwards run.  Each
+thread has its own stack of active tapes, so a tape records only the ops
+of the thread that entered it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -84,18 +82,26 @@ class Tape:
         return len(self._nodes)
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPES.stack.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _TAPE_STACK.pop()
+        _TAPES.stack.pop()
 
 
-_TAPE_STACK: list[Tape] = []
+class _ThreadTapes(threading.local):
+    """The calling thread's stack of active tapes."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
+
+
+_TAPES = _ThreadTapes()
 
 
 def active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    stack = _TAPES.stack
+    return stack[-1] if stack else None
 
 
 def _wrap(data: np.ndarray) -> Tensor:
@@ -115,14 +121,14 @@ def _as_tensor(x) -> Tensor:
 def _records(inputs: Sequence[Tensor]) -> bool:
     """Whether an op on ``inputs`` is recorded: a tape is active and some
     input requires grad."""
-    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
+    return bool(_TAPES.stack) and any(t.requires_grad for t in inputs)
 
 
 def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn) -> None:
     """Append a node when a tape is active and some input requires grad."""
     if _records(inputs):
         out.requires_grad = True
-        _TAPE_STACK[-1]._nodes.append((out, backward_fn))
+        _TAPES.stack[-1]._nodes.append((out, backward_fn))
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -378,19 +384,6 @@ def autocorrelation_vjp(g: np.ndarray, state: tuple) -> np.ndarray:
     gz *= 2.0
     gz *= z
     return fft.hartley_matrix(n) @ gz
-
-
-def power_autocorrelation(x: Tensor) -> Tensor:
-    """``autocorrelation`` of ``x`` as one tape node."""
-    x = _as_tensor(x)
-    acf, state = autocorrelation(x.data, _records((x,)))
-    out = _wrap(acf)
-
-    def bw():
-        x.accumulate_grad(autocorrelation_vjp(out.grad, state), owned=True)
-
-    _record((x,), out, bw)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,23 +15,19 @@ input's, countering distribution drift between history and forecast.
 The guard is relative, so alpha does not change when both feature maps
 are scaled together; ``tiny``, the smallest normal float64, only keeps
 an all-zero input from dividing zero by zero.  The whole path is
-differentiable, so the correction shapes training too: ``correction_factor``
-records alpha as one tape node over both feature maps, and
-``apply_correction`` records the rescaled map, alpha folded in, as one node.
+differentiable, so the correction shapes training too: ``apply_correction``
+computes alpha and records the rescaled map, with alpha's adjoint folded
+in, as one tape node over both feature maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import numeric_engine as engine
-# power_autocorrelation is part of this module's interface: the taped
-# S_pred and S_input that alpha compares
-from .numeric_engine import (Tensor, autocorrelation, autocorrelation_vjp,
-                             power_autocorrelation)
+from .numeric_engine import Tensor, autocorrelation, autocorrelation_vjp
 from .errors import ConfigError, finite_number
 
 _TINY = float(np.finfo(np.float64).tiny)
@@ -48,19 +44,23 @@ class CorrectionConfig:
             "correction eps", self.eps, above=0.0))
 
 
-def _alpha(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig):
-    """alpha per series [B, C, 1, 1] and its adjoint: a function of alpha's
-    upstream grad and of an extra grad for ``h_global``, or None, that adds
-    both feature maps' grads.
+def apply_correction(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig,
+                     enabled: bool = True) -> tuple[Tensor, Tensor]:
+    """(h_global scaled by alpha, alpha per series [B, C, 1, 1]);
+    ``h_global`` itself and alpha exactly 1 when bypassed.
 
-    With num = sum(S_pred * S_input) and den = (1 + eps) * sum(S_input^2)
-    + tiny, the adjoint of alpha = sqrt(num / den) is
-    d(num/den) = g / (2 alpha), 0 where alpha is 0; then
-    dS_pred = d(num/den) / den * S_input and
+    The rescaled map is one tape node over both feature maps.  Its upstream
+    grad g reaches ``h_global`` as g * alpha and alpha as the per-series
+    g_alpha = sum(g * h_global).  With num = sum(S_pred * S_input) and
+    den = (1 + eps) * sum(S_input^2) + tiny, the adjoint of
+    alpha = sqrt(num / den) is d(num/den) = g_alpha / (2 alpha), 0 where
+    alpha is 0; then dS_pred = d(num/den) / den * S_input and
     dS_input = d(num/den) / den * S_pred
     - 2 (1 + eps) * d(num/den) * num / den^2 * S_input, each passed
     through the autocorrelation adjoint.
     """
+    if not enabled:
+        return h_global, Tensor(np.ones(h_global.shape[:2] + (1, 1)))
     if h_global.shape != x_patch.shape:
         raise ConfigError(
             f"feature shapes differ: {h_global.shape} vs {x_patch.shape}"
@@ -77,16 +77,19 @@ def _alpha(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig):
     den *= 1.0 + cfg.eps
     den += _TINY
     alpha = np.sqrt(num / den)
+    out = engine._wrap(h_global.data * alpha)
 
-    def vjp(g_alpha: np.ndarray, g_h: Optional[np.ndarray]) -> None:
+    def bw():
+        g = out.grad
+        g_alpha = engine._row_dots(g.reshape(series),
+                                   h_global.data.reshape(series))[..., None]
         g_ratio = np.zeros_like(alpha)
         np.divide(g_alpha * 0.5, alpha, out=g_ratio, where=alpha != 0.0)
         g_num = g_ratio / den
         if h_global.requires_grad:
-            g_pred = autocorrelation_vjp(g_num * s_input, pred_state)
-            if g_h is not None:
-                g_pred += g_h
-            h_global.accumulate_grad(g_pred, owned=True)
+            g_h = autocorrelation_vjp(g_num * s_input, pred_state)
+            g_h += g * alpha
+            h_global.accumulate_grad(g_h, owned=True)
         if x_patch.requires_grad:
             g_energy = -g_ratio * num / (den * den) * (1.0 + cfg.eps)
             g_input = g_energy * s_input
@@ -94,44 +97,6 @@ def _alpha(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig):
             g_input += g_num * s_pred
             x_patch.accumulate_grad(autocorrelation_vjp(
                 g_input, input_state), owned=True)
-
-    return alpha, vjp
-
-
-def correction_factor(h_global: Tensor, x_patch: Tensor,
-                      cfg: CorrectionConfig) -> Tensor:
-    """alpha per series: [B, C, 1, 1], one tape node over both feature
-    maps."""
-    alpha, vjp = _alpha(h_global, x_patch, cfg)
-    out = engine._wrap(alpha)
-
-    def bw():
-        vjp(out.grad, None)
-
-    engine._record((h_global, x_patch), out, bw)
-    return out
-
-
-def apply_correction(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig,
-                     enabled: bool = True) -> tuple[Tensor, Tensor]:
-    """(h_global scaled by alpha, alpha); ``h_global`` itself and alpha
-    exactly 1 when bypassed.
-
-    The rescaled map is one tape node over both feature maps: its upstream
-    grad g reaches ``h_global`` as g * alpha and alpha as the per-series
-    sum(g * h_global), which ``correction_factor``'s adjoint carries on.
-    """
-    if not enabled:
-        return h_global, Tensor(np.ones(h_global.shape[:2] + (1, 1)))
-    alpha, vjp = _alpha(h_global, x_patch, cfg)
-    out = engine._wrap(h_global.data * alpha)
-
-    def bw():
-        g = out.grad
-        series = g.shape[:2] + (-1,)
-        g_alpha = engine._row_dots(g.reshape(series),
-                                   h_global.data.reshape(series))[..., None]
-        vjp(g_alpha, g * alpha if h_global.requires_grad else None)
 
     engine._record((h_global, x_patch), out, bw)
     return out, engine._wrap(alpha)

@@ -70,8 +70,8 @@ class TestUnitarity:
 class TestRealDftMatrices:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_parts_of_transformed_identity(self, n):
-        # power_autocorrelation multiplies by these; dft must use the same
-        # matrix
+        # autocorrelation multiplies by Mr and by H = Mr - Mi; dft must use
+        # the same matrix
         mr, mi = fft.real_dft_matrices(n)
         full = fft.dft(np.eye(n))
         np.testing.assert_array_equal(mr, full.real)
@@ -81,8 +81,8 @@ class TestRealDftMatrices:
     @pytest.mark.parametrize("n", range(1, 65))
     def test_parts_are_orthogonal_halves_of_identity(self, n):
         # M = Mr + i Mi is symmetric and unitary, and M^2 is real, so
-        # Mr^2 + Mi^2 = I and Mr Mi = 0; power_autocorrelation's adjoint
-        # rests on both
+        # Mr^2 + Mi^2 = I and Mr Mi = 0; autocorrelation's Hartley form and
+        # its adjoint rest on both
         mr, mi = fft.real_dft_matrices(n)
         np.testing.assert_allclose(mr @ mr + mi @ mi, np.eye(n),
                                    rtol=0, atol=1e-12)

@@ -340,6 +340,42 @@ class TestInferenceBlocks:
         assert sorted(seen) == sorted(calls)    # helpers finish in any order
         assert fc.values.shape == (7, cfg.pred_len, cfg.channels)
 
+    def test_tape_on_another_thread_leaves_forward_untaped(self):
+        # a tape records only the thread that entered it, so this forward
+        # neither lands on it nor stops running in 3-window blocks
+        cfg = ModelConfig(channels=21)
+        params = init_params(cfg)
+        x = np.random.default_rng(0).standard_normal((64, cfg.seq_len, 21))
+        entered, release = threading.Event(), threading.Event()
+        tapes = []
+
+        def hold_a_tape():
+            with Tape() as tape:
+                tapes.append(tape)
+                entered.set()
+                release.wait(timeout=60)
+
+        holder = threading.Thread(target=hold_a_tape)
+        holder.start()
+        block = model_module._forward_block
+        seen = []
+
+        def spy(x, *args):
+            seen.append(len(x.data))
+            return block(x, *args)
+
+        try:
+            assert entered.wait(timeout=60)
+            with mock.patch.object(model_module, "_forward_block", spy):
+                fc = forward(x, params, cfg)
+        finally:
+            release.set()
+            holder.join(timeout=60)
+        assert not holder.is_alive()
+        assert len(tapes[0]) == 0
+        assert not fc.values.requires_grad and not fc.alpha.requires_grad
+        assert sorted(seen) == [1] + [3] * 21
+
     def test_untaped_forward_memory_is_bounded_by_the_block(self):
         # the whole batch's [256, 11, 4, 21, 21] attention probabilities
         # alone would take 38 MiB; on a one-thread BLAS and many cores, the

@@ -509,7 +509,7 @@ class TestPrimitiveGradients:
              rng.standard_normal(3)])
 
 
-def oracle_power_autocorrelation(x: np.ndarray) -> np.ndarray:
+def oracle_autocorrelation(x: np.ndarray) -> np.ndarray:
     """max(0, N^(-1/2) * sum_n x[n] * x[(n+m) mod N]) along axis -2, by
     direct summation, no FFT."""
     x = np.asarray(x, dtype=np.float64)
@@ -521,64 +521,60 @@ def oracle_power_autocorrelation(x: np.ndarray) -> np.ndarray:
     return np.maximum(out / np.sqrt(n), 0.0)
 
 
+def autocorrelation_fd(x0: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Central differences of sum(c * autocorrelation(x)) at ``x0``."""
+    return numeric_grad(
+        lambda x: float(np.sum(c * engine.autocorrelation(x, False)[0])),
+        x0.copy())
+
+
 class TestSpectralPrimitives:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_circular_autocorr_matches_time_domain_sum(self, n):
         rng = np.random.default_rng(20 + n)
         x = rng.standard_normal((2, n, 3))
-        out = engine.power_autocorrelation(Tensor(x))
-        np.testing.assert_allclose(out.data, oracle_power_autocorrelation(x),
+        out = engine.autocorrelation(x, False)[0]
+        np.testing.assert_allclose(out, oracle_autocorrelation(x),
                                    rtol=1e-12, atol=1e-12)
 
     def test_circular_autocorr_middle_axis_value(self):
         # the patch axis of [B, C, N, D]
         rng = np.random.default_rng(21)
         x = rng.standard_normal((2, 3, 7, 4))
-        out = engine.power_autocorrelation(Tensor(x))
+        out = engine.autocorrelation(x, False)[0]
         assert out.shape == x.shape
-        np.testing.assert_allclose(out.data, oracle_power_autocorrelation(x),
+        np.testing.assert_allclose(out, oracle_autocorrelation(x),
                                    rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 5, 8, 11, 16])
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_circular_autocorr_gradient_middle_axis(self, n):
         # 2 + small noise keeps every lag well above the clamp
         rng = np.random.default_rng(40 + n)
         x0 = 2.0 + 0.3 * rng.standard_normal((2, n, 3))
-        assert np.all(oracle_power_autocorrelation(x0) > 0.5)
+        assert np.all(oracle_autocorrelation(x0) > 0.5)
         c = rng.standard_normal((2, n, 3))
-        check_gradients(lambda t: weighted_sum(
-            engine.power_autocorrelation(t), c), x0)
+        state = engine.autocorrelation(x0, True)[1]
+        np.testing.assert_allclose(engine.autocorrelation_vjp(c, state),
+                                   autocorrelation_fd(x0, c),
+                                   rtol=1e-5, atol=1e-7)
 
     def test_clamped_lags_pass_no_gradient(self):
         # an alternating sequence has lags +1, -1, +1, -1; only lags 0 and 2
         # survive the clamp, so only their upstream grads reach x
         x0 = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
         c = np.array([0.0, 5.0, 0.0, -7.0])[:, None]   # on the clamped lags
-        x = Tensor(x0, requires_grad=True)
-        with Tape() as tape:
-            out = engine.power_autocorrelation(x)
-            backward(weighted_sum(out, c), tape)
-        np.testing.assert_array_equal(out.data[[1, 3]], 0.0)
-        assert np.all(x.grad == 0.0)
-
-    def test_circular_autocorr_records_one_node(self):
-        x = Tensor(np.array([1.0, 2.0, 3.0, 4.0])[:, None], requires_grad=True)
-        with Tape() as tape:
-            out = engine.power_autocorrelation(x)
-            assert len(tape) == 1
-            backward(weighted_sum(out, 1.0), tape)
-        assert x.grad is not None and np.all(np.isfinite(x.grad))
+        acf, state = engine.autocorrelation(x0, True)
+        np.testing.assert_array_equal(acf[[1, 3]], 0.0)
+        assert np.all(engine.autocorrelation_vjp(c, state) == 0.0)
+        assert np.all(autocorrelation_fd(x0, c) == 0.0)
 
     def test_nontaped_transforms(self):
+        # an untaped caller keeps no state, and gets the same lags
         rng = np.random.default_rng(52)
         x = rng.standard_normal((3, 8, 2))
-        leaf = Tensor(x, requires_grad=True)
-        out = engine.power_autocorrelation(leaf)
-        assert not out.requires_grad
-        with Tape() as tape:
-            taped = engine.power_autocorrelation(leaf)
-        assert len(tape) == 1
-        np.testing.assert_array_equal(out.data, taped.data)
+        out, state = engine.autocorrelation(x, False)
+        assert state is None
+        np.testing.assert_array_equal(out, engine.autocorrelation(x, True)[0])
 
 
 class TestAttention:

@@ -6,20 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dctnet.numeric_engine import Tape, Tensor, backward
+from dctnet.numeric_engine import Tape, Tensor, autocorrelation, backward
 from dctnet.errors import ConfigError
-from dctnet.spectral_correction import (CorrectionConfig, apply_correction,
-                                        correction_factor,
-                                        power_autocorrelation)
+from dctnet.spectral_correction import CorrectionConfig, apply_correction
 
 from helpers import (check_gradients, check_gradients_jointly, naive_dft,
                      weighted_sum)
 
 
-def as_patch_tensor(values):
-    """Wrap a 1-D sequence as [1, 1, N, 1] so it lies along the patch axis."""
-    v = np.asarray(values, dtype=float)
-    return Tensor(v.reshape(1, 1, -1, 1))
+def as_patch_array(values):
+    """A 1-D sequence as [1, 1, N, 1], so it lies along the patch axis."""
+    return np.asarray(values, dtype=float).reshape(1, 1, -1, 1)
 
 
 def oracle_autocorr(seq):
@@ -32,45 +29,45 @@ def oracle_autocorr(seq):
 
 class TestPowerAutocorrelation:
     def test_unit_impulse(self):
-        out = power_autocorrelation(as_patch_tensor([1.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data[0, 0, :, 0], [0.5, 0, 0, 0],
+        out = autocorrelation(as_patch_array([1.0, 0.0, 0.0, 0.0]), False)[0]
+        np.testing.assert_allclose(out[0, 0, :, 0], [0.5, 0, 0, 0],
                                    atol=1e-12)
 
     def test_zero_signal(self):
-        out = power_autocorrelation(Tensor(np.zeros((2, 3, 4, 2))))
-        np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
+        out = autocorrelation(np.zeros((2, 3, 4, 2)), False)[0]
+        np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_constant_signal(self):
         c = 1.7
-        out = power_autocorrelation(as_patch_tensor([c, c, c, c]))
-        np.testing.assert_allclose(out.data[0, 0, :, 0], 2 * c * c, atol=1e-12)
+        out = autocorrelation(as_patch_array([c, c, c, c]), False)[0]
+        np.testing.assert_allclose(out[0, 0, :, 0], 2 * c * c, atol=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(0)
         for n in (4, 5, 8, 11):
             seq = rng.standard_normal(n)
-            out = power_autocorrelation(as_patch_tensor(seq))
-            np.testing.assert_allclose(out.data[0, 0, :, 0],
+            out = autocorrelation(as_patch_array(seq), False)[0]
+            np.testing.assert_allclose(out[0, 0, :, 0],
                                        oracle_autocorr(seq), atol=1e-10)
 
     def test_lag_zero_dominates(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 2, 8, 4))
-        out = power_autocorrelation(Tensor(x)).data
+        out = autocorrelation(x, False)[0]
         lag0 = out[:, :, 0:1, :]
         assert np.all(out <= lag0 + 1e-9)
 
     def test_everything_nonnegative(self):
         rng = np.random.default_rng(2)
-        out = power_autocorrelation(Tensor(rng.standard_normal((2, 2, 16, 3))))
-        assert np.all(out.data >= 0.0)
+        out = autocorrelation(rng.standard_normal((2, 2, 16, 3)), False)[0]
+        assert np.all(out >= 0.0)
 
     def test_runs_along_patch_axis_only(self):
         # swapping feature dims must not change each dim's autocorrelation
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 1, 8, 2))
-        out = power_autocorrelation(Tensor(x)).data
-        swapped = power_autocorrelation(Tensor(x[..., ::-1].copy())).data
+        out = autocorrelation(x, False)[0]
+        swapped = autocorrelation(x[..., ::-1].copy(), False)[0]
         np.testing.assert_allclose(out[..., 0], swapped[..., 1], atol=1e-12)
 
 
@@ -79,14 +76,14 @@ class TestCorrectionFactor:
         rng = np.random.default_rng(10)
         x = Tensor(rng.standard_normal((2, 3, 8, 4)))
         cfg = CorrectionConfig()
-        alpha = correction_factor(x, x, cfg)
+        alpha = apply_correction(x, x, cfg)[1]
         assert alpha.shape == (2, 3, 1, 1)
         np.testing.assert_allclose(alpha.data, (1.0 + cfg.eps) ** -0.5,
                                    rtol=1e-15, atol=0.0)
 
     def test_all_zero_input_gives_zero_not_nan(self):
         zero = Tensor(np.zeros((1, 2, 8, 3)))
-        alpha = correction_factor(zero, zero, CorrectionConfig())
+        alpha = apply_correction(zero, zero, CorrectionConfig())[1]
         np.testing.assert_array_equal(alpha.data, 0.0)
 
     def test_all_zero_prediction_gives_finite_grads(self):
@@ -107,8 +104,8 @@ class TestCorrectionFactor:
     def test_zero_prediction_gives_zero(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.standard_normal((1, 2, 8, 3)))
-        alpha = correction_factor(Tensor(np.zeros((1, 2, 8, 3))), x,
-                                  CorrectionConfig())
+        alpha = apply_correction(Tensor(np.zeros((1, 2, 8, 3))), x,
+                                 CorrectionConfig())[1]
         np.testing.assert_allclose(alpha.data, 0.0, atol=1e-12)
 
     def test_positive_homogeneity(self):
@@ -118,14 +115,15 @@ class TestCorrectionFactor:
             h = Tensor(rng.standard_normal((1, 2, 8, 2)))
             x = Tensor(rng.standard_normal((1, 2, 8, 2)))
             c = float(rng.uniform(0.0, 5.0))
-            scaled = correction_factor(Tensor(c * h.data), x, cfg)
-            base = correction_factor(h, x, cfg)
+            scaled = apply_correction(Tensor(c * h.data), x, cfg)[1]
+            base = apply_correction(h, x, cfg)[1]
             np.testing.assert_allclose(scaled.data, c * base.data, atol=1e-9)
 
     def test_scaled_features_give_alpha_c(self):
         rng = np.random.default_rng(13)
         x = Tensor(rng.standard_normal((1, 1, 16, 4)))
-        alpha = correction_factor(Tensor(3.0 * x.data), x, CorrectionConfig())
+        alpha = apply_correction(Tensor(3.0 * x.data), x,
+                                 CorrectionConfig())[1]
         np.testing.assert_allclose(alpha.data, 3.0, rtol=1e-6)
 
     def test_per_channel_scope_is_local(self):
@@ -134,11 +132,11 @@ class TestCorrectionFactor:
         h = rng.standard_normal((2, 3, 8, 2))
         x = rng.standard_normal((2, 3, 8, 2))
         cfg = CorrectionConfig()
-        base = correction_factor(Tensor(h), Tensor(x), cfg).data
+        base = apply_correction(Tensor(h), Tensor(x), cfg)[1].data
         h2, x2 = h.copy(), x.copy()
         h2[:, 1] *= 7.0
         x2[:, 1] += 2.0
-        moved = correction_factor(Tensor(h2), Tensor(x2), cfg).data
+        moved = apply_correction(Tensor(h2), Tensor(x2), cfg)[1].data
         np.testing.assert_array_equal(moved[:, 0], base[:, 0])
         np.testing.assert_array_equal(moved[:, 2], base[:, 2])
 
@@ -148,7 +146,7 @@ class TestCorrectionFactor:
         for _ in range(20):
             h = Tensor(rng.standard_normal((1, 2, 4, 3)) * rng.uniform(0, 10))
             x = Tensor(rng.standard_normal((1, 2, 4, 3)) * rng.uniform(0, 10))
-            assert np.all(correction_factor(h, x, cfg).data >= 0.0)
+            assert np.all(apply_correction(h, x, cfg)[1].data >= 0.0)
 
     @pytest.mark.parametrize("s", [1e-60, 1e-6, 1.0, 1e3, 1e6, 1e60])
     def test_joint_scale_invariance(self, s):
@@ -157,8 +155,8 @@ class TestCorrectionFactor:
         h = rng.standard_normal((4, 3, 11, 5))
         x = rng.standard_normal((4, 3, 11, 5))
         cfg = CorrectionConfig()
-        base = correction_factor(Tensor(h), Tensor(x), cfg).data
-        scaled = correction_factor(Tensor(s * h), Tensor(s * x), cfg).data
+        base = apply_correction(Tensor(h), Tensor(x), cfg)[1].data
+        scaled = apply_correction(Tensor(s * h), Tensor(s * x), cfg)[1].data
         np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=0.0)
 
     def test_config_validation(self):
@@ -169,9 +167,9 @@ class TestCorrectionFactor:
                 CorrectionConfig(eps=eps)
         rng = np.random.default_rng(17)
         with pytest.raises(ConfigError):
-            correction_factor(Tensor(rng.standard_normal((1, 1, 4, 2))),
-                              Tensor(rng.standard_normal((1, 1, 8, 2))),
-                              CorrectionConfig())
+            apply_correction(Tensor(rng.standard_normal((1, 1, 4, 2))),
+                             Tensor(rng.standard_normal((1, 1, 8, 2))),
+                             CorrectionConfig())
 
 
 class TestApplyCorrection:
@@ -205,8 +203,8 @@ class TestApplyCorrection:
         h = Tensor(rng.standard_normal((1, 2, 4, 2)))
         x = Tensor(rng.standard_normal((1, 2, 4, 2)))
         out, alpha = apply_correction(h, x, CorrectionConfig())
-        s_pred = power_autocorrelation(h).data
-        s_input = power_autocorrelation(x).data
+        s_pred = autocorrelation(h.data, False)[0]
+        s_input = autocorrelation(x.data, False)[0]
         assert np.all(s_pred >= 0) and np.all(s_input >= 0)
         ratio = ((s_pred * s_input).sum(axis=(2, 3), keepdims=True)
                  / (s_input * s_input).sum(axis=(2, 3), keepdims=True))
@@ -284,14 +282,16 @@ class TestAlphaNode:
             assert np.all(lag1[0, series] < -1.0)
         cfg = CorrectionConfig()
         with Tape() as tape:
-            alpha = correction_factor(Tensor(h0, requires_grad=True),
-                                      Tensor(x0, requires_grad=True), cfg)
+            alpha = apply_correction(Tensor(h0, requires_grad=True),
+                                     Tensor(x0, requires_grad=True), cfg)[1]
         assert len(tape) == 1
         assert alpha.data[0, 2, 0, 0] == 0.0
         assert np.all(alpha.data[0, :2] > 0.1)
+        # on series 2, h * alpha grows as e * |e| in a step e, so central
+        # differences read about 8e-8 there, under atol, where the grad is 0
         c = rng.standard_normal((1, 3, 1, 1))
         check_gradients_jointly(
-            lambda h, x: weighted_sum(correction_factor(h, x, cfg), c),
+            lambda h, x: weighted_sum(apply_correction(h, x, cfg)[0], c),
             [h0, x0])
 
 
@@ -311,8 +311,8 @@ class TestAlphaScaleLaws:
         x = 10.0 ** x_exp * rng.standard_normal(shape)
         s, c = 10.0 ** s_exp, 10.0 ** c_exp
         cfg = CorrectionConfig()
-        base = correction_factor(Tensor(h), Tensor(x), cfg).data
-        joint = correction_factor(Tensor(s * h), Tensor(s * x), cfg).data
-        in_h = correction_factor(Tensor(c * h), Tensor(x), cfg).data
+        base = apply_correction(Tensor(h), Tensor(x), cfg)[1].data
+        joint = apply_correction(Tensor(s * h), Tensor(s * x), cfg)[1].data
+        in_h = apply_correction(Tensor(c * h), Tensor(x), cfg)[1].data
         np.testing.assert_allclose(joint, base, rtol=1e-10, atol=0.0)
         np.testing.assert_allclose(in_h, c * base, rtol=1e-10, atol=0.0)
