@@ -19,10 +19,12 @@ initialisation, shuffling and dropout alike.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -35,8 +37,9 @@ from .data_io import (SPLIT_PRESETS, SYNTH_KINDS, DataSettings, SynthParams,
                       synth_series)
 from .errors import (CheckpointError, ConfigError, DataError, DCTNetError,
                      TrainingError, from_fields, whole_number)
-from .model import ABLATION_STAGES, ModelConfig, ablation_variant, forward, \
-    init_params
+from .model import (ABLATION_STAGES, ModelConfig, _blas_thread_getter,
+                    _blas_thread_setter, ablation_variant, forward,
+                    init_params)
 from .trainer import TrainSettings, evaluate, fit
 
 logger = logging.getLogger("dctnet")
@@ -389,12 +392,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS at one thread while a command runs, and its previous
+    count back after: forward blocks and train parts then run beside a
+    helper thread (``model._helpers``), which pays more than BLAS's own
+    threads.  A count set in ``OPENBLAS_NUM_THREADS`` is left as it is, as
+    is a numpy on another BLAS."""
+    get, set_ = _blas_thread_getter(), _blas_thread_setter()
+    if get is None or set_ is None or "OPENBLAS_NUM_THREADS" in os.environ:
+        yield
+        return
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _setup_logging(args)
     try:
-        with np.errstate(all="ignore"):     # overflows are named by the checks
-            return args.func(args)
+        with _one_blas_thread(), np.errstate(all="ignore"):
+            return args.func(args)      # overflows are named by the checks
     except (ConfigError, DataError, CheckpointError, OSError,
             MemoryError) as exc:           # a size too large to allocate
         print(f"error: {exc}", file=sys.stderr)

@@ -273,12 +273,15 @@ class DataSettings:
 def compute_stats(table: SeriesTable) -> NormStats:
     """Per-channel mean/std of one split; zero spread falls back to std 1.
 
-    Statistics that overflow float64 come out non-finite, without a numpy
-    warning; ``make_windows`` names the channel.
+    Each channel's statistics are taken on its values times 2^-k, where
+    2^k bounds its largest |value|, and scaled back, so finite values give
+    finite statistics.  Scaling by a power of two is exact: wherever the
+    unscaled formulas do not overflow, the statistics are theirs to the bit.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = table.values.mean(axis=0)
-        std = table.values.std(axis=0)
+    _, k = np.frexp(np.abs(table.values).max(axis=0, initial=0.0))
+    scaled = np.ldexp(table.values, -k)
+    mean = np.ldexp(scaled.mean(axis=0), k)
+    std = np.ldexp(scaled.std(axis=0), k)
     std = np.where(std == 0.0, 1.0, std)
     return NormStats(mean=mean, std=std)
 

@@ -36,8 +36,9 @@ from .spectral_correction import CorrectionConfig, apply_correction
 
 ABLATION_STAGES = ("dbct", "gpaf", "fsc")
 _BLOCK_BYTES = 512 * 1024   # a quarter of a 2 MB L2: a block stays in cache
-# threads beside the caller on an untaped forward's blocks: one is the count
-# measured (on 2 cores), and each adds a block in flight to its memory
+# threads beside the caller on an untaped forward's blocks and a train step's
+# parts: one is the count measured (on 2 cores), and each adds a block in
+# flight to its memory
 _MAX_HELPERS = 1
 
 
@@ -243,14 +244,13 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
     """Run one batch of windows [B, L, C] through the whole pipeline.
 
     With no tape recording on the calling thread and ``training`` False,
-    the batch runs in blocks of windows whose widest intermediate (the
-    C·N·D token grid or the H·N·C² and H·C·N² attention probabilities)
-    fits ``_BLOCK_BYTES``, so inference memory is bounded by the output
-    and the blocks in flight.  The blocks run on the caller and on a
-    helper thread while the loaded BLAS runs one thread (see
-    ``_helpers``).  A window's forecast does not depend on its block or
-    its thread.  Taped or training calls run as one block on the caller,
-    since the tape and the dropout draws span the whole batch.
+    the batch runs in blocks of ``_BLOCK_BYTES // _window_bytes(cfg)``
+    windows, so inference memory is bounded by the output and the blocks
+    in flight.  The blocks run on the caller and on a helper thread while
+    the loaded BLAS runs one thread (see ``_helpers``).  A window's
+    forecast does not depend on its block or its thread.  Taped or
+    training calls run as one block on the calling thread; ``fit`` splits
+    a large train batch into parts of its own, each on its own tape.
     """
     x = engine._as_tensor(x)
     if not np.all(np.isfinite(x.data)):
@@ -261,33 +261,38 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
             f"expected input [B, {cfg.seq_len}, {cfg.channels}] with B >= 1, "
             f"got {x.shape}"
         )
-    c, n, h = cfg.channels, cfg.num_patches, cfg.heads
-    widest = max(c * n * cfg.latent_dim, h * n * c * c, h * c * n * n)
-    rows, b = max(1, _BLOCK_BYTES // (8 * widest)), x.shape[0]
+    rows, b = max(1, _BLOCK_BYTES // _window_bytes(cfg)), x.shape[0]
     # a 1-window block's projections would be GEMVs when C·N = 1, which sum
     # in another order than the batch's GEMM
-    if (training or engine.active_tape() is not None or c * n == 1
-            or rows >= b):
+    if (training or engine.active_tape() is not None
+            or cfg.channels * cfg.num_patches == 1 or rows >= b):
         return Forecast(*_forward_block(x, params, cfg, training, rng))
-    return Forecast(*map(engine._wrap, _forward_blocks(x.data, rows, params,
-                                                       cfg)))
+    starts = range(0, b, rows)
+    blocks = _run_parts(len(starts), lambda i: _forward_block(
+        engine._wrap(x.data[starts[i]:starts[i] + rows]), params, cfg))
+    return Forecast(*(engine._wrap(np.concatenate([t.data for t in ts]))
+                      for ts in zip(*blocks)))
 
 
-def _forward_blocks(x: np.ndarray, rows: int, params: DCTNetParams,
-                    cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Forecast values and alpha of checked windows [B, L, C], run in blocks
-    of ``rows`` windows on the caller and ``_helpers`` threads.
+def _window_bytes(cfg: ModelConfig) -> int:
+    """Bytes of one window's widest intermediate: the C·N·D token grid or
+    the H·N·C² and H·C·N² attention probabilities."""
+    c, n, h = cfg.channels, cfg.num_patches, cfg.heads
+    return 8 * max(c * n * cfg.latent_dim, h * n * c * c, h * c * n * n)
 
-    Every thread takes the next block from one shared queue and keeps its
-    result in the block's slot; the slots are concatenated in window order.
-    A failing block empties the queue; once every helper has joined, the
-    error of the earliest failing block, the one a serial loop meets, is
-    raised.  Every thread runs under the caller's numpy ``errstate``, which
-    a new thread would not inherit.
+
+def _run_parts(count: int, task: Callable[[int], object]) -> list:
+    """``task(i)`` for every i below ``count``, run on the caller and
+    ``_helpers(count)`` threads; the results in index order.
+
+    Every thread takes the next index from one shared queue.  A failing
+    task empties the queue; once every helper has joined, the error of the
+    earliest failing index, the one a serial loop meets, is raised.  Every
+    thread runs under the caller's numpy ``errstate``, which a new thread
+    would not inherit.
     """
-    starts = range(0, x.shape[0], rows)
-    parts: list = [None] * len(starts)
-    queue = deque(range(len(starts)))       # pops are atomic across threads
+    results: list = [None] * count
+    queue = deque(range(count))             # pops are atomic across threads
     failed: dict[int, Exception] = {}
     errstate = dict(np.geterr(), call=np.geterrcall())
 
@@ -299,16 +304,14 @@ def _forward_blocks(x: np.ndarray, rows: int, params: DCTNetParams,
                 except IndexError:
                     return
                 try:
-                    parts[i] = _forward_block(
-                        engine._wrap(x[starts[i]:starts[i] + rows]), params,
-                        cfg)
+                    results[i] = task(i)
                 except Exception as exc:    # raised by the caller below
                     failed[i] = exc
                     queue.clear()
 
     started = []
     try:
-        for _ in range(_helpers(len(queue))):
+        for _ in range(_helpers(count)):
             helper = threading.Thread(target=drain)
             try:
                 helper.start()
@@ -322,25 +325,25 @@ def _forward_blocks(x: np.ndarray, rows: int, params: DCTNetParams,
             helper.join()
     if failed:
         raise failed[min(failed)]
-    return tuple(np.concatenate([t.data for t in ts]) for ts in zip(*parts))
+    return results
 
 
-def _helpers(blocks: int) -> int:
-    """Threads to run beside the caller on ``blocks`` blocks: up to
+def _helpers(tasks: int) -> int:
+    """Threads to run beside the caller on ``tasks`` tasks: up to
     ``_MAX_HELPERS``, one per usable core but the caller's, while the loaded
     BLAS runs one thread, and none otherwise, since BLAS's own threads then
     take the other cores.
 
     numpy releases the GIL inside BLAS calls and ufunc and einsum loops,
-    which is where a block spends most of its time; a block's Python work
-    stays serial.  The usable cores are the affinity mask's, which does not
-    see a container's CPU quota.
+    which is where a forward block or a train part spends most of its time;
+    its Python work stays serial.  The usable cores are the affinity mask's,
+    which does not see a container's CPU quota.
     """
     if _blas_threads() != 1:
         return 0
     cores = (len(os.sched_getaffinity(0))
              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    return max(0, min(_MAX_HELPERS, cores - 1, blocks - 1))
+    return max(0, min(_MAX_HELPERS, cores - 1, tasks - 1))
 
 
 def _blas_threads() -> Optional[int]:
@@ -349,23 +352,35 @@ def _blas_threads() -> Optional[int]:
     return None if getter is None else getter()
 
 
-@functools.cache
 def _blas_thread_getter() -> Optional[Callable[[], int]]:
-    """OpenBLAS's ``get_num_threads`` from the library numpy bundles, looked
-    up once; None for a numpy built on another BLAS."""
+    """OpenBLAS's ``get_num_threads`` from the library numpy bundles; None
+    for a numpy built on another BLAS."""
+    return _openblas_threads("get", (), ctypes.c_int)
+
+
+def _blas_thread_setter() -> Optional[Callable[[int], None]]:
+    """OpenBLAS's ``set_num_threads`` from the same library; None for a
+    numpy built on another BLAS."""
+    return _openblas_threads("set", (ctypes.c_int,), None)
+
+
+@functools.cache
+def _openblas_threads(verb: str, argtypes: tuple, restype):
+    """OpenBLAS's ``{verb}_num_threads`` in numpy's bundled library, looked
+    up once."""
     libdir = Path(np.__file__).parent.parent / "numpy.libs"
     for lib in sorted(libdir.glob("*openblas*")):
         try:
             handle = ctypes.CDLL(str(lib))
         except OSError:
             continue
-        for symbol in ("scipy_openblas_get_num_threads64_",
-                       "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            getter = getattr(handle, symbol, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return getter
+        for symbol in (f"scipy_openblas_{verb}_num_threads64_",
+                       f"openblas_{verb}_num_threads64_",
+                       f"openblas_{verb}_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = argtypes, restype
+                return fn
     return None
 
 

@@ -9,12 +9,14 @@ seed, so a rerun reproduces the loss trajectory bit for bit.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import model
 from . import numeric_engine as engine
 from .numeric_engine import Tape, Tensor, backward
 from .data_io import WindowedDataset
@@ -244,6 +246,69 @@ def _restore(params: DCTNetParams, snap: dict[str, np.ndarray]) -> None:
         t.data = snap[k].copy()
 
 
+def _train_step(params: DCTNetParams, cfg: ModelConfig, xb: np.ndarray,
+                yb: np.ndarray, epoch: int, step: int
+                ) -> tuple[list[Tape], float, np.ndarray]:
+    """The tapes, loss and flat gradient of one train step on ``xb``, ``yb``.
+
+    A batch of two or more windows whose widest activation,
+    ``model._window_bytes`` per window, exceeds ``model._BLOCK_BYTES`` runs
+    as two halves on ``model._run_parts``'s threads.  Each half runs over
+    shadow leaves of ``params`` and draws its dropout from its own stream;
+    the halves' losses and gradients are weighted by rows / B and summed in
+    half order.  The split depends on shapes alone, so the result does not
+    depend on the number of threads.  Any other batch runs as one part on
+    ``params`` with the step's dropout stream.  The tapes hold the step's
+    activations; the caller keeps them until its Adam update has run.
+    """
+    where = f"epoch {epoch}, step {step}"
+    b = len(xb)
+    if b < 2 or b * model._window_bytes(cfg) <= model._BLOCK_BYTES:
+        tape, loss, grad = _train_part(params, cfg, xb, yb, make_rng(
+            cfg.seed, "dropout", epoch, step), where)
+        return [tape], loss, grad
+    half = (b + 1) // 2
+    cuts = (slice(0, half), slice(half, b))
+    shadows = [_shadow(params) for _ in cuts]
+    (tape0, loss0, grad), (tape1, loss1, grad1) = model._run_parts(
+        2, lambda i: _train_part(shadows[i], cfg, xb[cuts[i]], yb[cuts[i]],
+                                 make_rng(cfg.seed, "dropout", epoch, step, i),
+                                 where))
+    w0, w1 = half / b, (b - half) / b
+    grad *= w0
+    grad += w1 * grad1
+    return [tape0, tape1], w0 * loss0 + w1 * loss1, grad
+
+
+def _shadow(params: DCTNetParams) -> DCTNetParams:
+    """A copy of ``params`` whose leaf tensors are new but share the
+    parameters' arrays, so that a part's gradients land on its own leaves.
+    Made afresh each step, since Adam rebinds every parameter's array."""
+    return copy.deepcopy(params, {id(t.data): t.data
+                                  for t in params.registry.values()})
+
+
+def _train_part(params: DCTNetParams, cfg: ModelConfig, x: np.ndarray,
+                y: np.ndarray, rng: np.random.Generator, where: str
+                ) -> tuple[Tape, float, np.ndarray]:
+    """Forward, loss and backward of windows ``x`` on a tape of their own:
+    the tape, the loss and the flat gradient of ``params``."""
+    registry = params.named_parameters()
+    with engine.Tape() as tape:
+        try:
+            fc = forward(x, params, cfg, training=True, rng=rng)
+        except (DataError, SingularityError) as exc:
+            raise TrainingError(f"{where}: {exc}") from exc
+        loss = mse_loss(fc.values, y)
+    loss_val = float(loss.data)
+    if not np.isfinite(loss_val):
+        raise TrainingError(f"{where}: non-finite loss")
+    backward(loss, tape)
+    return tape, loss_val, flatten_grads(registry, {
+        k: (t.grad if t.grad is not None else np.zeros_like(t.data))
+        for k, t in registry.items()})
+
+
 def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
         val: WindowedDataset, settings: Optional[TrainSettings] = None,
         log: Optional[Callable[[str], None]] = print
@@ -251,9 +316,10 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
     """Train in place; parameters end at the best-validation snapshot.
 
     Epoch flow: shuffle train windows from the run seed, step Adam per
-    mini-batch on clipped gradients, then score the validation split in
-    eval mode.  The best validation MSE's parameters are kept; training
-    stops early after ``patience`` consecutive epochs without improvement.
+    mini-batch on clipped gradients (a large mini-batch runs as two halves,
+    see ``_train_step``), then score the validation split in eval mode.
+    The best validation MSE's parameters are kept; training stops early
+    after ``patience`` consecutive epochs without improvement.
     A non-finite forecast, loss or pre-clip gradient norm, a clipped
     gradient entry whose square overflows float64, or a revin gain too
     small to invert, raises ``TrainingError`` naming the epoch and step (or
@@ -294,21 +360,12 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
             yb = train.targets[idx]
             for t in registry.values():
                 t.zero_grad()
+            # the step starts; its parts record on tapes of their own
+            with Tape():
+                tapes = None    # frees the last step's, kept until its Adam
+                tapes, loss_val, grad = _train_step(params, cfg, xb, yb,
+                                                    epoch, step)
             where = f"epoch {epoch}, step {step}"
-            with Tape() as tape:
-                try:
-                    fc = forward(xb, params, cfg, training=True, rng=make_rng(
-                        cfg.seed, "dropout", epoch, step))
-                except (DataError, SingularityError) as exc:
-                    raise TrainingError(f"{where}: {exc}") from exc
-                loss = mse_loss(fc.values, yb)
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                raise TrainingError(f"{where}: non-finite loss")
-            backward(loss, tape)
-            grad = flatten_grads(registry, {
-                k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                for k, t in registry.items()})
             norm = clip_global_norm(grad, sizes, settings.clip_norm)
             if not np.isfinite(norm):
                 raise TrainingError(f"{where}: non-finite gradient norm")

@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
+import dctnet.cli as cli_module
+import dctnet.model as model_module
 from dctnet.cli import _emit_json, main
 from dctnet.data_io import SeriesTable, checkpoint_load, checkpoint_save, \
     load_csv, save_csv
@@ -292,20 +294,24 @@ class TestOverflow:
         assert (code, stdout) == (2, "")
         assert "Warning" not in err
 
-    def test_overflowing_train_statistics_name_channel(self, tmp_path,
-                                                       capsys):
-        # finite values whose mean overflows float64: the windows would be NaN
+    def test_huge_train_values_train_and_evaluate(self, tmp_path, capsys):
+        # finite values whose unscaled mean and spread overflow float64
         t = np.arange(400.0)
         values = np.column_stack([np.full(400, 1.7e308),
                                   1.5e308 * np.sin(t / 5.0)])
         save_csv(SeriesTable(values, ["huge", "wave"]), tmp_path / "huge.csv")
-        code, stdout, err = self._run_unguarded(
-            ["train", "--data", str(tmp_path / "huge.csv"),
-             "--out", str(tmp_path / "run"), "--epochs", "1",
-             "--seq-len", "24", "--horizon", "8"], capsys)
-        assert (code, stdout) == (2, "")
-        assert err.startswith("error: train split: channel 'huge' does not "
-                              "standardise to finite values")
+        data = ["--data", str(tmp_path / "huge.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(["train", "--out", str(tmp_path / "run"),
+                           "--epochs", "1", "--seq-len", "24", "--horizon",
+                           "8", "--quiet"] + data)
+            assert code == 0
+            code, stdout = run(["eval", "--checkpoint",
+                                str(tmp_path / "run" / "checkpoint.dct"),
+                                "--quiet"] + data)
+        assert code == 0 and np.isfinite(json.loads(stdout)["mse"])
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command, where", [
         ("eval", "error: test split: channel 'ch0' does not standardise"),
@@ -565,3 +571,47 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["--help"])
         assert err.value.code == 0
+
+
+@pytest.mark.skipif(model_module._blas_thread_setter() is None,
+                    reason="numpy does not bundle OpenBLAS here")
+class TestBlasThreads:
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        """OpenBLAS's get and set, and the thread count each command saw;
+        the count is put back after the test."""
+        get, set_ = (model_module._blas_thread_getter(),
+                     model_module._blas_thread_setter())
+        seen = []
+        real = cli_module.synth_series
+
+        def synth_series(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "synth_series", synth_series)
+        before = get()
+        set_(2)
+        yield get, seen
+        set_(before)
+
+    @pytest.mark.parametrize("rows, code", [(50, 0), (0, 2)],
+                             ids=["exit0", "exit2"])
+    def test_command_runs_on_one_thread_and_restores_the_count(
+            self, blas, monkeypatch, tmp_path, rows, code):
+        get, seen = blas
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = get()
+        assert run(["synth", "--kind", "sine", "--rows", str(rows),
+                    "--quiet", "--out", str(tmp_path / "s.csv")])[0] == code
+        assert seen == [1]
+        assert get() == before
+
+    def test_a_count_set_in_the_environment_wins(self, blas, monkeypatch,
+                                                 tmp_path):
+        get, seen = blas
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        before = get()
+        assert run(["synth", "--kind", "sine", "--rows", "50", "--quiet",
+                    "--out", str(tmp_path / "s.csv")])[0] == 0
+        assert seen == [before] and get() == before

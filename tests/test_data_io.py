@@ -250,6 +250,20 @@ class TestStats:
         np.testing.assert_allclose(stats.invert(z), table.values, atol=1e-12)
         assert abs(z.mean()) < 1e-12
 
+    @settings(max_examples=100)
+    @given(rows=st.integers(1, 50), channels=st.integers(1, 4),
+           log_scale=st.floats(-5, 5), seed=st.integers(0, 2**16))
+    def test_scaling_leaves_statistics_bitwise(self, rows, channels,
+                                               log_scale, seed):
+        rng = np.random.default_rng(seed)
+        values = (rng.standard_normal((rows, channels)) + rng.uniform(-3, 3))
+        values *= 10.0 ** log_scale
+        stats = compute_stats(SeriesTable(values, [f"c{j}" for j in
+                                                   range(channels)]))
+        std = values.std(axis=0)        # the unscaled formulas
+        assert stats.mean.tobytes() == values.mean(axis=0).tobytes()
+        assert stats.std.tobytes() == np.where(std == 0.0, 1.0, std).tobytes()
+
     def test_no_lookahead(self):
         table = synth_series("sine", 100, 1, seed=5)
         tr, _, _ = split_chronological(table, (6, 2, 2))
@@ -350,17 +364,19 @@ class TestWindows:
                                                 "does not standardise"):
                 make_windows(table, 8, 4, stats, split_tag="val")
 
-    def test_overflowing_statistics_raise_without_warnings(self):
-        # finite data whose mean and spread overflow float64
+    def test_huge_values_standardise_without_warnings(self):
+        # finite data whose unscaled mean and spread overflow float64
         t = np.arange(400.0)
         table = SeriesTable(np.column_stack(
             [np.full(400, 1.7e308), 1.5e308 * np.sin(t / 5)]), ["huge", "wave"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stats = compute_stats(table)
-            assert not np.all(np.isfinite(stats.mean))
-            with pytest.raises(DataError, match="channel 'huge'"):
-                make_windows(table, 24, 8, stats, split_tag="train")
+            assert stats.mean[0] == pytest.approx(1.7e308, rel=1e-12)
+            assert stats.std[1] == pytest.approx(1.5e308 / 2**0.5, rel=1e-2)
+            ds = make_windows(table, 24, 8, stats, split_tag="train")
+        assert np.all(np.isfinite(ds.inputs))
+        assert np.all(np.isfinite(ds.targets))
 
 
 class TestSynth:

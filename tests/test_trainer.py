@@ -4,6 +4,8 @@ import dataclasses
 import json
 import re
 import tempfile
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from dctnet.data_io import (NormStats, WindowedDataset, checkpoint_save,
                             compute_stats, make_windows, synth_series)
 from dctnet.errors import ConfigError, ContractError, DataError, TrainingError
 from dctnet.model import ModelConfig, forward, init_params
+from dctnet.rng import make_rng
 from dctnet.trainer import (OptimizerState, TrainSettings, adam_step,
                             clip_global_norm, evaluate, fit, flatten_grads,
                             mse_loss)
@@ -700,3 +703,143 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="batch_size"):
             evaluate(init_params(cfg), cfg, tiny_dataset(3, cfg=cfg),
                      batch_size=batch_size)
+
+
+class TestSplitStep:
+    def test_split_fit_bytes_do_not_depend_on_helpers(self):
+        # train_c7's model at D=32: 32 windows hold 8 · 32 · C·N·D = 616 KiB
+        cfg = ModelConfig(channels=7, pred_len=24, latent_dim=32, seed=3)
+        assert 32 * model_module._window_bytes(cfg) > \
+            model_module._BLOCK_BYTES
+        train = tiny_dataset(40, cfg=cfg)
+        val = tiny_dataset(8, seed=1, cfg=cfg)
+        settings = TrainSettings(lr=1e-3, epochs=2, batch_size=32,
+                                 patience=5)
+        base_tape = trainer.Tape
+        opened, parts, results = [], [], []
+
+        class StepTape(base_tape):
+            def __enter__(self):
+                opened.append((threading.get_ident(), self))
+                return super().__enter__()
+
+        def train_part(params, cfg, x, y, rng, where):
+            parts.append((len(x), where,
+                          rng.bit_generator.state["state"]["state"]))
+            return real_part(params, cfg, x, y, rng, where)
+
+        def part(rows, epoch, step, *half):
+            rng = make_rng(cfg.seed, "dropout", epoch, step, *half)
+            return (rows, f"epoch {epoch}, step {step}",
+                    rng.bit_generator.state["state"]["state"])
+
+        # 32 windows split in halves, each with a dropout stream of its own;
+        # the last 8 of an epoch run as one part, with the step's stream
+        want = sorted(key for epoch in (0, 1) for key in (
+            part(16, epoch, 0, 0), part(16, epoch, 0, 1), part(8, epoch, 1)))
+
+        real_part = trainer._train_part
+        for helpers in (0, 1):
+            opened.clear()
+            parts.clear()
+            threads = threading.active_count()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model_module, "_helpers",
+                           lambda tasks, k=helpers: min(k, tasks - 1))
+                mp.setattr(trainer, "Tape", StepTape)
+                mp.setattr(trainer, "_train_part", train_part)
+                params, report = fit(init_params(cfg), cfg, train, val,
+                                     settings, log=None)
+            assert threading.active_count() == threads
+            # one step tape per step, entered on the calling thread; the
+            # parts record on tapes of their own, and backward records none
+            assert [ident for ident, _ in opened] == \
+                [threading.get_ident()] * 4
+            assert [len(tape) for _, tape in opened] == [0] * 4
+            assert sorted(parts) == want
+            results.append(([t.data.tobytes() for t in
+                             params.named_parameters().values()],
+                            report.train_loss, report.val_mse))
+        assert results[0] == results[1]
+
+    def test_unsplit_fit_matches_one_tape_reference(self):
+        cfg = micro_config(channels=2, dropout=0.2, seed=6)
+        train = tiny_dataset(10, seed=1, cfg=cfg)
+        settings = TrainSettings(lr=1e-2, epochs=1, batch_size=4,
+                                 clip_norm=0.5)
+        assert 4 * model_module._window_bytes(cfg) <= \
+            model_module._BLOCK_BYTES
+        fitted, _ = fit(init_params(cfg), cfg, train, train, settings,
+                        log=None)
+
+        params = init_params(cfg)
+        registry = params.named_parameters()
+        sizes = [t.data.size for t in registry.values()]
+        opt = OptimizerState.for_params(registry, settings.lr)
+        order = make_rng(cfg.seed, "shuffle", 0).permutation(len(train))
+        for step, start in enumerate(range(0, len(order), 4)):
+            idx = order[start:start + 4]
+            for t in registry.values():
+                t.zero_grad()
+            with Tape() as tape:
+                fc = forward(train.inputs[idx], params, cfg, training=True,
+                             rng=make_rng(cfg.seed, "dropout", 0, step))
+                loss = mse_loss(fc.values, train.targets[idx])
+            backward(loss, tape)
+            grad = flatten_grads(registry, {k: t.grad
+                                            for k, t in registry.items()})
+            clip_global_norm(grad, sizes, settings.clip_norm)
+            adam_step(registry, grad, opt)
+        for k, t in fitted.named_parameters().items():
+            assert t.data.tobytes() == registry[k].data.tobytes(), k
+
+    # with dropout off, halves differ from the whole batch only in the order
+    # of the loss's and the gradients' sums: 1e-12 of the gradient's norm
+    @settings(max_examples=25, deadline=None)
+    @given(batch=st.integers(2, 9), channels=st.integers(1, 4),
+           seed=st.integers(0, 99))
+    def test_split_gradient_matches_whole_batch(self, batch, channels, seed):
+        cfg = micro_config(channels=channels, seed=seed)
+        ds = tiny_dataset(batch, seed=seed, cfg=cfg)
+        params = init_params(cfg)
+        steps = {}
+        for block_bytes in (1, 2**62):          # halves, the whole batch
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model_module, "_BLOCK_BYTES", block_bytes)
+                steps[block_bytes] = trainer._train_step(
+                    params, cfg, ds.inputs, ds.targets, 0, 0)
+        (halves, loss, grad), (whole, want_loss, want) = steps[1], steps[2**62]
+        assert (len(halves), len(whole)) == (2, 1)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("helpers", [0, 1])
+    @pytest.mark.parametrize("failing, message", [
+        ({3, 2}, "rows 3"), ({2}, "rows 2")], ids=["both", "second"])
+    def test_failing_part_raises_earliest_error(self, monkeypatch, helpers,
+                                                failing, message):
+        cfg = micro_config()
+        train = tiny_dataset(5, cfg=cfg)
+        params = init_params(cfg)
+        before = [t.data.copy() for t in params.named_parameters().values()]
+        real_forward = trainer.forward
+
+        def forward_spy(x, *args, **kwargs):
+            if len(x) == 3:
+                time.sleep(0.05)    # the second half fails first on 2 threads
+            if len(x) in failing:
+                raise DataError(f"rows {len(x)}")
+            return real_forward(x, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(model_module, "_helpers",
+                            lambda tasks: min(helpers, tasks - 1))
+        monkeypatch.setattr(trainer, "forward", forward_spy)
+        threads = threading.active_count()
+        with pytest.raises(TrainingError,
+                           match=f"^epoch 0, step 0: {message}$"):
+            fit(params, cfg, train, train,
+                TrainSettings(epochs=1, batch_size=5), log=None)
+        assert threading.active_count() == threads
+        for t, was in zip(params.named_parameters().values(), before):
+            assert t.data.tobytes() == was.tobytes()
