@@ -19,12 +19,10 @@ initialisation, shuffling and dropout alike.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -37,9 +35,8 @@ from .data_io import (SPLIT_PRESETS, SYNTH_KINDS, DataSettings, SynthParams,
                       synth_series)
 from .errors import (CheckpointError, ConfigError, DataError, DCTNetError,
                      TrainingError, from_fields, whole_number)
-from .model import (ABLATION_STAGES, ModelConfig, _blas_thread_getter,
-                    _blas_thread_setter, ablation_variant, forward,
-                    init_params)
+from .model import (ABLATION_STAGES, ModelConfig, _one_blas_thread,
+                    ablation_variant, forward, init_params)
 from .trainer import TrainSettings, evaluate, fit
 
 logger = logging.getLogger("dctnet")
@@ -390,25 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: half the rows")
     p.set_defaults(func=cmd_synth)
     return parser
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """numpy's OpenBLAS at one thread while a command runs, and its previous
-    count back after: forward blocks and train parts then run beside a
-    helper thread (``model._helpers``), which pays more than BLAS's own
-    threads.  A count set in ``OPENBLAS_NUM_THREADS`` is left as it is, as
-    is a numpy on another BLAS."""
-    get, set_ = _blas_thread_getter(), _blas_thread_setter()
-    if get is None or set_ is None or "OPENBLAS_NUM_THREADS" in os.environ:
-        yield
-        return
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 def main(argv=None) -> int:

@@ -110,6 +110,13 @@ class WindowedDataset:
     split: str
     stats: NormStats
 
+    def __post_init__(self):
+        ins, outs = np.shape(self.inputs), np.shape(self.targets)
+        if (len(ins) != 3 or len(outs) != 3 or ins[0] != outs[0]
+                or ins[2] != outs[2]):
+            raise DataError(f"{self.split} windows: inputs {ins} and targets "
+                            f"{outs} are not [W, L, C] and [W, T, C]")
+
     def __len__(self) -> int:
         return self.inputs.shape[0]
 

@@ -10,6 +10,7 @@ ablation switches that bypass individual stages.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
 import functools
@@ -245,13 +246,14 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
     """Run one batch of windows [B, L, C] through the whole pipeline.
 
     With no tape recording on the calling thread and ``training`` False,
-    the batch runs in blocks of ``_BLOCK_BYTES // _window_bytes(cfg)``
-    windows, so inference memory is bounded by the output and the blocks
-    in flight.  The blocks run on the caller and on a helper thread while
-    the loaded BLAS runs one thread (see ``_helpers``).  A window's
-    forecast does not depend on its block or its thread.  Taped or
-    training calls run as one block on the calling thread; ``fit`` splits
-    a large train batch into parts of its own, each on its own tape.
+    the batch runs in blocks of ``_block_rows(cfg)`` windows, so inference
+    memory is bounded by the output and the blocks in flight.  The blocks
+    run on the caller and on a helper thread while numpy's OpenBLAS runs
+    one thread (``_openblas``; see ``_helpers``).  A window's forecast
+    does not depend on its block or its thread.  Taped or training calls
+    run as one block on the calling thread; ``fit`` splits a train batch
+    of more than ``_block_rows(cfg)`` windows into parts of its own, each
+    on its own tape.
     """
     x = engine._as_tensor(x)
     if not np.all(np.isfinite(x.data)):
@@ -262,7 +264,7 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
             f"expected input [B, {cfg.seq_len}, {cfg.channels}] with B >= 1, "
             f"got {x.shape}"
         )
-    rows, b = max(1, _BLOCK_BYTES // _window_bytes(cfg)), x.shape[0]
+    rows, b = _block_rows(cfg), x.shape[0]
     # a 1-window block's projections would be GEMVs when C·N = 1, which sum
     # in another order than the batch's GEMM
     if (training or engine.active_tape() is not None
@@ -275,11 +277,14 @@ def forward(x, params: DCTNetParams, cfg: ModelConfig, training: bool = False,
                       for ts in zip(*blocks)))
 
 
-def _window_bytes(cfg: ModelConfig) -> int:
-    """Bytes of one window's widest intermediate: the C·N·D token grid or
-    the H·N·C² and H·C·N² attention probabilities."""
+def _block_rows(cfg: ModelConfig) -> int:
+    """Windows per block of an untaped forward, and the most a train step
+    runs as one part: ``_BLOCK_BYTES`` over the bytes of one window's
+    widest intermediate, the C·N·D token grid or the H·N·C² and H·C·N²
+    attention probabilities, and at least one."""
     c, n, h = cfg.channels, cfg.num_patches, cfg.heads
-    return 8 * max(c * n * cfg.latent_dim, h * n * c * c, h * c * n * n)
+    return max(1, _BLOCK_BYTES // (
+        8 * max(c * n * cfg.latent_dim, h * n * c * c, h * c * n * n)))
 
 
 def _run_parts(count: int, task: Callable[[int], object]) -> list:
@@ -338,44 +343,30 @@ def _run_parts(count: int, task: Callable[[int], object]) -> list:
 
 def _helpers(tasks: int) -> int:
     """Threads to run beside the caller on ``tasks`` tasks: up to
-    ``_MAX_HELPERS``, one per usable core but the caller's, while the loaded
-    BLAS runs one thread, and none otherwise, since BLAS's own threads then
-    take the other cores.
+    ``_MAX_HELPERS``, one per usable core but the caller's, while numpy's
+    OpenBLAS runs one thread (``_openblas``), and none otherwise, since
+    BLAS's own threads then take the other cores.
 
     numpy releases the GIL inside BLAS calls and ufunc and einsum loops,
     which is where a forward block or a train part spends most of its time;
     its Python work stays serial.  The usable cores are the affinity mask's,
     which does not see a container's CPU quota.
     """
-    if _blas_threads() != 1:
+    get = _openblas("get")
+    if get is None or get() != 1:
         return 0
     cores = (len(os.sched_getaffinity(0))
              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     return max(0, min(_MAX_HELPERS, cores - 1, tasks - 1))
 
 
-def _blas_threads() -> Optional[int]:
-    """The thread count of numpy's OpenBLAS now, or None when unreadable."""
-    getter = _blas_thread_getter()
-    return None if getter is None else getter()
-
-
-def _blas_thread_getter() -> Optional[Callable[[], int]]:
-    """OpenBLAS's ``get_num_threads`` from the library numpy bundles; None
-    for a numpy built on another BLAS."""
-    return _openblas_threads("get", (), ctypes.c_int)
-
-
-def _blas_thread_setter() -> Optional[Callable[[int], None]]:
-    """OpenBLAS's ``set_num_threads`` from the same library; None for a
-    numpy built on another BLAS."""
-    return _openblas_threads("set", (ctypes.c_int,), None)
-
-
 @functools.cache
-def _openblas_threads(verb: str, argtypes: tuple, restype):
-    """OpenBLAS's ``{verb}_num_threads`` in numpy's bundled library, looked
-    up once."""
+def _openblas(verb: str) -> Optional[Callable]:
+    """OpenBLAS's ``get_num_threads`` (verb ``"get"``) or
+    ``set_num_threads`` (``"set"``) in numpy's bundled library, looked up
+    once; None for a numpy built on another BLAS."""
+    argtypes, restype = {"get": ((), ctypes.c_int),
+                         "set": ((ctypes.c_int,), None)}[verb]
     libdir = Path(np.__file__).parent.parent / "numpy.libs"
     for lib in sorted(libdir.glob("*openblas*")):
         try:
@@ -390,6 +381,25 @@ def _openblas_threads(verb: str, argtypes: tuple, restype):
                 fn.argtypes, fn.restype = argtypes, restype
                 return fn
     return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS at one thread inside the ``with``, and its previous
+    count back after: forward blocks and train parts then run beside a
+    helper thread (``_helpers``), which pays more than BLAS's own threads.
+    A count set in ``OPENBLAS_NUM_THREADS`` is left as it is, as is a
+    numpy on another BLAS."""
+    get, set_ = _openblas("get"), _openblas("set")
+    if get is None or set_ is None or "OPENBLAS_NUM_THREADS" in os.environ:
+        yield
+        return
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _forward_block(x: Tensor, params: DCTNetParams, cfg: ModelConfig,

@@ -212,8 +212,7 @@ def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
     that overflows float64 is a ``DataError`` naming the split.
     """
     batch_size = whole_number("batch_size", batch_size, at_least=1)
-    if len(dataset) == 0:
-        raise DataError(f"{dataset.split} dataset has no windows")
+    _check_windows(dataset, cfg)
     sq_sum = abs_sum = alpha_sum = 0.0
     for start in range(0, len(dataset), batch_size):
         xb = dataset.inputs[start:start + batch_size]
@@ -237,6 +236,18 @@ def evaluate(params: DCTNetParams, cfg: ModelConfig, dataset: WindowedDataset,
                       num_windows=len(dataset))
 
 
+def _check_windows(dataset: WindowedDataset, cfg: ModelConfig) -> None:
+    """A ``DataError`` naming the split unless it holds windows, each
+    [L, C] -> [T, C] as ``cfg`` runs them."""
+    if len(dataset) == 0:
+        raise DataError(f"{dataset.split} dataset has no windows")
+    want = ((cfg.seq_len, cfg.channels), (cfg.pred_len, cfg.channels))
+    got = (dataset.inputs.shape[1:], dataset.targets.shape[1:])
+    if got != want:
+        raise DataError(f"{dataset.split} windows are {got[0]} -> {got[1]}, "
+                        f"config needs {want[0]} -> {want[1]}")
+
+
 def _snapshot(params: DCTNetParams) -> dict[str, np.ndarray]:
     return {k: t.data.copy() for k, t in params.named_parameters().items()}
 
@@ -251,19 +262,19 @@ def _train_step(params: DCTNetParams, cfg: ModelConfig, xb: np.ndarray,
                 ) -> tuple[list[Tape], float, np.ndarray]:
     """The tapes, loss and flat gradient of one train step on ``xb``, ``yb``.
 
-    A batch of two or more windows whose widest activation,
-    ``model._window_bytes`` per window, exceeds ``model._BLOCK_BYTES`` runs
-    as two halves on ``model._run_parts``'s threads.  Each half runs over
-    shadow leaves of ``params`` and draws its dropout from its own stream;
-    the halves' losses and gradients are weighted by rows / B and summed in
-    half order.  The split depends on shapes alone, so the result does not
-    depend on the number of threads.  Any other batch runs as one part on
-    ``params`` with the step's dropout stream.  The tapes hold the step's
-    activations; the caller keeps them until its Adam update has run.
+    A batch of more windows than ``model._block_rows(cfg)``, the block an
+    untaped ``forward`` would cut it into, runs as two halves on
+    ``model._run_parts``'s threads.  Each half runs over shadow leaves of
+    ``params`` and draws its dropout from its own stream; the halves'
+    losses and gradients are weighted by rows / B and summed in half order.
+    The split depends on shapes alone, so the result does not depend on the
+    number of threads.  Any other batch runs as one part on ``params`` with
+    the step's dropout stream.  The tapes hold the step's activations; the
+    caller keeps them until its Adam update has run.
     """
     where = f"epoch {epoch}, step {step}"
     b = len(xb)
-    if b < 2 or b * model._window_bytes(cfg) <= model._BLOCK_BYTES:
+    if b <= model._block_rows(cfg):
         tape, loss, grad = _train_part(params, cfg, xb, yb, make_rng(
             cfg.seed, "dropout", epoch, step), where)
         return [tape], loss, grad
@@ -327,16 +338,8 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
     moments; so does a validation score that overflows float64.
     """
     settings = settings or TrainSettings()
-    if len(train) == 0:
-        raise DataError("train dataset has no windows")
-    if len(val) == 0:
-        raise DataError("val dataset has no windows")
-    want = ((cfg.seq_len, cfg.channels), (cfg.pred_len, cfg.channels))
     for ds in (train, val):
-        got = (ds.inputs.shape[1:], ds.targets.shape[1:])
-        if got != want:
-            raise DataError(f"{ds.split} windows are {got[0]} -> {got[1]}, "
-                            f"config needs {want[0]} -> {want[1]}")
+        _check_windows(ds, cfg)
     registry = params.named_parameters()
     sizes = [t.data.size for t in registry.values()]
     opt = OptimizerState.for_params(registry, settings.lr)
@@ -399,8 +402,8 @@ def fit(params: DCTNetParams, cfg: ModelConfig, train: WindowedDataset,
         else:
             stale += 1
         if stale >= settings.patience:
-            emit(f"stopping after epoch {epoch}: no improvement for "
-                 f"{stale} epoch(s)")
+            emit(f"stopping after epoch {epoch}: {stale} epoch(s) without "
+                 f"improvement, patience {settings.patience}")
             break
 
     _restore(params, best_snap)

@@ -573,15 +573,15 @@ class TestUsage:
         assert err.value.code == 0
 
 
-@pytest.mark.skipif(model_module._blas_thread_setter() is None,
+@pytest.mark.skipif(model_module._openblas("set") is None,
                     reason="numpy does not bundle OpenBLAS here")
 class TestBlasThreads:
     @pytest.fixture
     def blas(self, monkeypatch):
         """OpenBLAS's get and set, and the thread count each command saw;
         the count is put back after the test."""
-        get, set_ = (model_module._blas_thread_getter(),
-                     model_module._blas_thread_setter())
+        get, set_ = (model_module._openblas("get"),
+                     model_module._openblas("set"))
         seen = []
         real = cli_module.synth_series
 

@@ -18,7 +18,8 @@ from dctnet.data_io import (SPLIT_PRESETS, SYNTH_KINDS, DataSettings,
                             NormStats, SeriesTable, SynthParams, atomic_write,
                             checkpoint_load, checkpoint_save, compute_stats,
                             load_csv, make_windows, run_record, run_settings,
-                            save_csv, split_chronological, synth_series)
+                            save_csv, split_chronological, synth_series,
+                            WindowedDataset)
 from dctnet.errors import CheckpointError, ConfigError, DataError
 from dctnet.fft import dft
 from dctnet.model import ModelConfig, forward, init_params
@@ -377,6 +378,19 @@ class TestWindows:
             ds = make_windows(table, 24, 8, stats, split_tag="train")
         assert np.all(np.isfinite(ds.inputs))
         assert np.all(np.isfinite(ds.targets))
+
+    # unchecked, fit would index past 5 targets of 6 inputs, and evaluate
+    # would broadcast the others or raise numpy's own error
+    @pytest.mark.parametrize("inputs, targets", [
+        ((6, 8, 2), (5, 4, 2)), ((6, 8, 2), (6, 4, 1)), ((6, 8, 2), (6, 4)),
+        ((6, 8), (6, 4, 2)), ((6, 8, 2, 1), (6, 4, 2, 1)),
+    ], ids=["fewer_targets", "channels", "targets_2d", "inputs_2d", "4d"])
+    def test_mismatched_windows_name_the_split(self, inputs, targets):
+        stats = NormStats(np.zeros(2), np.ones(2))
+        with pytest.raises(DataError, match=(
+                rf"^val windows: inputs \({inputs[0]}, .* and targets "
+                rf"\({targets[0]}, .* are not \[W, L, C\] and \[W, T, C\]$")):
+            WindowedDataset(np.zeros(inputs), np.zeros(targets), "val", stats)
 
 
 class TestSynth:

@@ -292,6 +292,13 @@ def helpers(count):
     return mock.patch.object(model_module, "_helpers", lambda blocks: count)
 
 
+def blas_threads(count):
+    """Patch the OpenBLAS thread count ``_helpers`` reads to ``count``;
+    None is a numpy built on another BLAS."""
+    return mock.patch.object(model_module, "_openblas", lambda verb: (
+        None if count is None else lambda: count))
+
+
 def forecast_bytes(fc):
     """Shape, memory layout and bytes of a forecast's values and alpha; an
     axis of extent 1 has no say in the layout."""
@@ -384,8 +391,7 @@ class TestInferenceBlocks:
         params = init_params(cfg)
         x = np.random.default_rng(0).standard_normal((256, 96, 21))
         for blas in (1, 2):
-            with mock.patch.object(model_module, "_blas_threads",
-                                   lambda: blas), \
+            with blas_threads(blas), \
                     mock.patch.object(os, "sched_getaffinity", create=True,
                                       return_value=set(range(64))):
                 assert model_module._helpers(2**31) == (
@@ -480,14 +486,14 @@ class TestHelperThreads:
         (1, 1, 10, 0), (2, 4, 10, 0), (None, 4, 10, 0)])
     def test_helpers_only_beside_a_one_thread_blas(self, blas, cores,
                                                    blocks, count):
-        with mock.patch.object(model_module, "_blas_threads",
-                               lambda: blas), \
+        with blas_threads(blas), \
                 mock.patch.object(os, "sched_getaffinity", create=True,
                                   return_value=set(range(cores))):
             assert model_module._helpers(blocks) == count
 
     def test_helpers_count_cpus_without_an_affinity_call(self, monkeypatch):
-        monkeypatch.setattr(model_module, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(model_module, "_openblas",
+                            lambda verb: lambda: 1)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert model_module._helpers(10) == 1
@@ -496,12 +502,12 @@ class TestHelperThreads:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert model_module._helpers(10) == 0
 
-    @pytest.mark.skipif(model_module._blas_thread_getter() is None,
+    @pytest.mark.skipif(model_module._openblas("get") is None,
                         reason="numpy does not bundle OpenBLAS here")
     @pytest.mark.parametrize("threads", [1, 2])
     def test_probe_reads_the_loaded_blas(self, threads):
         code = ("from dctnet import model; "
-                "print(model._blas_threads(), model._helpers(2**31))")
+                "print(model._openblas('get')(), model._helpers(2**31))")
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                    PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env,

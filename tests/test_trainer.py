@@ -349,6 +349,21 @@ class TestFit:
                         log=lambda m: None)
         assert report.epochs_run == 1
 
+    @pytest.mark.parametrize("patience, last", [(0, 0), (2, 2)])
+    def test_stop_line_states_stale_epochs_and_patience(self, patience,
+                                                        last):
+        # at lr 0 the parameters never move, so only epoch 0 improves
+        cfg = micro_config()
+        train = tiny_dataset(6, cfg=cfg)
+        lines = []
+        _, report = fit(init_params(cfg), cfg, train, train,
+                        TrainSettings(lr=0.0, epochs=10, batch_size=4,
+                                      patience=patience), log=lines.append)
+        assert report.epochs_run == last + 1 and report.best_epoch == 0
+        assert lines[-1] == (f"stopping after epoch {last}: {patience} "
+                             f"epoch(s) without improvement, patience "
+                             f"{patience}")
+
     def test_same_seed_same_history(self):
         cfg = micro_config(dropout=0.2, seed=7)
         train = tiny_dataset(10, cfg=cfg)
@@ -379,6 +394,26 @@ class TestFit:
                 checkpoint_save(params, cfg, path, metadata={"seed": seed})
                 files.append(path.read_bytes())
         assert files[0] == files[1]
+
+    @pytest.mark.parametrize("inputs, targets", [
+        ((5, 8, 1), (5, 1, 1)), ((5, 8, 1), (5, 5, 1)), ((5, 9, 1), (5, 4, 1)),
+    ], ids=["one_target_step", "long_targets", "long_inputs"])
+    def test_windows_off_the_config_name_the_split(self, inputs, targets):
+        # unchecked, [W, 1, C] targets would broadcast against the forecast
+        # and evaluate would divide the error by the wrong count
+        cfg = micro_config()
+        rng = np.random.default_rng(0)
+        ds = WindowedDataset(rng.standard_normal(inputs),
+                             rng.standard_normal(targets), "test",
+                             NormStats(np.zeros(1), np.ones(1)))
+        message = (rf"^test windows are \({inputs[1]}, 1\) -> "
+                   rf"\({targets[1]}, 1\), config needs \(8, 1\) -> "
+                   rf"\(4, 1\)$")
+        with pytest.raises(DataError, match=message):
+            evaluate(init_params(cfg), cfg, ds)
+        with pytest.raises(DataError, match=message):
+            fit(init_params(cfg), cfg, tiny_dataset(4, cfg=cfg), ds,
+                TrainSettings(epochs=1), log=None)
 
     def test_empty_train_set_rejected(self):
         cfg = micro_config()
@@ -709,8 +744,7 @@ class TestSplitStep:
     def test_split_fit_bytes_do_not_depend_on_helpers(self):
         # train_c7's model at D=32: 32 windows hold 8 · 32 · C·N·D = 616 KiB
         cfg = ModelConfig(channels=7, pred_len=24, latent_dim=32, seed=3)
-        assert 32 * model_module._window_bytes(cfg) > \
-            model_module._BLOCK_BYTES
+        assert model_module._block_rows(cfg) < 32
         train = tiny_dataset(40, cfg=cfg)
         val = tiny_dataset(8, seed=1, cfg=cfg)
         settings = TrainSettings(lr=1e-3, epochs=2, batch_size=32,
@@ -762,13 +796,51 @@ class TestSplitStep:
                             report.train_loss, report.val_mse))
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("channels", [2, 7, 21])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_forward_blocks_and_train_halves_follow_one_rule(
+            self, monkeypatch, channels, rows):
+        # a budget one byte short of rows + 1 windows' widest intermediate
+        cfg = ModelConfig(channels=channels, pred_len=24, latent_dim=16,
+                          heads=2)
+        c, n, h = channels, cfg.num_patches, cfg.heads
+        widest = 8 * max(c * n * cfg.latent_dim, h * n * c * c, h * c * n * n)
+        monkeypatch.setattr(model_module, "_BLOCK_BYTES",
+                            (rows + 1) * widest - 1)
+        assert model_module._block_rows(cfg) == rows
+        blocks, parts = [], []
+        block, part = model_module._forward_block, trainer._train_part
+
+        def block_spy(x, params, cfg, training=False, rng=None):
+            if not training:
+                blocks.append(len(x.data))
+            return block(x, params, cfg, training, rng)
+
+        def part_spy(params, cfg, x, *args):
+            parts.append(len(x))
+            return part(params, cfg, x, *args)
+
+        monkeypatch.setattr(model_module, "_forward_block", block_spy)
+        monkeypatch.setattr(trainer, "_train_part", part_spy)
+        ds = tiny_dataset(rows + 1, cfg=cfg)
+        params = init_params(cfg)
+        for b, want_blocks, want_parts in (
+                (rows, [rows], [rows]),
+                (rows + 1, [rows, 1], [(rows + 2) // 2, (rows + 1) // 2])):
+            blocks.clear()
+            parts.clear()
+            forward(ds.inputs[:b], params, cfg)
+            trainer._train_step(params, cfg, ds.inputs[:b], ds.targets[:b],
+                                0, 0)
+            assert sorted(blocks) == sorted(want_blocks), b
+            assert sorted(parts) == sorted(want_parts), b
+
     def test_unsplit_fit_matches_one_tape_reference(self):
         cfg = micro_config(channels=2, dropout=0.2, seed=6)
         train = tiny_dataset(10, seed=1, cfg=cfg)
         settings = TrainSettings(lr=1e-2, epochs=1, batch_size=4,
                                  clip_norm=0.5)
-        assert 4 * model_module._window_bytes(cfg) <= \
-            model_module._BLOCK_BYTES
+        assert model_module._block_rows(cfg) >= 4
         fitted, _ = fit(init_params(cfg), cfg, train, train, settings,
                         log=None)
 
