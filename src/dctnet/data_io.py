@@ -89,16 +89,36 @@ class SeriesTable:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Per-channel mean/std captured on the train split."""
+    """Per-channel mean/std captured on the train split.
+
+    ``apply`` and ``invert`` compute (x - mean) / std and z * std + mean on
+    each channel's values and statistics times 2^-k, where 2^k bounds its
+    |mean| and std, as ``compute_stats`` scales: a value whose distance from
+    the mean overflows float64 still standardises.  Wherever the unscaled
+    formulas neither overflow nor underflow, the results are theirs to the
+    bit.
+    """
 
     mean: np.ndarray
     std: np.ndarray
 
+    def _scaled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each channel's k, and its mean and std times 2^-k."""
+        _, k = np.frexp(np.maximum(np.abs(self.mean), np.abs(self.std)))
+        return k, np.ldexp(self.mean, -k), np.ldexp(self.std, -k)
+
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean) / self.std
+        k, mean, std = self._scaled()
+        out = np.ldexp(values, -k)
+        out -= mean
+        out /= std
+        return out
 
     def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
+        k, mean, std = self._scaled()
+        out = values * std
+        out += mean
+        return np.ldexp(out, k)
 
 
 @dataclass
@@ -299,7 +319,8 @@ def make_windows(split: SeriesTable, seq_len: int, pred_len: int,
     """Standardise, then slide (L history, T target) pairs across the split.
 
     A channel that does not standardise to finite values, because its
-    statistics or its values overflow float64, is a ``DataError``.
+    statistics are not finite or a standardised value overflows float64,
+    is a ``DataError``.
     """
     seq_len = whole_number("seq_len", seq_len, at_least=1)
     pred_len = whole_number("pred_len", pred_len, at_least=1)
@@ -478,8 +499,17 @@ def checkpoint_load(path) -> tuple[DCTNetParams, ModelConfig, dict]:
         raise CheckpointError(f"corrupt checkpoint header in {path}: {exc}")
     try:
         cfg = ModelConfig.from_dict(header["config"])
-        stored = {entry["name"]: tuple(entry["shape"])
-                  for entry in header["tensors"]}
+        stored = {}
+        for entry in header["tensors"]:
+            name, shape = entry["name"], entry["shape"]
+            # (2.0,) == (2,), so a float extent would pass the shape check
+            # below and fail in numpy's reshape
+            if not (isinstance(shape, list) and all(
+                    type(n) is int and n >= 0 for n in shape)):
+                raise CheckpointError(
+                    f"checkpoint parameter {name!r} has shape {shape!r}, "
+                    f"not a list of non-negative integers")
+            stored[name] = tuple(shape)
         metadata = header.get("metadata", {})
         if not isinstance(metadata, dict):
             raise TypeError(f"metadata must be an object, got "

@@ -7,6 +7,8 @@ Fusion happens inside the channel branch's residual connection: the
 temporal output rides the residual while attention reads the raw tokens,
 so both branches reach the fused output through one addition.  Global
 patch attention reuses the same ``attention_sublayer`` over the patch axis.
+Parameter trees hold tensors only; the head count and dropout rate are the
+caller's, from ``ModelConfig``, and each shape is checked by the engine.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from . import numeric_engine as engine
 from .numeric_engine import AttentionParams, Tensor
-from .errors import ConfigError
 
 
 @dataclass
@@ -32,13 +33,11 @@ class TemporalBranchParams:
 
 @dataclass
 class AttentionSublayerParams:
-    """Attention projections, norm affine [D], head count, dropout rate."""
+    """Attention projections plus the sublayer's norm affine [D]."""
 
     attn: AttentionParams
     gain: Tensor
     bias: Tensor
-    heads: int
-    dropout_p: float
 
 
 def temporal_branch_forward(x_patch: Tensor, params: TemporalBranchParams) -> Tensor:
@@ -48,39 +47,32 @@ def temporal_branch_forward(x_patch: Tensor, params: TemporalBranchParams) -> Te
     a learned combination of all input patches, independently per channel
     and per feature dim.
     """
-    n = x_patch.shape[2]
-    if params.w_time.shape != (n, n):
-        raise ConfigError(
-            f"w_time is {params.w_time.shape}, input has {n} patches"
-        )
     mixed = engine.patch_mix(x_patch, params.w_time)
     return engine.layer_norm(engine.gelu(mixed), params.gain, params.bias,
                              residual=x_patch)
 
 
 def attention_sublayer(x: Tensor, residual: Tensor,
-                       params: AttentionSublayerParams, token_axis: int,
-                       training: bool = False,
+                       params: AttentionSublayerParams, token_axis: int, *,
+                       heads: int, dropout_p: float, training: bool = False,
                        rng: Optional[np.random.Generator] = None) -> Tensor:
-    """layer_norm(dropout(MHA over ``token_axis`` of x) + residual).
+    """layer_norm(dropout(MHA over ``token_axis`` of x) + residual), with
+    ``heads`` heads and dropout rate ``dropout_p``.
 
     Queries, keys and values all come from ``x``; the caller picks the
     residual, which is how fusion rides through the channel branch.
     """
-    if residual.shape != x.shape:
-        raise ConfigError(
-            f"residual shape {residual.shape} != input shape {x.shape}"
-        )
     attended = engine.multi_head_attention(
-        x, params.attn, params.heads, token_axis=token_axis,
-        dropout_p=params.dropout_p, training=training, rng=rng)
+        x, params.attn, heads, token_axis=token_axis, dropout_p=dropout_p,
+        training=training, rng=rng)
     return engine.layer_norm(attended, params.gain, params.bias,
                              residual=residual)
 
 
 def fuse_branches(x_patch: Tensor, temporal_params: TemporalBranchParams,
-                  channel_params: AttentionSublayerParams,
-                  training: bool = False, disabled: bool = False,
+                  channel_params: AttentionSublayerParams, *, heads: int,
+                  dropout_p: float, training: bool = False,
+                  disabled: bool = False,
                   rng: Optional[np.random.Generator] = None) -> Tensor:
     """Combine both branches into the fused token grid.
 
@@ -91,4 +83,5 @@ def fuse_branches(x_patch: Tensor, temporal_params: TemporalBranchParams,
         return x_patch
     h_time = temporal_branch_forward(x_patch, temporal_params)
     return attention_sublayer(x_patch, h_time, channel_params, token_axis=-3,
+                              heads=heads, dropout_p=dropout_p,
                               training=training, rng=rng)

@@ -197,8 +197,7 @@ def init_params(cfg: ModelConfig) -> DCTNetParams:
             w_time=uniform(f"{pre}.temporal.w_time", (n, n), n),
             **norm(f"{pre}.temporal", d))
         channel, glob = (AttentionSublayerParams(
-            attn=attention(f"{pre}.{part}"), **norm(f"{pre}.{part}", d),
-            heads=cfg.heads, dropout_p=cfg.dropout)
+            attn=attention(f"{pre}.{part}"), **norm(f"{pre}.{part}", d))
             for part in ("channel", "global"))
         blocks.append(BlockParams(temporal, channel, glob))
 
@@ -407,17 +406,21 @@ def _forward_block(x: Tensor, params: DCTNetParams, cfg: ModelConfig,
                    rng: Optional[np.random.Generator] = None
                    ) -> tuple[Tensor, Tensor]:
     """The pipeline on checked windows [B, L, C]: forecast values and alpha.
-    Stages are called through this module's names, which tracers replace."""
+    Every attention sublayer takes cfg's heads and dropout, which the tree
+    does not hold.  Stages are called through this module's names, which
+    tracers replace."""
     normed, state = revin_normalize(x, params.revin, eps=cfg.revin_eps)
     x_patch = embed_patches(segment_patches(normed, cfg.patch_len, cfg.stride),
                             params.embed)
 
     h = x_patch
+    sublayer = dict(heads=cfg.heads, dropout_p=cfg.dropout, training=training,
+                    rng=rng)
     for blk in params.blocks:
-        h = fuse_branches(h, blk.temporal, blk.channel, training=training,
-                          disabled=cfg.disable_dbct, rng=rng)
-        h = global_patch_attention(h, blk.global_fusion, training=training,
-                                   disabled=cfg.disable_gpaf, rng=rng)
+        h = fuse_branches(h, blk.temporal, blk.channel,
+                          disabled=cfg.disable_dbct, **sublayer)
+        h = global_patch_attention(h, blk.global_fusion,
+                                   disabled=cfg.disable_gpaf, **sublayer)
 
     h_final, alpha = apply_correction(h, x_patch, cfg.correction,
                                       enabled=not cfg.disable_fsc)

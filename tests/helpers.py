@@ -317,6 +317,24 @@ LACKS_STATS = {
 }
 
 
+def retyped_shape(name, cast):
+    """A header edit that stores each extent of tensor ``name`` as
+    ``cast(extent)``."""
+    def edit(header):
+        for row in header["tensors"]:
+            if row["name"] == name:
+                row["shape"] = [cast(n) for n in row["shape"]]
+        return header
+    return edit
+
+
+# tensor shapes that equal the saved ones as tuples, since 2.0 == 2, but
+# are not lists of ints, which numpy's reshape refuses: case -> (tensor,
+# header edit)
+MISTYPED_SHAPES = {name: (name, retyped_shape(name, float))
+                   for name in ("revin.gamma", "embed.weight")}
+
+
 def reference_clip(grads: dict, max_norm) -> float:
     """Global-norm clipping one gradient array per parameter name: squares
     summed per tensor, the tensor sums added in order, each array replaced

@@ -179,17 +179,16 @@ class TestAcceptance:
                 gain=Tensor(np.ones(d)), bias=Tensor(np.zeros(d)))
             cp = AttentionSublayerParams(attn=rand_attention(rng, d),
                                          gain=Tensor(np.ones(d)),
-                                         bias=Tensor(np.zeros(d)),
-                                         heads=2, dropout_p=0.0)
-            fused = fuse_branches(x, tp, cp, training=False,
-                                  disabled=True)
+                                         bias=Tensor(np.zeros(d)))
+            fused = fuse_branches(x, tp, cp, heads=2, dropout_p=0.0,
+                                  training=False, disabled=True)
             ok = ok and fused is x
 
             gp = AttentionSublayerParams(attn=rand_attention(rng, d),
                                          gain=Tensor(np.ones(d)),
-                                         bias=Tensor(np.zeros(d)),
-                                         heads=2, dropout_p=0.0)
-            passed = global_patch_attention(x, gp, disabled=True)
+                                         bias=Tensor(np.zeros(d)))
+            passed = global_patch_attention(x, gp, heads=2, dropout_p=0.0,
+                                            disabled=True)
             ok = ok and passed is x
 
             h = Tensor(rng.standard_normal((2, 3, n, d)))

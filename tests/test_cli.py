@@ -16,7 +16,7 @@ from dctnet.cli import _emit_json, main
 from dctnet.data_io import SeriesTable, checkpoint_load, checkpoint_save, \
     load_csv, save_csv
 
-from helpers import BAD_METADATA, LACKS_STATS, rewrite_header
+from helpers import BAD_METADATA, LACKS_STATS, MISTYPED_SHAPES, rewrite_header
 
 CFG_JSON = {
     "model": {"latent_dim": 16, "heads": 2, "patch_len": 8, "stride": 4},
@@ -157,6 +157,22 @@ class TestBadCheckpointMetadata:
         assert stdout == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "metadata" in err
+
+
+class TestMistypedCheckpointShape:
+    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    @pytest.mark.parametrize("name, edit", MISTYPED_SHAPES.values(),
+                             ids=list(MISTYPED_SHAPES))
+    def test_exit_2(self, trained, tmp_path, capsys, command, name, edit):
+        ckpt = tmp_path / "checkpoint.dct"
+        shutil.copy(trained["out"] / "checkpoint.dct", ckpt)
+        rewrite_header(ckpt, edit)
+        code, stdout = run([command, "--checkpoint", str(ckpt),
+                            "--data", str(trained["root"] / "data.csv")])
+        assert (code, stdout) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint parameter '{name}' has "
+                              f"shape [")
 
 
 class TestEval:
@@ -312,6 +328,26 @@ class TestOverflow:
                                 "--quiet"] + data)
         assert code == 0 and np.isfinite(json.loads(stdout)["mse"])
         assert capsys.readouterr().err == ""
+
+    def test_test_split_across_float64_from_train(self, tmp_path, capsys):
+        # train near -1.5e308, test near +1.5e308: x - mean overflows, the
+        # standardised test values (about 427) do not
+        t = np.arange(400.0)
+        values = np.where(t < 320, -1.5e308, 1.5e308) + 1e306 * np.sin(t / 5)
+        save_csv(SeriesTable(values[:, None], ["far"]), tmp_path / "far.csv")
+        data = ["--data", str(tmp_path / "far.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run(["train", "--out", str(tmp_path / "run"),
+                           "--epochs", "1", "--seq-len", "24", "--horizon",
+                           "8", "--quiet"] + data)
+            assert code == 0
+            code, stdout = run(["eval", "--checkpoint",
+                                str(tmp_path / "run" / "checkpoint.dct"),
+                                "--quiet"] + data)
+        assert code == 0 and np.isfinite(json.loads(stdout)["mse"])
+        assert caught == []
+        assert "Warning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, where", [
         ("eval", "error: test split: channel 'ch0' does not standardise"),

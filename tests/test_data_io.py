@@ -25,8 +25,8 @@ from dctnet.fft import dft
 from dctnet.model import ModelConfig, forward, init_params
 from dctnet.spectral_correction import CorrectionConfig
 
-from helpers import (BAD_METADATA, LACKS_STATS, RECORD_KEY, rewrite_header,
-                     tiny_configs)
+from helpers import (BAD_METADATA, LACKS_STATS, MISTYPED_SHAPES, RECORD_KEY,
+                     retyped_shape, rewrite_header, tiny_configs)
 
 
 class TestLoadCsv:
@@ -264,6 +264,36 @@ class TestStats:
         std = values.std(axis=0)        # the unscaled formulas
         assert stats.mean.tobytes() == values.mean(axis=0).tobytes()
         assert stats.std.tobytes() == np.where(std == 0.0, 1.0, std).tobytes()
+
+    @settings(max_examples=100)
+    @given(rows=st.integers(1, 50), channels=st.integers(1, 4),
+           log_scale=st.floats(-5, 5), seed=st.integers(0, 2**16))
+    def test_scaling_leaves_apply_and_invert_bitwise(self, rows, channels,
+                                                     log_scale, seed):
+        rng = np.random.default_rng(seed)
+        values = (rng.standard_normal((rows, channels)) + rng.uniform(-3, 3))
+        values *= 10.0 ** log_scale
+        stats = compute_stats(SeriesTable(values, [f"c{j}" for j in
+                                                   range(channels)]))
+        z = (values - stats.mean) / stats.std       # the unscaled formulas
+        assert stats.apply(values).tobytes() == z.tobytes()
+        assert stats.invert(z).tobytes() == \
+            (z * stats.std + stats.mean).tobytes()
+
+    def test_values_far_from_the_mean_standardise(self):
+        # (x - mean) overflows float64; (x - mean) / std is about 427
+        t = np.arange(80.0)
+        train = SeriesTable((-1.5e308 + 1e306 * np.sin(t / 5))[:, None], ["a"])
+        test = SeriesTable((1.5e308 + 1e306 * np.sin(t / 5))[:, None], ["a"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = compute_stats(train)
+            z = stats.apply(test.values)
+            back = stats.invert(z)
+            ds = make_windows(test, 24, 8, stats, split_tag="test")
+        assert np.all((400 < z) & (z < 450))
+        np.testing.assert_allclose(back, test.values, rtol=1e-12)
+        assert ds.inputs[0].tobytes() == z[:24].tobytes()
 
     def test_no_lookahead(self):
         table = synth_series("sine", 100, 1, seed=5)
@@ -650,6 +680,21 @@ class TestCheckpoint:
             checkpoint_load(p)
         assert "revin.gamma" in str(err.value)
         assert "(5,)" in str(err.value)
+
+    # True == 1, so a bool extent passes as 1 where a tensor has one
+    @pytest.mark.parametrize("name, edit", [
+        *MISTYPED_SHAPES.values(),
+        ("revin.gamma", retyped_shape("revin.gamma", bool)),
+    ], ids=[*MISTYPED_SHAPES, "revin.gamma_bool"])
+    def test_mistyped_shape_names_tensor(self, tmp_path, name, edit):
+        cfg = micro_config(channels=1)
+        p = tmp_path / "x.dct"
+        checkpoint_save(init_params(cfg), cfg, p)
+        rewrite_header(p, edit)
+        with pytest.raises(CheckpointError, match=(
+                rf"parameter '{name}' has shape \[.*\], not a list of "
+                rf"non-negative integers")):
+            checkpoint_load(p)
 
     def test_missing_parameter_named(self, tmp_path):
         cfg = micro_config()

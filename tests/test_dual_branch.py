@@ -8,7 +8,7 @@ from dctnet.numeric_engine import AttentionParams, Tensor
 from dctnet.dual_branch import (AttentionSublayerParams, TemporalBranchParams,
                                 attention_sublayer, fuse_branches,
                                 temporal_branch_forward)
-from dctnet.errors import ConfigError
+from dctnet.errors import ContractError
 
 from helpers import (assert_rows_stochastic, check_gradients, oracle_attention,
                      oracle_layer_norm, weighted_sum)
@@ -25,7 +25,7 @@ def temporal_params(n, d, w=None, rng=None):
                                 bias=Tensor(np.zeros(d)))
 
 
-def channel_params(d, rng, heads=2, dropout_p=0.0, scale=0.3):
+def channel_params(d, rng, scale=0.3):
     def w():
         return Tensor(rng.standard_normal((d, d)) * scale)
 
@@ -34,8 +34,7 @@ def channel_params(d, rng, heads=2, dropout_p=0.0, scale=0.3):
 
     attn = AttentionParams(w(), b(), w(), b(), w(), b(), w(), b())
     return AttentionSublayerParams(attn=attn, gain=Tensor(np.ones(d)),
-                                   bias=Tensor(np.zeros(d)), heads=heads,
-                                   dropout_p=dropout_p)
+                                   bias=Tensor(np.zeros(d)))
 
 
 class TestTemporalBranch:
@@ -91,7 +90,7 @@ class TestTemporalBranch:
     def test_wrong_w_time_extent(self):
         rng = np.random.default_rng(3)
         params = temporal_params(3, 4, rng=rng)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError, match=r"5 patches, got \(3, 3\)"):
             temporal_branch_forward(Tensor(np.zeros((1, 1, 5, 4))), params)
 
     def test_gradient(self):
@@ -110,10 +109,11 @@ class TestTemporalBranch:
 class TestChannelBranch:
     def test_single_channel_degenerates_to_projection(self):
         rng = np.random.default_rng(10)
-        params = channel_params(4, rng, heads=2)
+        params = channel_params(4, rng)
         x = rng.standard_normal((2, 1, 3, 4))
         res = rng.standard_normal((2, 1, 3, 4))
-        out = attention_sublayer(Tensor(x), Tensor(res), params, token_axis=-3)
+        out = attention_sublayer(Tensor(x), Tensor(res), params, token_axis=-3,
+                                 heads=2, dropout_p=0.0)
         # one token: attention weight is 1, context is its value vector
         p = params.attn
         v = x @ p.wv.data + p.bv.data
@@ -123,21 +123,21 @@ class TestChannelBranch:
 
     def test_identical_channels_stay_identical(self):
         rng = np.random.default_rng(11)
-        params = channel_params(6, rng, heads=3)
+        params = channel_params(6, rng)
         row = rng.standard_normal((1, 1, 4, 6))
         x = np.tile(row, (1, 5, 1, 1))
-        out = attention_sublayer(Tensor(x), Tensor(x), params,
-                                 token_axis=-3).data
+        out = attention_sublayer(Tensor(x), Tensor(x), params, token_axis=-3,
+                                 heads=3, dropout_p=0.0).data
         for c in range(1, 5):
             np.testing.assert_allclose(out[0, c], out[0, 0], atol=1e-12)
 
     def test_matches_attention_oracle(self):
         rng = np.random.default_rng(12)
-        params = channel_params(4, rng, heads=2)
+        params = channel_params(4, rng)
         x = rng.standard_normal((1, 3, 2, 4))       # C=3 tokens, N=2 positions
         res = rng.standard_normal((1, 3, 2, 4))
-        out = attention_sublayer(Tensor(x), Tensor(res), params,
-                                 token_axis=-3).data
+        out = attention_sublayer(Tensor(x), Tensor(res), params, token_axis=-3,
+                                 heads=2, dropout_p=0.0).data
         for n in range(2):
             tokens = x[0, :, n, :]                   # [C, D]
             att = oracle_attention(tokens, params.attn, heads=2)
@@ -147,41 +147,41 @@ class TestChannelBranch:
 
     def test_channels_couple(self):
         rng = np.random.default_rng(13)
-        params = channel_params(4, rng, heads=2, scale=0.8)
+        params = channel_params(4, rng, scale=0.8)
         x = rng.standard_normal((1, 3, 2, 4))
-        base = attention_sublayer(Tensor(x), Tensor(x), params,
-                                  token_axis=-3).data
+        base = attention_sublayer(Tensor(x), Tensor(x), params, token_axis=-3,
+                                  heads=2, dropout_p=0.0).data
         bumped = x.copy()
         bumped[0, 2] += 2.0
         out = attention_sublayer(Tensor(bumped), Tensor(bumped), params,
-                                 token_axis=-3).data
+                                 token_axis=-3, heads=2, dropout_p=0.0).data
         assert not np.allclose(out[0, 0], base[0, 0])
 
     def test_residual_shape_checked(self):
         rng = np.random.default_rng(14)
         params = channel_params(4, rng)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError, match=r"residual is \(1, 2, 3, 4\), "
+                                                r"input is \(1, 2, 2, 4\)"):
             attention_sublayer(Tensor(np.zeros((1, 2, 2, 4))),
                                Tensor(np.zeros((1, 2, 3, 4))), params,
-                               token_axis=-3)
+                               token_axis=-3, heads=2, dropout_p=0.0)
 
     def test_attention_weights_row_stochastic(self):
         rng = np.random.default_rng(15)
-        params = channel_params(4, rng, heads=2)
+        params = channel_params(4, rng)
         x = rng.standard_normal((2, 5, 3, 4))
         assert_rows_stochastic(x, params.attn, heads=2, token_axis=-3)
 
     def test_dropout_only_in_training(self):
         rng = np.random.default_rng(16)
-        params = channel_params(4, rng, dropout_p=0.5)
+        params = channel_params(4, rng)
         x = Tensor(rng.standard_normal((1, 3, 2, 4)))
-        a = attention_sublayer(x, x, params, token_axis=-3,
-                               training=False).data
-        b = attention_sublayer(x, x, params, token_axis=-3,
-                               training=False).data
+        sublayer = dict(token_axis=-3, heads=2, dropout_p=0.5)
+        a = attention_sublayer(x, x, params, training=False, **sublayer).data
+        b = attention_sublayer(x, x, params, training=False, **sublayer).data
         np.testing.assert_array_equal(a, b)
-        c = attention_sublayer(x, x, params, token_axis=-3, training=True,
-                               rng=np.random.default_rng(0)).data
+        c = attention_sublayer(x, x, params, training=True,
+                               rng=np.random.default_rng(0), **sublayer).data
         assert not np.allclose(a, c)
 
 
@@ -190,7 +190,8 @@ class TestFusion:
         rng = np.random.default_rng(20)
         x = Tensor(rng.standard_normal((1, 2, 3, 4)))
         out = fuse_branches(x, temporal_params(3, 4, rng=rng),
-                            channel_params(4, rng), disabled=True)
+                            channel_params(4, rng), heads=2, dropout_p=0.0,
+                            disabled=True)
         assert out is x
 
     def test_residual_substitution_wiring(self):
@@ -198,9 +199,10 @@ class TestFusion:
         tp = temporal_params(3, 4, rng=rng)
         cp = channel_params(4, rng)
         x = Tensor(rng.standard_normal((2, 3, 3, 4)))
-        fused = fuse_branches(x, tp, cp)
+        fused = fuse_branches(x, tp, cp, heads=2, dropout_p=0.0)
         h_time = temporal_branch_forward(x, tp)
-        manual = attention_sublayer(x, h_time, cp, token_axis=-3)
+        manual = attention_sublayer(x, h_time, cp, token_axis=-3, heads=2,
+                                    dropout_p=0.0)
         np.testing.assert_allclose(fused.data, manual.data, atol=1e-12)
 
     def test_zeroed_block_reduces_to_nested_norms(self):
@@ -212,11 +214,10 @@ class TestFusion:
                                       else Tensor(np.zeros(d))
                                       for i in range(8)))
         cp = AttentionSublayerParams(attn=zero_attn, gain=Tensor(np.ones(d)),
-                                     bias=Tensor(np.zeros(d)), heads=2,
-                                     dropout_p=0.0)
+                                     bias=Tensor(np.zeros(d)))
         rng = np.random.default_rng(25)
         x = rng.standard_normal((1, 2, n, d))
-        fused = fuse_branches(Tensor(x), tp, cp)
+        fused = fuse_branches(Tensor(x), tp, cp, heads=2, dropout_p=0.0)
         inner = oracle_layer_norm(x, np.ones(d), np.zeros(d))
         np.testing.assert_allclose(
             fused.data, oracle_layer_norm(inner, np.ones(d), np.zeros(d)),
@@ -226,9 +227,10 @@ class TestFusion:
         # C=1, N=1: attention collapses to a value-output projection chain
         rng = np.random.default_rng(26)
         tp = temporal_params(1, 2, w=np.array([[2.0]]))
-        cp = channel_params(2, rng, heads=1)
+        cp = channel_params(2, rng)
         x_val = np.array([[[[0.7, -0.4]]]])
-        out = fuse_branches(Tensor(x_val), tp, cp).data
+        out = fuse_branches(Tensor(x_val), tp, cp, heads=1,
+                            dropout_p=0.0).data
         pre = gelu_np(2.0 * x_val) + x_val
         h_time = oracle_layer_norm(pre[0, 0], np.ones(2), np.zeros(2))
         p = cp.attn
@@ -244,7 +246,7 @@ class TestFusion:
         c = rng.standard_normal((1, 2, 2, 4))
 
         def loss(t):
-            out = fuse_branches(t, tp, cp)
+            out = fuse_branches(t, tp, cp, heads=2, dropout_p=0.0)
             return weighted_sum(out, c)
 
         check_gradients(loss, rng.standard_normal((1, 2, 2, 4)),

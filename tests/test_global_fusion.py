@@ -11,7 +11,7 @@ from helpers import (assert_rows_stochastic, check_gradients, oracle_attention,
                      oracle_layer_norm, weighted_sum)
 
 
-def make_params(d, rng, heads=2, dropout_p=0.0, scale=0.4):
+def make_params(d, rng, scale=0.4):
     def w():
         return Tensor(rng.standard_normal((d, d)) * scale)
 
@@ -20,22 +20,22 @@ def make_params(d, rng, heads=2, dropout_p=0.0, scale=0.4):
 
     attn = AttentionParams(w(), b(), w(), b(), w(), b(), w(), b())
     return AttentionSublayerParams(attn=attn, gain=Tensor(np.ones(d)),
-                                   bias=Tensor(np.zeros(d)), heads=heads,
-                                   dropout_p=dropout_p)
+                                   bias=Tensor(np.zeros(d)))
 
 
 class TestForward:
     def test_disabled_is_the_same_object(self):
         rng = np.random.default_rng(0)
         h = Tensor(rng.standard_normal((2, 3, 4, 6)))
-        assert global_patch_attention(h, make_params(6, rng),
-                                      disabled=True) is h
+        assert global_patch_attention(h, make_params(6, rng), heads=2,
+                                      dropout_p=0.0, disabled=True) is h
 
     def test_single_patch_degenerates_to_projection(self):
         rng = np.random.default_rng(1)
         params = make_params(4, rng)
         h = rng.standard_normal((2, 3, 1, 4))
-        out = global_patch_attention(Tensor(h), params).data
+        out = global_patch_attention(Tensor(h), params, heads=2,
+                                     dropout_p=0.0).data
         p = params.attn
         v = h @ p.wv.data + p.bv.data
         proj = v @ p.wo.data + p.bo.data
@@ -44,9 +44,10 @@ class TestForward:
 
     def test_matches_attention_oracle_per_channel(self):
         rng = np.random.default_rng(2)
-        params = make_params(4, rng, heads=2)
+        params = make_params(4, rng)
         h = rng.standard_normal((1, 3, 5, 4))
-        out = global_patch_attention(Tensor(h), params).data
+        out = global_patch_attention(Tensor(h), params, heads=2,
+                                     dropout_p=0.0).data
         for c in range(3):
             tokens = h[0, c]                         # [N, D]
             att = oracle_attention(tokens, params.attn, heads=2)
@@ -56,8 +57,8 @@ class TestForward:
     def test_output_shape_preserved(self):
         rng = np.random.default_rng(3)
         h = Tensor(rng.standard_normal((3, 2, 7, 8)))
-        assert global_patch_attention(h, make_params(8, rng, heads=4)).shape \
-            == (3, 2, 7, 8)
+        assert global_patch_attention(h, make_params(8, rng), heads=4,
+                                      dropout_p=0.0).shape == (3, 2, 7, 8)
 
 
 class TestStructure:
@@ -65,10 +66,12 @@ class TestStructure:
         rng = np.random.default_rng(4)
         params = make_params(4, rng)
         h = rng.standard_normal((1, 3, 4, 4))
-        base = global_patch_attention(Tensor(h), params).data
+        base = global_patch_attention(Tensor(h), params, heads=2,
+                                      dropout_p=0.0).data
         bumped = h.copy()
         bumped[0, 1] += 2.0
-        out = global_patch_attention(Tensor(bumped), params).data
+        out = global_patch_attention(Tensor(bumped), params, heads=2,
+                                     dropout_p=0.0).data
         np.testing.assert_array_equal(out[0, 0], base[0, 0])
         np.testing.assert_array_equal(out[0, 2], base[0, 2])
         assert not np.allclose(out[0, 1], base[0, 1])
@@ -77,24 +80,28 @@ class TestStructure:
         rng = np.random.default_rng(5)
         params = make_params(4, rng, scale=0.8)
         h = rng.standard_normal((1, 1, 4, 4))
-        base = global_patch_attention(Tensor(h), params).data
+        base = global_patch_attention(Tensor(h), params, heads=2,
+                                      dropout_p=0.0).data
         bumped = h.copy()
         bumped[0, 0, 3] += 2.0
-        out = global_patch_attention(Tensor(bumped), params).data
+        out = global_patch_attention(Tensor(bumped), params, heads=2,
+                                     dropout_p=0.0).data
         assert not np.allclose(out[0, 0, 0], base[0, 0, 0])
 
     def test_weights_row_stochastic(self):
         rng = np.random.default_rng(6)
-        params = make_params(4, rng, heads=2)
+        params = make_params(4, rng)
         h = rng.standard_normal((2, 3, 5, 4))
         assert_rows_stochastic(h, params.attn, heads=2)
 
     def test_dropout_active_only_in_training(self):
         rng = np.random.default_rng(7)
-        params = make_params(4, rng, dropout_p=0.4)
+        params = make_params(4, rng)
         h = Tensor(rng.standard_normal((1, 2, 3, 4)))
-        a = global_patch_attention(h, params, training=False).data
-        b = global_patch_attention(h, params, training=True,
+        a = global_patch_attention(h, params, heads=2, dropout_p=0.4,
+                                   training=False).data
+        b = global_patch_attention(h, params, heads=2, dropout_p=0.4,
+                                   training=True,
                                    rng=np.random.default_rng(1)).data
         assert not np.allclose(a, b)
 
@@ -104,7 +111,7 @@ class TestStructure:
         c = rng.standard_normal((1, 2, 3, 4))
 
         def loss(t):
-            out = global_patch_attention(t, params)
+            out = global_patch_attention(t, params, heads=2, dropout_p=0.0)
             return weighted_sum(out, c)
 
         check_gradients(loss, rng.standard_normal((1, 2, 3, 4)),

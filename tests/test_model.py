@@ -40,7 +40,8 @@ def size(cfg):
 
 
 def tree_tensors(node):
-    """Every Tensor reachable from a params dataclass, in field order."""
+    """Every Tensor reachable from a params dataclass, in field order; a
+    leaf that is not a Tensor, such as a setting, fails the test."""
     if isinstance(node, Tensor):
         yield node
     elif isinstance(node, list):
@@ -50,6 +51,8 @@ def tree_tensors(node):
         for f in dataclasses.fields(node):
             if f.name != "registry":
                 yield from tree_tensors(getattr(node, f.name))
+    else:
+        raise AssertionError(f"{node!r} in a parameter tree is not a Tensor")
 
 
 class TestConfig:
@@ -556,6 +559,34 @@ class TestAblationVariant:
         fc = forward(np.random.default_rng(8).standard_normal((2, 8, 2)),
                      params, cfg)
         np.testing.assert_allclose(fc.alpha.data, 1.0)
+
+
+class TestSettingsFromConfig:
+    # the tree holds tensors only: heads and dropout are the config's that
+    # forward is given, whichever config built the parameters
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=tiny_configs(), field=st.sampled_from(["heads", "dropout"]),
+           dropout=st.sampled_from([0.0, 0.1, 0.5]), swap=st.booleans(),
+           batch=st.integers(1, 3), data_seed=st.integers(0, 2**32 - 1))
+    def test_forward_reads_heads_and_dropout_from_cfg(self, cfg, field,
+                                                      dropout, swap, batch,
+                                                      data_seed):
+        # 1 divides every latent_dim, so heads=1 is always valid
+        other = dataclasses.replace(
+            cfg, **{field: 1 if field == "heads" else dropout})
+        built, run = (other, cfg) if swap else (cfg, other)
+        x = np.random.default_rng(data_seed).standard_normal(
+            (batch, run.seq_len, run.channels))
+        foreign, own = init_params(built), init_params(run)
+
+        def outputs(params, training):
+            return forecast_bytes(forward(x, params, run, training=training,
+                                          rng=np.random.default_rng(7)))
+
+        for training in (False, True):
+            assert outputs(foreign, training) == outputs(own, training)
+        if run.dropout == 0.0:
+            assert outputs(foreign, True) == outputs(foreign, False)
 
 
 # the function in dctnet.model that each ablation switch bypasses
