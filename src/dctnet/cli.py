@@ -272,6 +272,14 @@ def cmd_forecast(args) -> int:
 def cmd_ablate(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     data, _table, cfg, settings, windows = _resolve_run(args)
+    # every variant is built before anything trains, and at least one is:
+    # ablation_variant refuses a cfg that bypasses a stage, so "full" is the
+    # full model
+    if not variants:
+        raise ConfigError("--variants names no stage to bypass")
+    for v in variants:
+        if variants.count(v) > 1:
+            raise ConfigError(f"--variants lists {v!r} more than once")
 
     rows = []
     runs = [(cfg, "full")] + [(ablation_variant(cfg, v), f"w/o-{v.upper()}")

@@ -509,6 +509,9 @@ def checkpoint_load(path) -> tuple[DCTNetParams, ModelConfig, dict]:
                 raise CheckpointError(
                     f"checkpoint parameter {name!r} has shape {shape!r}, "
                     f"not a list of non-negative integers")
+            if name in stored:      # else the later entry would win
+                raise CheckpointError(
+                    f"checkpoint lists parameter {name!r} twice")
             stored[name] = tuple(shape)
         metadata = header.get("metadata", {})
         if not isinstance(metadata, dict):

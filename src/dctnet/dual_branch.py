@@ -72,15 +72,12 @@ def attention_sublayer(x: Tensor, residual: Tensor,
 def fuse_branches(x_patch: Tensor, temporal_params: TemporalBranchParams,
                   channel_params: AttentionSublayerParams, *, heads: int,
                   dropout_p: float, training: bool = False,
-                  disabled: bool = False,
                   rng: Optional[np.random.Generator] = None) -> Tensor:
     """Combine both branches into the fused token grid.
 
     Channel attention's residual carries the temporal output, so one
-    addition merges the branches.  Disabled, the block is the identity.
+    addition merges the branches.
     """
-    if disabled:
-        return x_patch
     h_time = temporal_branch_forward(x_patch, temporal_params)
     return attention_sublayer(x_patch, h_time, channel_params, token_axis=-3,
                               heads=heads, dropout_p=dropout_p,

@@ -18,15 +18,13 @@ from .numeric_engine import Tensor
 
 def global_patch_attention(h_fused: Tensor, params: AttentionSublayerParams,
                            *, heads: int, dropout_p: float,
-                           training: bool = False, disabled: bool = False,
+                           training: bool = False,
                            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """layer_norm(dropout(MHA over patches) + h_fused); identity when disabled.
+    """layer_norm(dropout(MHA over patches) + h_fused).
 
     ``h_fused`` is [B, C, N, D], so the N patches on the second-to-last
     axis are the attention tokens.
     """
-    if disabled:
-        return h_fused
     return attention_sublayer(h_fused, h_fused, params, token_axis=-2,
                               heads=heads, dropout_p=dropout_p,
                               training=training, rng=rng)

@@ -407,8 +407,10 @@ def _forward_block(x: Tensor, params: DCTNetParams, cfg: ModelConfig,
                    ) -> tuple[Tensor, Tensor]:
     """The pipeline on checked windows [B, L, C]: forecast values and alpha.
     Every attention sublayer takes cfg's heads and dropout, which the tree
-    does not hold.  Stages are called through this module's names, which
-    tracers replace."""
+    does not hold.  This is the one reader of cfg's ablation switches: a
+    bypassed stage is not called, its input goes on as its output, and a
+    bypassed correction's alpha is exactly 1.  Stages are called through
+    this module's names, which tracers replace."""
     normed, state = revin_normalize(x, params.revin, eps=cfg.revin_eps)
     x_patch = embed_patches(segment_patches(normed, cfg.patch_len, cfg.stride),
                             params.embed)
@@ -417,21 +419,29 @@ def _forward_block(x: Tensor, params: DCTNetParams, cfg: ModelConfig,
     sublayer = dict(heads=cfg.heads, dropout_p=cfg.dropout, training=training,
                     rng=rng)
     for blk in params.blocks:
-        h = fuse_branches(h, blk.temporal, blk.channel,
-                          disabled=cfg.disable_dbct, **sublayer)
-        h = global_patch_attention(h, blk.global_fusion,
-                                   disabled=cfg.disable_gpaf, **sublayer)
+        if not cfg.disable_dbct:
+            h = fuse_branches(h, blk.temporal, blk.channel, **sublayer)
+        if not cfg.disable_gpaf:
+            h = global_patch_attention(h, blk.global_fusion, **sublayer)
 
-    h_final, alpha = apply_correction(h, x_patch, cfg.correction,
-                                      enabled=not cfg.disable_fsc)
+    if cfg.disable_fsc:
+        h_final, alpha = h, engine._wrap(np.ones(h.shape[:2] + (1, 1)))
+    else:
+        h_final, alpha = apply_correction(h, x_patch, cfg.correction)
     pred = linear_head(h_final, params.head_weight, params.head_bias)
     return revin_denormalize(pred, params.revin, state), alpha
 
 
 def ablation_variant(cfg: ModelConfig, which: str) -> ModelConfig:
-    """Copy of cfg with exactly one stage bypassed; shapes stay identical."""
+    """Copy of cfg with exactly one stage bypassed; shapes stay identical.
+    A cfg that already bypasses a stage is a ``ConfigError``."""
     if which not in ABLATION_STAGES:
         raise ConfigError(
             f"unknown ablation stage {which!r}; choose from {ABLATION_STAGES}"
         )
+    for stage in ABLATION_STAGES:
+        if getattr(cfg, f"disable_{stage}"):
+            raise ConfigError(f"model.disable_{stage} is already set; an "
+                              f"ablation variant bypasses one stage of the "
+                              f"full model")
     return dataclasses.replace(cfg, **{f"disable_{which}": True})

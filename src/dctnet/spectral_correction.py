@@ -44,10 +44,9 @@ class CorrectionConfig:
             "correction eps", self.eps, above=0.0))
 
 
-def apply_correction(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig,
-                     enabled: bool = True) -> tuple[Tensor, Tensor]:
-    """(h_global scaled by alpha, alpha per series [B, C, 1, 1]);
-    ``h_global`` itself and alpha exactly 1 when bypassed.
+def apply_correction(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig
+                     ) -> tuple[Tensor, Tensor]:
+    """(h_global scaled by alpha, alpha per series [B, C, 1, 1]).
 
     The rescaled map is one tape node over both feature maps.  Its upstream
     grad g reaches ``h_global`` as g * alpha and alpha as the per-series
@@ -59,8 +58,6 @@ def apply_correction(h_global: Tensor, x_patch: Tensor, cfg: CorrectionConfig,
     - 2 (1 + eps) * d(num/den) * num / den^2 * S_input, each passed
     through the autocorrelation adjoint.
     """
-    if not enabled:
-        return h_global, Tensor(np.ones(h_global.shape[:2] + (1, 1)))
     if h_global.shape != x_patch.shape:
         raise ConfigError(
             f"feature shapes differ: {h_global.shape} vs {x_patch.shape}"

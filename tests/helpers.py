@@ -4,13 +4,16 @@ random tiny model configs."""
 from __future__ import annotations
 
 import cmath
+import contextlib
 import dataclasses
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
 
+import dctnet.model as model_module
 from dctnet import fft, numeric_engine as engine
 from dctnet.model import ModelConfig
 
@@ -252,6 +255,22 @@ def rewrite_header(path, edit):
                      + raw[16 + n:])
 
 
+def repeat_tensor(path, name, value):
+    """List a saved checkpoint's tensor ``name`` a second time, at the end
+    of the header and of the file, every entry of it ``value``."""
+    shape = []
+
+    def edit(header):
+        entry, = (e for e in header["tensors"] if e["name"] == name)
+        shape.extend(entry["shape"])
+        header["tensors"].append(dict(entry))
+        return header
+
+    rewrite_header(path, edit)
+    with open(path, "ab") as fh:
+        fh.write(np.full(shape, value, dtype="<f8").tobytes())
+
+
 @st.composite
 def tiny_configs(draw):
     """Small valid ModelConfigs: every shape, depth and dropout field varies.
@@ -269,6 +288,32 @@ def tiny_configs(draw):
         depth=draw(st.integers(1, 2)),
         dropout=draw(st.sampled_from([0.0, 0.1, 0.5])),
         seed=draw(st.integers(0, 2**16)))
+
+
+# the function in dctnet.model that each ablation switch bypasses
+STAGE_FUNCTIONS = {"dbct": "fuse_branches", "gpaf": "global_patch_attention",
+                   "fsc": "apply_correction"}
+
+
+@contextlib.contextmanager
+def stages_passing_input(stages, calls=None):
+    """dctnet.model's function for each of ``stages`` replaced by one that
+    returns its input, as a bypass does: the correction's with alpha
+    exactly 1.  Each call of a replacement appends its stage to ``calls``."""
+    def stand_in(which):
+        def stage(h, *args, **kwargs):
+            if calls is not None:
+                calls.append(which)
+            if which == "fsc":
+                return h, engine._wrap(np.ones(h.shape[:2] + (1, 1)))
+            return h
+        return stage
+
+    with contextlib.ExitStack() as stack:
+        for which in stages:
+            stack.enter_context(mock.patch.object(
+                model_module, STAGE_FUNCTIONS[which], stand_in(which)))
+        yield
 
 
 def _with_metadata(**fields):

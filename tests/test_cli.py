@@ -16,7 +16,8 @@ from dctnet.cli import _emit_json, main
 from dctnet.data_io import SeriesTable, checkpoint_load, checkpoint_save, \
     load_csv, save_csv
 
-from helpers import BAD_METADATA, LACKS_STATS, MISTYPED_SHAPES, rewrite_header
+from helpers import BAD_METADATA, LACKS_STATS, MISTYPED_SHAPES, \
+    repeat_tensor, rewrite_header
 
 CFG_JSON = {
     "model": {"latent_dim": 16, "heads": 2, "patch_len": 8, "stride": 4},
@@ -212,6 +213,17 @@ class TestEval:
         assert stdout == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "NaN/Inf" in err
+
+    def test_repeated_checkpoint_tensor_exit_2(self, trained, tmp_path,
+                                               capsys):
+        ckpt = tmp_path / "checkpoint.dct"
+        shutil.copy(trained["out"] / "checkpoint.dct", ckpt)
+        repeat_tensor(ckpt, "revin.gamma", 7.0)
+        code, stdout = run(["eval", "--checkpoint", str(ckpt),
+                            "--data", str(trained["root"] / "data.csv")])
+        assert (code, stdout) == (2, "")
+        assert capsys.readouterr().err.startswith(
+            "error: checkpoint lists parameter 'revin.gamma' twice")
 
     @pytest.mark.parametrize("command", ["eval", "forecast"])
     def test_zero_revin_gain_exit_2(self, trained, tmp_path, capsys,
@@ -469,6 +481,31 @@ class TestAblate:
         for row in payload["variants"]:
             assert np.isfinite(row["mse"]) and np.isfinite(row["mae"])
             assert "best_epoch" in row
+
+    @pytest.mark.parametrize("model, variants, named", [
+        ({"disable_dbct": True}, "dbct,fsc", "model.disable_dbct"),
+        ({"disable_fsc": True}, "gpaf", "model.disable_fsc"),
+        ({}, "fsc,gpaf, fsc", "'fsc' more than once"),
+        ({}, ",", "no stage"),
+    ], ids=["base_bypasses_dbct", "base_bypasses_fsc", "repeated", "empty"])
+    def test_refused_before_training(self, workdir, tmp_path, capsys,
+                                     monkeypatch, model, variants, named):
+        # each used to train: rows under a wrong label, one row twice, or
+        # no variant at all
+        def never(*args, **kwargs):
+            raise AssertionError("ablate trained a model")
+
+        monkeypatch.setattr(cli_module, "_train_once", never)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"model": dict(CFG_JSON["model"], **model)}))
+        code, stdout = run(["ablate", "--config", str(cfg_path),
+                            "--data", str(workdir / "data.csv"),
+                            "--seq-len", "48", "--horizon", "12",
+                            "--epochs", "1", "--variants", variants])
+        assert (code, stdout) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
     def test_unknown_variant_exit_2(self, workdir, capsys):
         code, _ = run(["ablate", "--data", str(workdir / "data.csv"),

@@ -26,7 +26,8 @@ from dctnet.model import ModelConfig, forward, init_params
 from dctnet.spectral_correction import CorrectionConfig
 
 from helpers import (BAD_METADATA, LACKS_STATS, MISTYPED_SHAPES, RECORD_KEY,
-                     retyped_shape, rewrite_header, tiny_configs)
+                     repeat_tensor, retyped_shape, rewrite_header,
+                     tiny_configs)
 
 
 class TestLoadCsv:
@@ -708,6 +709,16 @@ class TestCheckpoint:
 
         rewrite_header(p, edit)
         with pytest.raises(CheckpointError, match="head.bias"):
+            checkpoint_load(p)
+
+    def test_repeated_parameter_named(self, tmp_path):
+        # the stored names used to be merged, so the later entry won
+        cfg = micro_config()
+        p = tmp_path / "x.dct"
+        checkpoint_save(init_params(cfg), cfg, p)
+        repeat_tensor(p, "revin.gamma", 7.0)
+        with pytest.raises(CheckpointError,
+                           match="lists parameter 'revin.gamma' twice"):
             checkpoint_load(p)
 
     @pytest.mark.parametrize("edit", [

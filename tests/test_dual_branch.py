@@ -186,14 +186,6 @@ class TestChannelBranch:
 
 
 class TestFusion:
-    def test_disabled_is_the_same_object(self):
-        rng = np.random.default_rng(20)
-        x = Tensor(rng.standard_normal((1, 2, 3, 4)))
-        out = fuse_branches(x, temporal_params(3, 4, rng=rng),
-                            channel_params(4, rng), heads=2, dropout_p=0.0,
-                            disabled=True)
-        assert out is x
-
     def test_residual_substitution_wiring(self):
         rng = np.random.default_rng(21)
         tp = temporal_params(3, 4, rng=rng)

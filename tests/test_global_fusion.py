@@ -24,12 +24,6 @@ def make_params(d, rng, scale=0.4):
 
 
 class TestForward:
-    def test_disabled_is_the_same_object(self):
-        rng = np.random.default_rng(0)
-        h = Tensor(rng.standard_normal((2, 3, 4, 6)))
-        assert global_patch_attention(h, make_params(6, rng), heads=2,
-                                      dropout_p=0.0, disabled=True) is h
-
     def test_single_patch_degenerates_to_projection(self):
         rng = np.random.default_rng(1)
         params = make_params(4, rng)

@@ -20,7 +20,7 @@ from dctnet.model import (ABLATION_STAGES, ModelConfig, ablation_variant,
                           forward, init_params)
 from dctnet.trainer import mse_loss
 
-from helpers import tiny_configs
+from helpers import stages_passing_input, tiny_configs
 
 
 def micro_config(**overrides):
@@ -539,6 +539,15 @@ class TestAblationVariant:
         with pytest.raises(ConfigError):
             ablation_variant(micro_config(), "head")
 
+    @pytest.mark.parametrize("already", ABLATION_STAGES)
+    def test_config_bypassing_a_stage_refused(self, already):
+        # its "full" model would not be the full model
+        cfg = micro_config(**{f"disable_{already}": True})
+        for which in ABLATION_STAGES:
+            with pytest.raises(ConfigError,
+                               match=f"model.disable_{already} is already"):
+                ablation_variant(cfg, which)
+
     def test_shapes_unchanged(self):
         cfg = micro_config()
         for which in ABLATION_STAGES:
@@ -589,40 +598,33 @@ class TestSettingsFromConfig:
             assert outputs(foreign, True) == outputs(foreign, False)
 
 
-# the function in dctnet.model that each ablation switch bypasses
-_STAGE_FN = {"dbct": "fuse_branches", "gpaf": "global_patch_attention",
-             "fsc": "apply_correction"}
-
-
 class TestBypassProperty:
     @pytest.mark.parametrize("training", [False, True],
                              ids=["eval", "train"])
     @settings(max_examples=40, deadline=None)
-    @given(cfg=tiny_configs(), which=st.sampled_from(ABLATION_STAGES),
+    @given(cfg=tiny_configs(),
+           bypassed=st.sets(st.sampled_from(ABLATION_STAGES), min_size=1),
            batch=st.integers(1, 3), data_seed=st.integers(0, 2**32 - 1))
-    def test_bypassed_stage_returns_its_input(self, training, cfg, which,
+    def test_bypassed_stage_returns_its_input(self, training, cfg, bypassed,
                                               batch, data_seed):
-        cfg = ablation_variant(cfg, which)
-        name = _STAGE_FN[which]
-        real = getattr(model_module, name)
+        # a switched-off stage is never called, and the forecast is the
+        # full model's with each such stage returning its input
+        x = np.random.default_rng(data_seed).standard_normal(
+            (batch, cfg.seq_len, cfg.channels))
+        params = init_params(cfg)
+
+        def run(run_cfg):
+            return forecast_bytes(forward(x, params, run_cfg,
+                                          training=training,
+                                          rng=np.random.default_rng(7)))
+
         calls = []
-
-        def spy(first, *args, **kwargs):
-            out = real(first, *args, **kwargs)
-            calls.append((first, out[0] if which == "fsc" else out))
-            return out
-
-        rng = np.random.default_rng(data_seed)
-        x = rng.standard_normal((batch, cfg.seq_len, cfg.channels))
-        with mock.patch.object(model_module, name, spy):
-            fc = forward(x, init_params(cfg), cfg, training=training, rng=rng)
-        assert len(calls) == (1 if which == "fsc" else cfg.depth)
-        for given_in, returned in calls:
-            assert returned is given_in
-        if which == "fsc":
-            alpha = fc.alpha.data
-            assert alpha.shape == (batch, cfg.channels, 1, 1)
-            np.testing.assert_array_equal(alpha, 1.0)
+        with stages_passing_input(bypassed, calls):
+            switched = run(dataclasses.replace(
+                cfg, **{f"disable_{s}": True for s in bypassed}))
+        assert calls == []
+        with stages_passing_input(bypassed):
+            assert switched == run(cfg)
 
 
 class TestTapeSize:

@@ -173,15 +173,6 @@ class TestCorrectionFactor:
 
 
 class TestApplyCorrection:
-    def test_disabled_returns_same_object_with_unit_alpha(self):
-        rng = np.random.default_rng(20)
-        h = Tensor(rng.standard_normal((2, 2, 4, 3)))
-        x = Tensor(rng.standard_normal((2, 2, 4, 3)))
-        out, alpha = apply_correction(h, x, CorrectionConfig(), enabled=False)
-        assert out is h
-        assert alpha.shape == (2, 2, 1, 1)
-        assert np.all(alpha.data == 1.0)
-
     def test_fixed_point_when_spectra_match(self):
         rng = np.random.default_rng(21)
         h = Tensor(rng.standard_normal((1, 2, 8, 3)))
