@@ -150,6 +150,20 @@ def _train_once(cfg: ModelConfig, settings: TrainSettings, datasets,
     return params, report, score
 
 
+def _baselines(dataset, prefix: str = "") -> dict:
+    """MSE of the zero forecast and of persistence (each window's last input,
+    repeated) on ``dataset``'s windows, keyed ``<prefix>zero_mse`` and
+    ``<prefix>persistence_mse``; ``None`` where one overflows float64."""
+    guesses = {"zero_mse": 0.0, "persistence_mse": dataset.inputs[:, -1:, :]}
+    out = {}
+    for name, guess in guesses.items():
+        with np.errstate(over="ignore"):
+            err = dataset.targets - guess
+            mse = float(np.mean(err * err))
+        out[prefix + name] = mse if np.isfinite(mse) else None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -173,7 +187,7 @@ def cmd_train(args) -> int:
     payload = dict(dataclasses.asdict(report),
                    dataset=data_path.stem,
                    test_mse=test_score.mse, test_mae=test_score.mae,
-                   checkpoint=str(ckpt_path))
+                   checkpoint=str(ckpt_path), **_baselines(test_ds, "test_"))
     _emit_json(payload, out_dir / "train_report.json")
     logger.info("checkpoint written to %s", ckpt_path)
     return 0
@@ -212,6 +226,7 @@ def cmd_eval(args) -> int:
         "split": args.split,
         "alpha_mean": score.alpha_mean,
         "num_windows": score.num_windows,
+        **_baselines(dataset),
     })
     return 0
 
@@ -303,6 +318,7 @@ def cmd_ablate(args) -> int:
         "seed": cfg.seed,
         "config": cfg.to_dict(),
         "variants": rows,
+        **_baselines(windows[2], "test_"),
     }, Path(args.out) if args.out else None)
     return 0
 

@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -13,8 +16,8 @@ import pytest
 import dctnet.cli as cli_module
 import dctnet.model as model_module
 from dctnet.cli import _emit_json, main
-from dctnet.data_io import SeriesTable, checkpoint_load, checkpoint_save, \
-    load_csv, save_csv
+from dctnet.data_io import SeriesTable, WindowedDataset, checkpoint_load, \
+    checkpoint_save, load_csv, run_settings, save_csv
 
 from helpers import BAD_METADATA, LACKS_STATS, MISTYPED_SHAPES, \
     repeat_tensor, rewrite_header
@@ -190,6 +193,35 @@ class TestEval:
             trained["payload"]["test_mse"], rel=1e-12)
         assert payload["num_windows"] > 0
         assert np.isfinite(payload["alpha_mean"])
+
+    def test_reports_trivial_baselines(self, trained):
+        ckpt = trained["out"] / "checkpoint.dct"
+        code, stdout = run(["eval", "--checkpoint", str(ckpt),
+                            "--data", str(trained["root"] / "data.csv"),
+                            "--split", "test"])
+        assert code == 0
+        payload = json.loads(stdout)
+        _params, cfg, meta = checkpoint_load(ckpt)
+        stats, split = run_settings(meta, cfg.channels)
+        ds, = split.windows(load_csv(trained["root"] / "data.csv"),
+                            cfg.seq_len, cfg.pred_len, stats, which=("test",))
+        zero = np.mean(ds.targets ** 2)
+        persistence = np.mean((ds.targets - ds.inputs[:, -1:, :]) ** 2)
+        assert payload["zero_mse"] == pytest.approx(zero, rel=1e-15)
+        assert payload["persistence_mse"] == pytest.approx(persistence,
+                                                           rel=1e-15)
+        # the train report scores the same test windows
+        report = trained["payload"]
+        assert report["test_zero_mse"] == pytest.approx(zero, rel=1e-12)
+        assert report["test_persistence_mse"] == pytest.approx(persistence,
+                                                               rel=1e-12)
+
+    def test_overflowing_baseline_is_null(self):
+        ds = WindowedDataset(inputs=np.full((2, 4, 1), 1e200),
+                             targets=np.full((2, 3, 1), 1e200),
+                             split="test", stats=None)
+        assert cli_module._baselines(ds, "test_") == {
+            "test_zero_mse": None, "test_persistence_mse": 0.0}
 
     def test_val_split_labelled(self, trained):
         code, stdout = run(["eval",
@@ -481,6 +513,8 @@ class TestAblate:
         for row in payload["variants"]:
             assert np.isfinite(row["mse"]) and np.isfinite(row["mae"])
             assert "best_epoch" in row
+        assert np.isfinite(payload["test_zero_mse"])
+        assert np.isfinite(payload["test_persistence_mse"])
 
     @pytest.mark.parametrize("model, variants, named", [
         ({"disable_dbct": True}, "dbct,fsc", "model.disable_dbct"),
@@ -688,3 +722,15 @@ class TestBlasThreads:
         assert run(["synth", "--kind", "sine", "--rows", "50", "--quiet",
                     "--out", str(tmp_path / "s.csv")])[0] == 0
         assert seen == [before] and get() == before
+
+
+class TestImports:
+    def test_library_and_cli_load_without_scipy(self):
+        # numeric_engine computes GELU's normal CDF on numpy; importing
+        # scipy.special would cost every process about 20 MB of resident
+        # memory and 0.3 s
+        code = ("import dctnet.cli, dctnet.trainer, sys; "
+                "sys.exit('scipy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=60)

@@ -1,8 +1,9 @@
 """Dual-branch block: temporal mixing, channel attention, fusion wiring."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from dctnet.numeric_engine import AttentionParams, Tensor
 from dctnet.dual_branch import (AttentionSublayerParams, TemporalBranchParams,
@@ -14,8 +15,11 @@ from helpers import (assert_rows_stochastic, check_gradients, oracle_attention,
                      oracle_layer_norm, weighted_sum)
 
 
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
 def gelu_np(x):
-    return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    return x * 0.5 * (1.0 + _erf(x / np.sqrt(2.0)))
 
 
 def temporal_params(n, d, w=None, rng=None):

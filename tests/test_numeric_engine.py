@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dctnet import numeric_engine as engine, spectral_correction
 from dctnet.model import ModelConfig, forward, init_params, linear_head
@@ -86,6 +87,52 @@ class TestForwardValues:
         out = engine.layer_norm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8)))
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-4)
+
+
+class TestNormalCdf:
+    """``_normal_cdf``'s Hart 5666 form against the exact erfc form, over
+    every float: the clamp at 40 keeps u**2 and u**7 from overflowing and
+    inf / inf out of P / Q, and the suite makes a RuntimeWarning an error."""
+
+    @staticmethod
+    def exact(a):
+        return 0.5 * math.erfc(-a / math.sqrt(2.0))
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+    @example([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308])
+    @example([1e300, -1e300, math.inf, -math.inf, 40.0, -40.0])
+    @example([1.3e154, -1.3e154, 7.07, -7.07, 38.6, -38.6])
+    def test_within_bound_of_erfc(self, values):
+        a = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            phi, gauss = engine._normal_cdf(a)
+        for x, p, g in zip(values, phi, gauss):
+            assert abs(p - self.exact(x)) <= 4.5e-16, x
+            assert g == pytest.approx(math.exp(-0.5 * x * x), rel=1e-15,
+                                      abs=1e-300), x
+
+    def test_zero_is_exactly_half_and_nan_stays_nan(self):
+        phi, gauss = engine._normal_cdf(np.array([0.0, -0.0, math.nan]))
+        assert phi[0] == 0.5 and phi[1] == 0.5
+        assert math.isnan(phi[2]) and math.isnan(gauss[2])
+
+    @pytest.mark.parametrize("shape", [(), (0,), (0, 3)])
+    def test_zero_dim_and_empty_input(self, shape):
+        a = np.full(shape, 1.0)
+        phi, gauss = engine._normal_cdf(a)
+        assert phi.shape == gauss.shape == shape
+        assert np.all(np.abs(phi - self.exact(1.0)) <= 4.5e-16)
+
+    @pytest.mark.parametrize("a", [8.0, -8.0, 40.0, -40.0, 1e200, -1e200])
+    def test_gelu_vjp_in_the_tails(self, a):
+        x = Tensor([a], requires_grad=True)
+        with Tape() as tape:
+            backward(weighted_sum(engine.gelu(x), 1.0), tape)
+        slope = (self.exact(a)
+                 + a * math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi))
+        assert abs(x.grad[0] - slope) <= 4.5e-16 + 1e-15 * abs(slope)
+
 
 class TestExtractPatches:
     def test_layout_and_values(self):
